@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +117,11 @@ def _filter_degree(g: TemporalGraph, min_user: int, min_item: int) -> TemporalGr
         new_i[g.items[keep_ev]],
         g.times[keep_ev],
         g.edge_features[keep_ev],
-        [uid for uid, k in zip(g.user_ids, keep_u) if k],
-        [iid for iid, k in zip(g.item_ids, keep_i) if k],
+        list(compress(g.user_ids, keep_u)),
+        list(compress(g.item_ids, keep_i)),
         g.feature_vocab,
-        [f for f, k in zip(g.user_features, keep_u) if k],
-        [f for f, k in zip(g.item_features, keep_i) if k],
+        g.user_features.take(np.flatnonzero(keep_u)),
+        g.item_features.take(np.flatnonzero(keep_i)),
     )
 
 

@@ -78,9 +78,7 @@ def phase_plan(tg: TransformedGraph) -> list[PhaseTable]:
     feat_global = tg.feature_global(tg.feat_edge_feat)
 
     # phase 1: every graph node aggregates its feature nodes, weight 1/|F_u|
-    f_per_node = np.zeros(g_count, dtype=np.int64)
-    np.add.at(f_per_node, tg.feat_edge_node, 1)
-    a1 = 1.0 / f_per_node[tg.feat_edge_node] if len(tg.feat_edge_node) else np.zeros(0)
+    a1 = 1.0 / tg.node_features.lengths[tg.feat_edge_node]
     p1 = _sorted_table(0, g_count, tg.feat_edge_node, feat_global, a1)
 
     # phases 2 and 3: interaction-fraction edges, split by aggregating side
@@ -91,9 +89,7 @@ def phase_plan(tg: TransformedGraph) -> list[PhaseTable]:
     p3 = _sorted_table(u_count, g_count - u_count, es[item_side], ed[item_side], ew[item_side])
 
     # phase 4: feature nodes aggregate attached graph nodes, weight 1/deg
-    deg = np.zeros(tg.num_features, dtype=np.int64)
-    np.add.at(deg, tg.feat_edge_feat, 1)
-    a4 = 1.0 / deg[tg.feat_edge_feat] if len(tg.feat_edge_feat) else np.zeros(0)
+    a4 = 1.0 / tg.feature_nodes.lengths[tg.feat_edge_feat]
     p4 = _sorted_table(g_count, tg.num_features, feat_global, tg.feat_edge_node, a4)
     return [p1, p2, p3, p4]
 

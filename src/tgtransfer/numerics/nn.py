@@ -99,27 +99,6 @@ class GruCell:
         return (one - z) * cand + z * h
 
 
-class EmbeddingTable:
-    """Learned row per id; row 0 is conventionally the unknown token."""
-
-    def __init__(self, prefix: str, num_rows: int, dim: int):
-        self.prefix = prefix
-        self.num_rows = num_rows
-        self.dim = dim
-
-    def init_params(self, pset: ParameterSet, rng: np.random.Generator) -> None:
-        pset.add(
-            f"{self.prefix}.table",
-            xavier_uniform(rng, self.dim, self.dim, (self.num_rows, self.dim)),
-        )
-
-    def __call__(self, pset: ParameterSet, idx: np.ndarray) -> T.Tensor:
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_rows):
-            raise IndexError(f"embedding index out of range [0, {self.num_rows})")
-        return T.gather(pset[f"{self.prefix}.table"], idx)
-
-
 class TimeEncoder:
     """cos(dt * freq + phase) with learnable freq/phase, one channel per dim.
 

@@ -7,6 +7,13 @@ and node tables so indices mean the same thing across pieces.
 
 Node indexing convention used package-wide: users occupy global ids
 [0, num_users) and items [num_users, num_users + num_items).
+
+Every ragged per-node table is one `Csr`: a flat `values` array cut into rows
+by an `offsets` array, row r being values[offsets[r]:offsets[r + 1]]. That
+holds the feature ids of users and of items, the embedding rows a model binds
+to them, and the temporal adjacency, whose flat neighbor, time and ordinal
+arrays are sorted by (node, time) under one offsets array. On disk a feature
+table is its values plus its row lengths.
 """
 
 from __future__ import annotations
@@ -19,11 +26,78 @@ import numpy as np
 from .numerics.checkpoint import read_blob, write_blob
 
 
-class Event(NamedTuple):
-    user: int
-    item: int
-    time: float
-    edge_features: np.ndarray
+class Csr:
+    """Read-only sequence of int64 rows in compressed sparse row layout.
+
+    Indexing a row out of range raises KeyError: rows are per-node tables,
+    and a bad node id must not wrap around to the last row.
+    """
+
+    def __init__(self, offsets, values):
+        # views, so freezing them leaves the caller's arrays writable
+        self.offsets = np.asarray(offsets, dtype=np.int64).view()
+        self.values = np.asarray(values, dtype=np.int64).view()
+        if self.offsets.ndim != 1 or self.values.ndim != 1 or len(self.offsets) == 0:
+            raise ValueError("CSR offsets and values must be non-empty 1-D arrays")
+        if self.offsets[0] != 0 or self.offsets[-1] != len(self.values) or np.any(np.diff(self.offsets) < 0):
+            raise ValueError("CSR offsets must rise from 0 to the number of values")
+        self.offsets.flags.writeable = False
+        self.values.flags.writeable = False
+
+    @classmethod
+    def of(cls, rows) -> "Csr":
+        """`rows` itself if it is a Csr, else a table built from a list of rows."""
+        if isinstance(rows, Csr):
+            return rows
+        rows = [np.asarray(r, dtype=np.int64) for r in rows]
+        values = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        return cls.from_lengths([len(r) for r in rows], values)
+
+    @classmethod
+    def from_lengths(cls, lengths, values) -> "Csr":
+        return cls(np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]), values)
+
+    @classmethod
+    def concat(cls, tables) -> "Csr":
+        """The rows of every table in turn."""
+        return cls.from_lengths(
+            np.concatenate([t.lengths for t in tables]), np.concatenate([t.values for t in tables])
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def bounds(self, row: int) -> tuple[int, int]:
+        """(start, end) of `row` in `values`."""
+        if not 0 <= row < len(self):
+            raise KeyError(f"unknown node {row}")
+        return int(self.offsets[row]), int(self.offsets[row + 1])
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        lo, hi = self.bounds(row)
+        return self.values[lo:hi]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        offsets = self.offsets.tolist()
+        return (self.values[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+
+    def segment_ids(self) -> np.ndarray:
+        """Row index of every value."""
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    def take(self, rows) -> "Csr":
+        """The table of the given rows, in the given order, repeats allowed."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
+            raise KeyError("unknown node in row selection")
+        lengths = self.lengths[rows]
+        offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        pos = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+        return Csr(offsets, self.values[pos])
 
 
 class EventBatch(NamedTuple):
@@ -50,8 +124,8 @@ class TemporalGraph:
         user_ids: list[str],
         item_ids: list[str],
         feature_vocab: list[str],
-        user_features: list[np.ndarray],
-        item_features: list[np.ndarray],
+        user_features,
+        item_features,
     ):
         self.users = np.asarray(users, dtype=np.int64)
         self.items = np.asarray(items, dtype=np.int64)
@@ -62,8 +136,8 @@ class TemporalGraph:
         self.user_ids = list(user_ids)
         self.item_ids = list(item_ids)
         self.feature_vocab = list(feature_vocab)
-        self.user_features = [np.asarray(f, dtype=np.int64) for f in user_features]
-        self.item_features = [np.asarray(f, dtype=np.int64) for f in item_features]
+        self.user_features = Csr.of(user_features)
+        self.item_features = Csr.of(item_features)
         self._validate()
 
     def _validate(self) -> None:
@@ -78,10 +152,9 @@ class TemporalGraph:
             raise ValueError("user feature table size mismatch")
         if len(self.item_features) != len(self.item_ids):
             raise ValueError("item feature table size mismatch")
-        vocab_size = len(self.feature_vocab)
-        for feats in (*self.user_features, *self.item_features):
-            if feats.size and (feats.min() < 0 or feats.max() >= vocab_size):
-                raise ValueError("node feature id outside vocabulary")
+        feats = self.node_features.values
+        if feats.size and (feats.min() < 0 or feats.max() >= len(self.feature_vocab)):
+            raise ValueError("node feature id outside vocabulary")
 
     # -- sizes and indexing ----------------------------------------------------
 
@@ -109,19 +182,15 @@ class TemporalGraph:
         """Dense item index -> global node id."""
         return self.num_users + item_idx
 
+    @property
+    def node_features(self) -> Csr:
+        """Feature ids per global node id: user rows, then item rows."""
+        return Csr.concat([self.user_features, self.item_features])
+
     def node_feature_ids(self, node: int) -> np.ndarray:
         if node < self.num_users:
             return self.user_features[node]
         return self.item_features[node - self.num_users]
-
-    def event(self, k: int) -> Event:
-        return Event(
-            int(self.users[k]), int(self.items[k]), float(self.times[k]), self.edge_features[k]
-        )
-
-    def iter_events(self) -> Iterator[Event]:
-        for k in range(self.num_events):
-            yield self.event(k)
 
     def slice(self, start: int, end: int) -> "TemporalGraph":
         """Event window [start, end); shares vocab and node tables."""
@@ -302,32 +371,33 @@ class NeighborIndex:
     Queries return interactions strictly before the query time, newest first,
     as global node ids. Built once, never mutated; querying at a training-time
     t can therefore never see an event at t or later.
+
+    Every event appears once under each endpoint. The flat neighbor, time and
+    ordinal arrays are sorted by (node, event ordinal), hence by (node, time),
+    and `adjacency` cuts them into per-node rows.
     """
 
     def __init__(self, g: TemporalGraph):
         self._g = g
-        n = g.num_nodes
-        nbr: list[list] = [[] for _ in range(n)]
-        times: list[list] = [[] for _ in range(n)]
-        ords: list[list] = [[] for _ in range(n)]
         items_g = g.items + g.num_users
-        for k in range(g.num_events):
-            u = int(g.users[k])
-            v = int(items_g[k])
-            t = float(g.times[k])
-            nbr[u].append(v)
-            times[u].append(t)
-            ords[u].append(k)
-            nbr[v].append(u)
-            times[v].append(t)
-            ords[v].append(k)
-        self._nbr = [np.asarray(x, dtype=np.int64) for x in nbr]
-        self._times = [np.asarray(x, dtype=np.float64) for x in times]
-        self._ords = [np.asarray(x, dtype=np.int64) for x in ords]
+        ordinals = np.arange(g.num_events, dtype=np.int64)
+        node = np.concatenate([g.users, items_g])
+        # stable: each node keeps its events in stream order
+        order = np.argsort(node, kind="stable")
+        self.adjacency = Csr.from_lengths(
+            np.bincount(node, minlength=g.num_nodes), np.concatenate([items_g, g.users])[order]
+        )
+        self._times = np.concatenate([g.times, g.times])[order]
+        self._ords = np.concatenate([ordinals, ordinals])[order]
+        # integer (node, time rank) keys ascend along the flat arrays; a query
+        # key counts the distinct event times strictly before the query time
+        self._stamps, rank = np.unique(self._times, return_inverse=True)
+        self._stride = len(self._stamps) + 1
+        self._keys = self.adjacency.segment_ids() * self._stride + rank
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nbr)
+        return len(self.adjacency)
 
     def neighbors(self, node: int, t: float, k: int):
         """The k most recent interactions of `node` before t, newest first.
@@ -335,15 +405,13 @@ class NeighborIndex:
         Returns (neighbor_ids, times, event_ordinals); shorter than k when
         the history is short.
         """
-        if not 0 <= node < len(self._nbr):
-            raise KeyError(f"unknown node {node}")
-        cut = int(np.searchsorted(self._times[node], t, side="left"))
-        lo = max(0, cut - k)
-        sel = slice(lo, cut)
+        lo, hi = self.adjacency.bounds(node)
+        cut = lo + int(np.searchsorted(self._times[lo:hi], t, side="left"))
+        sel = slice(max(lo, cut - k), cut)
         return (
-            self._nbr[node][sel][::-1],
-            self._times[node][sel][::-1],
-            self._ords[node][sel][::-1],
+            self.adjacency.values[sel][::-1],
+            self._times[sel][::-1],
+            self._ords[sel][::-1],
         )
 
     def batch_neighbors(self, nodes: np.ndarray, ts: np.ndarray, k: int):
@@ -353,20 +421,23 @@ class NeighborIndex:
         real entries. Padding uses id 0, the query time, and ordinal 0, all
         neutralized by the mask downstream.
         """
-        b = len(nodes)
-        ids = np.zeros((b, k), dtype=np.int64)
-        times = np.tile(np.asarray(ts, dtype=np.float64)[:, None], (1, k))
-        ords = np.zeros((b, k), dtype=np.int64)
-        mask = np.zeros((b, k), dtype=np.float64)
-        for row, (node, t) in enumerate(zip(nodes, ts)):
-            nid, nt, no = self.neighbors(int(node), float(t), k)
-            c = len(nid)
-            if c:
-                ids[row, :c] = nid
-                times[row, :c] = nt
-                ords[row, :c] = no
-                mask[row, :c] = 1.0
-        return ids, times, ords, mask
+        nodes = np.asarray(nodes, dtype=np.int64)
+        ts = np.asarray(ts, dtype=np.float64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
+            raise KeyError("neighbor query for unknown node")
+        query = nodes * self._stride + np.searchsorted(self._stamps, ts, side="left")
+        cut = np.searchsorted(self._keys, query, side="left")
+        count = np.minimum(cut - self.adjacency.offsets[nodes], k)
+        back = np.arange(k)
+        real = back < count[:, None]
+        src = (cut[:, None] - 1 - back)[real]  # newest first along each row
+        ids = np.zeros((len(nodes), k), dtype=np.int64)
+        times = np.repeat(ts[:, None], k, axis=1)
+        ords = np.zeros((len(nodes), k), dtype=np.int64)
+        ids[real] = self.adjacency.values[src]
+        times[real] = self._times[src]
+        ords[real] = self._ords[src]
+        return ids, times, ords, real.astype(np.float64)
 
     def edge_features_for(self, ordinals: np.ndarray) -> np.ndarray:
         # padding ordinals are 0, which only exists in nonempty graphs; all
@@ -379,44 +450,36 @@ class NeighborIndex:
 # -- binary cache ------------------------------------------------------------------
 
 
-def _pack_ragged(rows: list[np.ndarray]):
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    values = np.concatenate(rows) if rows and lengths.sum() else np.zeros(0, dtype=np.int64)
-    return values.astype(np.int64), lengths
+def feature_arrays(g, prefix: str = "") -> dict[str, np.ndarray]:
+    """The blob arrays of `g`'s user and item feature tables: per side, the
+    flat values and the row lengths."""
+    arrays = {}
+    for side, table in (("user", g.user_features), ("item", g.item_features)):
+        arrays[f"{prefix}{side}_feat_values"] = table.values
+        arrays[f"{prefix}{side}_feat_lengths"] = table.lengths
+    return arrays
 
 
-def _unpack_ragged(values: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    out = []
-    pos = 0
-    for n in lengths:
-        out.append(values[pos : pos + n].copy())
-        pos += int(n)
-    return out
+def pop_feature_tables(arrays: dict, prefix: str = "") -> tuple[Csr, Csr]:
+    """Remove the arrays `feature_arrays` wrote from `arrays`; returns the
+    (user, item) feature tables they hold."""
+    return tuple(
+        Csr.from_lengths(
+            arrays.pop(f"{prefix}{side}_feat_lengths"), arrays.pop(f"{prefix}{side}_feat_values")
+        )
+        for side in ("user", "item")
+    )
 
 
 def save_cache(g: TemporalGraph, path) -> None:
-    uf_vals, uf_lens = _pack_ragged(g.user_features)
-    if_vals, if_lens = _pack_ragged(g.item_features)
     meta = {
         "kind": "temporal-graph-cache",
         "user_ids": g.user_ids,
         "item_ids": g.item_ids,
         "feature_vocab": g.feature_vocab,
     }
-    write_blob(
-        path,
-        meta,
-        {
-            "users": g.users,
-            "items": g.items,
-            "times": g.times,
-            "edge_features": g.edge_features,
-            "user_feat_values": uf_vals,
-            "user_feat_lengths": uf_lens,
-            "item_feat_values": if_vals,
-            "item_feat_lengths": if_lens,
-        },
-    )
+    arrays = {"users": g.users, "items": g.items, "times": g.times, "edge_features": g.edge_features}
+    write_blob(path, meta, {**arrays, **feature_arrays(g)})
 
 
 def load_cache(path) -> TemporalGraph:
@@ -431,6 +494,5 @@ def load_cache(path) -> TemporalGraph:
         meta["user_ids"],
         meta["item_ids"],
         meta["feature_vocab"],
-        _unpack_ragged(arrays["user_feat_values"], arrays["user_feat_lengths"]),
-        _unpack_ragged(arrays["item_feat_values"], arrays["item_feat_lengths"]),
+        *pop_feature_tables(arrays),
     )

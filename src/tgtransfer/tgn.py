@@ -30,7 +30,10 @@ from .numerics.checkpoint import read_blob, write_blob
 from .numerics.nn import GruCell, Linear, Mlp, TimeEncoder
 from .numerics.optim import Adam, make_optimizer
 from .numerics.params import ParameterSet, xavier_uniform
-from .temporal_graph import EventBatch, NeighborIndex, TemporalGraph, batch_iter, sample_negatives
+from .temporal_graph import (
+    Csr, EventBatch, NeighborIndex, TemporalGraph, batch_iter, feature_arrays, pop_feature_tables,
+    sample_negatives,
+)
 
 UNKNOWN_ROW = 0
 
@@ -79,7 +82,7 @@ class GraphContext(NamedTuple):
 
     graph: TemporalGraph
     index: NeighborIndex
-    node_rows: list[np.ndarray]
+    node_rows: Csr
 
     @property
     def num_nodes(self) -> int:
@@ -140,26 +143,21 @@ class TgnModel:
             raise ValueError(
                 f"edge feature dim {graph.edge_feature_dim} does not match model {self.edge_dim}"
             )
-        vocab_rows = self.token_rows(graph.feature_vocab)
-        node_rows = [
-            vocab_rows[feats] if feats.size else np.zeros(0, dtype=np.int64)
-            for feats in (*graph.user_features, *graph.item_features)
-        ]
+        feats = graph.node_features
+        node_rows = Csr(feats.offsets, self.token_rows(graph.feature_vocab)[feats.values])
         return GraphContext(graph, index or NeighborIndex(graph), node_rows)
 
     # -- forward pieces ---------------------------------------------------------
 
     def node_static_features(self, ctx: GraphContext, nodes: np.ndarray) -> T.Tensor:
         """Mean feature embedding per node, projected to memory width."""
-        rows = [ctx.node_rows[int(n)] for n in nodes]
-        counts = np.array([max(len(r), 1) for r in rows], dtype=np.float64)
-        flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        if flat.size == 0:
-            mean = T.constant(np.zeros((len(nodes), self.config.d_feat)))
+        rows = ctx.node_rows.take(nodes)
+        if rows.values.size == 0:
+            mean = T.constant(np.zeros((len(rows), self.config.d_feat)))
         else:
-            seg = np.repeat(np.arange(len(nodes)), [len(r) for r in rows])
-            emb = T.gather(self.pset["feat.table"], flat)
-            mean = T.segment_sum(emb, seg, len(nodes)) * T.constant(1.0 / counts[:, None])
+            counts = np.maximum(rows.lengths, 1).astype(np.float64)
+            emb = T.gather(self.pset["feat.table"], rows.values)
+            mean = T.segment_sum(emb, rows.segment_ids(), len(rows)) * T.constant(1.0 / counts[:, None])
         return self.feat_proj(self.pset, mean)
 
     def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int | None = None, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
@@ -382,20 +380,6 @@ def train(
 # -- checkpointing -------------------------------------------------------------------
 
 
-def _pack_ragged(rows):
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    values = np.concatenate(rows) if len(rows) and lengths.sum() else np.zeros(0, dtype=np.int64)
-    return values.astype(np.int64), lengths
-
-
-def _unpack_ragged(values, lengths):
-    out, pos = [], 0
-    for n in lengths:
-        out.append(values[pos : pos + int(n)].copy())
-        pos += int(n)
-    return out
-
-
 class TgnCheckpoint(NamedTuple):
     model: TgnModel
     state: MemoryState
@@ -437,8 +421,6 @@ def snapshot(
         if train_pairs is None:
             raise ValueError("source_graph requires train_pairs")
         pu, pi, pc = train_pairs
-        uf_vals, uf_lens = _pack_ragged(source_graph.user_features)
-        if_vals, if_lens = _pack_ragged(source_graph.item_features)
         meta["graph"] = {
             "num_users": source_graph.num_users,
             "num_items": source_graph.num_items,
@@ -447,10 +429,7 @@ def snapshot(
         arrays["graph.pair_users"] = np.asarray(pu, dtype=np.int64)
         arrays["graph.pair_items"] = np.asarray(pi, dtype=np.int64)
         arrays["graph.pair_counts"] = np.asarray(pc, dtype=np.int64)
-        arrays["graph.user_feat_values"] = uf_vals
-        arrays["graph.user_feat_lengths"] = uf_lens
-        arrays["graph.item_feat_values"] = if_vals
-        arrays["graph.item_feat_lengths"] = if_lens
+        arrays.update(feature_arrays(source_graph, prefix="graph."))
     write_blob(path, meta, arrays)
 
 
@@ -469,10 +448,5 @@ def restore(path) -> TgnCheckpoint:
         optimizer.load_state(opt_state)
     graph_arrays = {k[len("graph."):]: v for k, v in arrays.items() if k.startswith("graph.")}
     if graph_arrays:
-        graph_arrays["user_features"] = _unpack_ragged(
-            graph_arrays.pop("user_feat_values"), graph_arrays.pop("user_feat_lengths")
-        )
-        graph_arrays["item_features"] = _unpack_ragged(
-            graph_arrays.pop("item_feat_values"), graph_arrays.pop("item_feat_lengths")
-        )
+        graph_arrays["user_features"], graph_arrays["item_features"] = pop_feature_tables(graph_arrays)
     return TgnCheckpoint(model, state, optimizer, meta.get("graph") or {}, graph_arrays)

@@ -257,7 +257,7 @@ def execute_run(
     only. Test therefore measures the model as deployed after fine-tuning,
     and events between the slices (scarcity gaps) stay invisible.
     """
-    ctx_train = setup.model.bind_graph(_concat_events([train_g]))
+    ctx_train = setup.model.bind_graph(train_g)
     rng = np.random.default_rng(cfg.seed)
 
     losses: list = []

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics.checkpoint import read_blob, write_blob
-from .temporal_graph import TemporalGraph
+from .temporal_graph import Csr, TemporalGraph, feature_arrays, pop_feature_tables
 
 
 class StaticGraph:
@@ -47,24 +47,20 @@ class StaticGraph:
         self._build_adjacency()
 
     def _build_adjacency(self) -> None:
-        n = self.num_nodes
-        item_g = self.pair_items + self.num_users
-        totals = np.zeros(n, dtype=np.float64)
-        np.add.at(totals, self.pair_users, self.pair_counts)
-        np.add.at(totals, item_g, self.pair_counts)
-
         # directed edge list: one u->v entry per ordered pair with >=1 event
+        item_g = self.pair_items + self.num_users
         src = np.concatenate([self.pair_users, item_g])
         dst = np.concatenate([item_g, self.pair_users])
         cnt = np.concatenate([self.pair_counts, self.pair_counts]).astype(np.float64)
-        weight = cnt / totals[src] if len(src) else cnt
+        # integer counts, so the totals are exact in any summation order
+        totals = np.bincount(src, weights=cnt, minlength=self.num_nodes)
+        weight = cnt / totals[src]
 
         order = np.lexsort((dst, src))
         self.edge_src = src[order]
-        self.edge_dst = dst[order]
         self.edge_weight = weight[order]
-        self._offsets = np.searchsorted(self.edge_src, np.arange(n + 1))
-        self._totals = totals
+        self._out = Csr.from_lengths(np.bincount(src, minlength=self.num_nodes), dst[order])
+        self.edge_dst = self._out.values
 
     @property
     def num_nodes(self) -> int:
@@ -76,13 +72,8 @@ class StaticGraph:
 
     def out_neighbors(self, node: int):
         """(neighbor global ids, interaction fractions) for `node`."""
-        if not 0 <= node < self.num_nodes:
-            raise KeyError(f"unknown node {node}")
-        lo, hi = self._offsets[node], self._offsets[node + 1]
+        lo, hi = self._out.bounds(node)
         return self.edge_dst[lo:hi], self.edge_weight[lo:hi]
-
-    def interaction_total(self, node: int) -> float:
-        return float(self._totals[node])
 
 
 def build_static(g: TemporalGraph) -> StaticGraph:
@@ -106,38 +97,24 @@ class TransformedGraph:
     def __init__(self, static: StaticGraph, user_features, item_features, feature_vocab):
         self.static = static
         self.feature_vocab = list(feature_vocab)
-        self.user_features = [np.asarray(f, dtype=np.int64) for f in user_features]
-        self.item_features = [np.asarray(f, dtype=np.int64) for f in item_features]
+        self.user_features = Csr.of(user_features)
+        self.item_features = Csr.of(item_features)
         if len(self.user_features) != static.num_users:
             raise ValueError("user feature table size mismatch")
         if len(self.item_features) != static.num_items:
             raise ValueError("item feature table size mismatch")
-        vocab_size = len(self.feature_vocab)
-        nodes, feats = [], []
-        for u, fs in enumerate(self.user_features):
-            for f in fs:
-                nodes.append(u)
-                feats.append(int(f))
-        for i, fs in enumerate(self.item_features):
-            for f in fs:
-                nodes.append(static.num_users + i)
-                feats.append(int(f))
-        self.feat_edge_node = np.asarray(nodes, dtype=np.int64)
-        self.feat_edge_feat = np.asarray(feats, dtype=np.int64)
-        if len(self.feat_edge_feat) and (
-            self.feat_edge_feat.min() < 0 or self.feat_edge_feat.max() >= vocab_size
-        ):
+        nodes = Csr.concat([self.user_features, self.item_features])
+        if len(nodes.values) and (nodes.values.min() < 0 or nodes.values.max() >= self.num_features):
             raise ValueError("feature id outside vocabulary")
-        # per-node and per-feature views of the attachment edges
-        order = np.lexsort((self.feat_edge_feat, self.feat_edge_node))
-        self._by_node_feat = self.feat_edge_feat[order]
-        self._node_offsets = np.searchsorted(
-            self.feat_edge_node[order], np.arange(self.num_graph_nodes + 1)
-        )
-        order_f = np.lexsort((self.feat_edge_node, self.feat_edge_feat))
-        self._by_feat_node = self.feat_edge_node[order_f]
-        self._feat_offsets = np.searchsorted(
-            self.feat_edge_feat[order_f], np.arange(vocab_size + 1)
+        # attachment edges (node, feature), sorted by node then feature, and
+        # per-node and per-feature views of them
+        node_ids = nodes.segment_ids()
+        self.node_features = Csr(nodes.offsets, nodes.values[np.lexsort((nodes.values, node_ids))])
+        self.feat_edge_node = node_ids
+        self.feat_edge_feat = self.node_features.values
+        by_feat = np.lexsort((node_ids, nodes.values))
+        self.feature_nodes = Csr.from_lengths(
+            np.bincount(nodes.values, minlength=self.num_features), node_ids[by_feat]
         )
 
     @property
@@ -174,12 +151,10 @@ class TransformedGraph:
         raise KeyError(f"unknown node {node}")
 
     def node_feature_ids(self, node: int) -> np.ndarray:
-        lo, hi = self._node_offsets[node], self._node_offsets[node + 1]
-        return self._by_node_feat[lo:hi]
+        return self.node_features[node]
 
     def attached_nodes(self, feat_id: int) -> np.ndarray:
-        lo, hi = self._feat_offsets[feat_id], self._feat_offsets[feat_id + 1]
-        return self._by_feat_node[lo:hi]
+        return self.feature_nodes[feat_id]
 
 
 def build_transformed(static: StaticGraph, user_features, item_features, feature_vocab) -> TransformedGraph:
@@ -216,23 +191,7 @@ def transform_graph(g: TemporalGraph) -> TransformedGraph:
 # -- cache -----------------------------------------------------------------------
 
 
-def _pack_ragged(rows):
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    values = np.concatenate(rows) if len(rows) and lengths.sum() else np.zeros(0, dtype=np.int64)
-    return values.astype(np.int64), lengths
-
-
-def _unpack_ragged(values, lengths):
-    out, pos = [], 0
-    for n in lengths:
-        out.append(values[pos : pos + int(n)].copy())
-        pos += int(n)
-    return out
-
-
 def save_transformed(tg: TransformedGraph, path) -> None:
-    uf_vals, uf_lens = _pack_ragged(tg.user_features)
-    if_vals, if_lens = _pack_ragged(tg.item_features)
     write_blob(
         path,
         {
@@ -245,10 +204,7 @@ def save_transformed(tg: TransformedGraph, path) -> None:
             "pair_users": tg.static.pair_users,
             "pair_items": tg.static.pair_items,
             "pair_counts": tg.static.pair_counts,
-            "user_feat_values": uf_vals,
-            "user_feat_lengths": uf_lens,
-            "item_feat_values": if_vals,
-            "item_feat_lengths": if_lens,
+            **feature_arrays(tg),
         },
     )
 
@@ -264,9 +220,4 @@ def load_transformed(path) -> TransformedGraph:
         meta["num_users"],
         meta["num_items"],
     )
-    return TransformedGraph(
-        static,
-        _unpack_ragged(arrays["user_feat_values"], arrays["user_feat_lengths"]),
-        _unpack_ragged(arrays["item_feat_values"], arrays["item_feat_lengths"]),
-        meta["feature_vocab"],
-    )
+    return TransformedGraph(static, *pop_feature_tables(arrays), meta["feature_vocab"])

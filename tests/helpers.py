@@ -4,6 +4,7 @@ implementations that the vectorised library code must reproduce exactly."""
 import numpy as np
 
 from tgtransfer.numerics import backward
+from tgtransfer.numerics import tensor as T
 
 
 def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4):
@@ -57,3 +58,19 @@ def sample_non_edges_loop(tg, n, rng):
         items[filled] = i
         filled += 1
     return users, items
+
+
+def node_static_features_loop(model, ctx, nodes):
+    """Per-row reference for `TgnModel.node_static_features`: gather each
+    query node's embedding rows in turn, then average them per query with
+    one `segment_sum`."""
+    rows = [ctx.node_rows[int(n)] for n in nodes]
+    counts = np.array([max(len(r), 1) for r in rows], dtype=np.float64)
+    flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    if flat.size == 0:
+        mean = T.constant(np.zeros((len(nodes), model.config.d_feat)))
+    else:
+        seg = np.repeat(np.arange(len(nodes)), [len(r) for r in rows])
+        emb = T.gather(model.pset["feat.table"], flat)
+        mean = T.segment_sum(emb, seg, len(nodes)) * T.constant(1.0 / counts[:, None])
+    return model.feat_proj(model.pset, mean)

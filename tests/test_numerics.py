@@ -381,19 +381,6 @@ def test_gru_identity_when_update_gate_saturates(rng):
     assert np.allclose(out, h, atol=1e-8)
 
 
-def test_embedding_lookup_and_range(rng):
-    pset = N.ParameterSet()
-    emb = N.EmbeddingTable("e", 5, 4)
-    emb.init_params(pset, rng)
-    out = emb(pset, np.array([0, 3, 3]))
-    assert out.shape == (3, 4)
-    assert np.array_equal(out.data[1], out.data[2])
-    with pytest.raises(IndexError):
-        emb(pset, np.array([5]))
-    with pytest.raises(IndexError):
-        emb(pset, np.array([-1]))
-
-
 def test_time_encoder_formula_and_shape(rng):
     pset = N.ParameterSet()
     te = N.TimeEncoder("t", 8)

@@ -206,23 +206,101 @@ def test_neighbor_index_is_bidirectional():
     assert u in ids_i
 
 
-def test_batch_neighbors_padding_and_mask():
-    g = make_graph(40, seed=7)
-    idx = tg.NeighborIndex(g)
-    nodes = np.array([0, 1, g.num_users])
-    ts = np.array([50.0, 0.0, 80.0])
-    ids, times, ords, mask = idx.batch_neighbors(nodes, ts, 6)
-    assert ids.shape == (3, 6) and mask.shape == (3, 6)
-    assert mask[1].sum() == 0  # t=0 has no history
-    for row in range(3):
-        single_ids, single_ts, single_ords = idx.neighbors(int(nodes[row]), float(ts[row]), 6)
+def assert_batch_matches_rows(idx, nodes, ts, k):
+    ids, times, ords, mask = idx.batch_neighbors(nodes, ts, k)
+    assert ids.shape == times.shape == ords.shape == mask.shape == (len(nodes), k)
+    assert (ids.dtype, times.dtype, ords.dtype, mask.dtype) == (np.int64, np.float64, np.int64, np.float64)
+    for row in range(len(nodes)):
+        single_ids, single_ts, single_ords = idx.neighbors(int(nodes[row]), float(ts[row]), k)
         c = len(single_ids)
         assert mask[row, :c].all() and not mask[row, c:].any()
         assert np.array_equal(ids[row, :c], single_ids)
         assert np.array_equal(times[row, :c], single_ts)
         assert np.array_equal(ords[row, :c], single_ords)
-        # padded time slots carry the query time so dt comes out zero
-        assert np.allclose(times[row, c:], ts[row])
+        # padded slots carry id 0, ordinal 0 and the query time, so dt is zero
+        assert not ids[row, c:].any() and not ords[row, c:].any()
+        assert np.array_equal(times[row, c:], np.full(k - c, ts[row]))
+    return mask
+
+
+def test_batch_neighbors_padding_and_mask():
+    g = make_graph(40, seed=7)
+    idx = tg.NeighborIndex(g)
+    nodes = np.array([0, 1, g.num_users])
+    ts = np.array([50.0, 0.0, 80.0])
+    mask = assert_batch_matches_rows(idx, nodes, ts, 6)
+    assert mask[1].sum() == 0  # t=0 has no history
+
+    # every node at every event time (neighbors must be strictly earlier),
+    # just after it, and past the end; k from 0 to beyond any history
+    nodes = np.repeat(np.arange(g.num_nodes), 3 * g.num_events)
+    ts = np.tile(np.concatenate([g.times, g.times + 1e-9, g.times + 100.0]), g.num_nodes)
+    for k in (0, 1, 3, 50):
+        assert_batch_matches_rows(idx, nodes, ts, k)
+    assert assert_batch_matches_rows(idx, nodes[:0], ts[:0], 4).shape == (0, 4)
+
+
+def test_batch_neighbors_tied_times_and_empty_history():
+    # u0 meets items 0, 1, 2 all at t=2; u1 has no events at all
+    g = tg.TemporalGraph(
+        np.array([0, 0, 0, 2, 0]),
+        np.array([0, 1, 2, 0, 1]),
+        np.array([1.0, 2.0, 2.0, 2.0, 5.0]),
+        np.zeros((5, 0)),
+        ["u0", "u1", "u2"],
+        ["a", "b", "c"],
+        [],
+        [np.array([], dtype=np.int64)] * 3,
+        [np.array([], dtype=np.int64)] * 3,
+    )
+    idx = tg.NeighborIndex(g)
+    nodes = np.repeat(np.arange(g.num_nodes), 6)
+    ts = np.tile([0.0, 1.0, 2.0, 2.5, 5.0, 6.0], g.num_nodes)
+    for k in (1, 2, 8):
+        mask = assert_batch_matches_rows(idx, nodes, ts, k)
+        assert not mask[nodes == 1].any()
+    ids, times, ords, _ = idx.batch_neighbors(np.array([0, 3]), np.array([2.5, 2.5]), 4)
+    assert list(ids[0, :3]) == [5, 4, 3] and list(ords[0, :3]) == [2, 1, 0]
+    assert list(ids[1, :2]) == [2, 0] and list(times[1, :2]) == [2.0, 1.0]
+
+    empty = tg.NeighborIndex(g.slice(0, 0))
+    assert not assert_batch_matches_rows(empty, np.arange(6), np.full(6, 3.0), 2).any()
+
+
+def test_bad_node_ids_raise_key_error():
+    g = make_graph(20, seed=2)
+    idx = tg.NeighborIndex(g)
+    for bad in (-1, g.num_nodes):
+        with pytest.raises(KeyError):
+            g.node_feature_ids(bad)
+        with pytest.raises(KeyError):
+            idx.neighbors(bad, 50.0, 3)
+        with pytest.raises(KeyError):
+            idx.batch_neighbors(np.array([0, bad]), np.array([50.0, 50.0]), 3)
+    with pytest.raises(KeyError):
+        g.user_features[g.num_users]
+
+
+def test_csr_rows_take_and_concat():
+    rows = [np.array([4, 1]), np.array([], dtype=np.int64), np.array([7])]
+    t = tg.Csr.of(rows)
+    assert tg.Csr.of(t) is t
+    assert list(t.offsets) == [0, 2, 2, 3] and list(t.lengths) == [2, 0, 1]
+    assert [list(r) for r in t] == [[4, 1], [], [7]]
+    assert list(t[0]) == [4, 1] and len(t) == 3
+    assert list(t.segment_ids()) == [0, 0, 2]
+    assert [list(r) for r in t.take([2, 0, 2, 1])] == [[7], [4, 1], [7], []]
+    assert [list(r) for r in tg.Csr.concat([t, tg.Csr.of([[5]])])] == [[4, 1], [], [7], [5]]
+    assert len(tg.Csr.of([])) == 0 and list(tg.Csr.of([])) == []
+    with pytest.raises(ValueError):
+        t.values[0] = 9
+    for bad in (-1, 3):
+        with pytest.raises(KeyError):
+            t[bad]
+        with pytest.raises(KeyError):
+            t.take([0, bad])
+    with pytest.raises(ValueError):
+        tg.Csr([0, 3, 2], [1, 2])
 
 
 def test_sample_negatives_avoids_positives_and_uniform():

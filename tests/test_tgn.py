@@ -5,7 +5,7 @@ import tgtransfer.tgn as tgn
 from tgtransfer import temporal_graph as tg
 from tgtransfer.numerics import Sgd, tensor as T
 
-from helpers import assert_grads_match_fd
+from helpers import assert_grads_match_fd, node_static_features_loop
 
 VOCAB = [f"tok{k}" for k in range(5)]
 
@@ -189,6 +189,31 @@ def test_embed_layer0_is_features_plus_memory(setup, rng):
         h0 = model.embed(ctx, mem, nodes, np.full(3, 50.0), layer=0).data
         feats = model.node_static_features(ctx, nodes).data
     assert np.allclose(h0, feats + state.memory[nodes], atol=1e-12)
+
+
+def test_node_static_features_matches_row_loop(rng):
+    g = make_graph(n_events=30, seed=4)
+    # users 1 and 3 and item 2 carry no features; user 0 carries a repeat
+    user_feats = [np.array([4, 0, 4]), np.array([], dtype=np.int64), np.array([1, 2]),
+                  np.array([], dtype=np.int64), np.array([3])]
+    item_feats = [np.array([2]), np.array([0, 1, 3]), np.array([], dtype=np.int64), np.array([4])]
+    g = tg.TemporalGraph(g.users, g.items, g.times, g.edge_features, g.user_ids, g.item_ids,
+                         g.feature_vocab, user_feats, item_feats)
+    model = tgn.TgnModel(small_config(), VOCAB[:3], 0, rng)  # tok3, tok4 unknown
+    ctx = model.bind_graph(g)
+    table = model.pset["feat.table"]
+    for nodes in ([0, 5, 0, 1, 6, 1, 8, 3, 5], [1, 3, 7, 1], [], list(range(g.num_nodes))):
+        nodes = np.array(nodes, dtype=np.int64)
+        outs = []
+        for fn in (model.node_static_features, lambda c, n: node_static_features_loop(model, c, n)):
+            model.pset.zero_grads()
+            out = fn(ctx, nodes)
+            T.backward(T.tensor_sum(out * T.constant(np.arange(out.data.size).reshape(out.shape))),
+                       params=model.pset.tensors())
+            outs.append((out.data.tobytes(), None if table.grad is None else table.grad.tobytes()))
+        assert outs[0] == outs[1]
+    with pytest.raises(KeyError):
+        model.node_static_features(ctx, np.array([0, -1]))
 
 
 def test_embed_empty_neighborhood_is_combine_of_zero_context(setup, rng):

@@ -148,6 +148,22 @@ def test_neighborhoods_feature_node_and_roundtrip():
         tf.neighborhoods(tg, tg.num_nodes)
 
 
+def test_bad_node_and_feature_ids_raise_key_error():
+    g = make_temporal([0, 1, 1], [0, 0, 1], 2, 2,
+                      [np.array([1, 0]), np.array([], dtype=np.int64)], [np.array([1])] * 2, ["a", "b"])
+    tg = tf.transform_graph(g)
+    assert list(tg.node_feature_ids(0)) == [0, 1]  # ascending, whatever the input order
+    assert list(tg.attached_nodes(1)) == [0, 2, 3]
+    for bad in (-1, tg.num_graph_nodes):
+        with pytest.raises(KeyError):
+            tg.node_feature_ids(bad)
+        with pytest.raises(KeyError):
+            tg.static.out_neighbors(bad)
+    for bad in (-1, tg.num_features):
+        with pytest.raises(KeyError):
+            tg.attached_nodes(bad)
+
+
 def test_empty_feature_set_gives_no_feature_edges():
     g = make_temporal([0], [0], 1, 1, vocab=["x"])
     tg = tf.transform_graph(g)
