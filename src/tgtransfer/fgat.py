@@ -188,55 +188,6 @@ class FgatModel:
             return self.encode(tg).data
 
 
-def g_theta(pset: ParameterSet, prefix: str, h_u: np.ndarray, neighbors, slope: float = 0.2) -> np.ndarray:
-    """Single-target attention block; `neighbors` is [(node_id, h_v, a_uv)].
-
-    Neighbors are aggregated in ascending node-id order, matching the sorted
-    edge tables of the vectorized path, so permuting the input list cannot
-    change the result.
-    """
-    d = len(h_u)
-    with T.no_grad():
-        hu = T.constant(np.asarray(h_u)[None, :])
-        self_proj = T.matmul(hu, pset[f"{prefix}.w5"])
-        if neighbors:
-            ordered = sorted(neighbors, key=lambda nb: nb[0])
-            hv = T.constant(np.stack([np.asarray(nb[1]) for nb in ordered]))
-            a = np.array([nb[2] for nb in ordered], dtype=np.float64)
-            hu_rep = T.constant(np.repeat(np.asarray(h_u)[None, :], len(ordered), axis=0))
-            msg = T.leaky_relu(
-                T.concat(
-                    [
-                        T.matmul(hu_rep, pset[f"{prefix}.w1"]),
-                        T.matmul(hv, pset[f"{prefix}.w2"]),
-                        T.constant(a[:, None]) * pset[f"{prefix}.w3"],
-                    ],
-                    axis=1,
-                ),
-                slope=slope,
-            )
-            logits = T.matmul(msg, pset[f"{prefix}.w4"])
-            seg = np.zeros(len(ordered), dtype=np.int64)
-            shifted = logits - T.constant(np.full((len(ordered), 1), logits.data.max()))
-            e = T.exp(shifted)
-            denom = T.segment_sum(e, seg, 1)
-            alpha = e / T.gather(denom, seg)
-            context = T.segment_sum(T.matmul(hv, pset[f"{prefix}.w6"]) * alpha, seg, 1)
-        else:
-            context = T.constant(np.zeros((1, d)))
-        mlp = Mlp(f"{prefix}.mlp", [2 * d, d, d], activation="leaky_relu")
-        return mlp(pset, T.concat([self_proj, context], axis=1)).data[0]
-
-
-def score_link(h_u: np.ndarray, h_v: np.ndarray) -> float:
-    """sigmoid(h_u . h_v)"""
-    h_u = np.asarray(h_u, dtype=np.float64)
-    h_v = np.asarray(h_v, dtype=np.float64)
-    if h_u.shape != h_v.shape:
-        raise ValueError(f"embedding shapes disagree: {h_u.shape} vs {h_v.shape}")
-    return float(0.5 * (np.tanh(0.5 * float(h_u @ h_v)) + 1.0))
-
-
 def graph_fingerprint(tg: TransformedGraph) -> tuple:
     s = tg.static
     return (

@@ -53,24 +53,36 @@ class Adam:
             if p.grad is None:
                 raise MissingGradError(f"no gradient for parameter {name}")
             g = p.grad
-            m = self._m.get(name)
-            v = self._v.get(name)
+            m, v = self._m.get(name), self._v.get(name)
             if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                m = self._m[name] = np.zeros_like(p.data)
+                v = self._v[name] = np.zeros_like(p.data)
+            # m and v update in place; each line rounds like the expression
+            # m = b1 * m + (1 - b1) * g (likewise v), so the bytes match it
+            tmp = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            # p.data - lr * (m / bias1) / (sqrt(v / bias2) + eps), rebinding
+            # p.data because parameter arrays may be shared
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = np.divide(m, bias1)
+            step *= self.lr
+            step /= tmp
+            p.data = np.subtract(p.data, step, out=step)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of the step count and moments: `step` updates the moments
+        in place, and a snapshot must not follow them."""
         out = {"__step__": np.array([float(self.t)])}
         for name in sorted(self._m):
-            out[f"m.{name}"] = self._m[name]
-            out[f"v.{name}"] = self._v[name]
+            out[f"m.{name}"] = self._m[name].copy()
+            out[f"v.{name}"] = self._v[name].copy()
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:

@@ -150,15 +150,22 @@ class TgnModel:
     # -- forward pieces ---------------------------------------------------------
 
     def node_static_features(self, ctx: GraphContext, nodes: np.ndarray) -> T.Tensor:
-        """Mean feature embedding per node, projected to memory width."""
-        rows = ctx.node_rows.take(nodes)
+        """Mean feature embedding per node, projected to memory width.
+
+        The projection depends on the node only, so it is computed once for
+        every graph node and then gathered at `nodes`.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= ctx.num_nodes):
+            raise KeyError("unknown node in static feature query")
+        rows = ctx.node_rows
         if rows.values.size == 0:
             mean = T.constant(np.zeros((len(rows), self.config.d_feat)))
         else:
             counts = np.maximum(rows.lengths, 1).astype(np.float64)
             emb = T.gather(self.pset["feat.table"], rows.values)
             mean = T.segment_sum(emb, rows.segment_ids(), len(rows)) * T.constant(1.0 / counts[:, None])
-        return self.feat_proj(self.pset, mean)
+        return T.gather(self.feat_proj(self.pset, mean), nodes)
 
     def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int | None = None, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
         """h^layer(t) for each (node, t) query; layer defaults to config.
@@ -216,12 +223,6 @@ class TgnModel:
         logits = self.decoder(self.pset, T.concat([h_u, h_i], axis=1))
         return T.sigmoid(logits.reshape((len(users),)))
 
-    def predict_link(self, ctx: GraphContext, state: MemoryState, user: int, item_global: int, t: float) -> float:
-        with T.no_grad():
-            mem = T.constant(state.memory)
-            p = self.score_pairs(ctx, mem, np.array([user]), np.array([item_global]), np.array([t]))
-        return float(p.data[0])
-
     # -- memory updates ------------------------------------------------------------
 
     def batch_updates(self, mem: T.Tensor, last_update: np.ndarray, batch: EventBatch, num_users: int):
@@ -253,24 +254,6 @@ class TgnModel:
         msg = self.msg_mlp(self.pset, msg_in)
         new_rows = self.gru(self.pset, msg, m_self)
         return uniq, new_rows, ev_times[last_pos]
-
-
-def compute_message(model: TgnModel, m_self: np.ndarray, m_other: np.ndarray, dt: float, x_uv: np.ndarray) -> np.ndarray:
-    """Raw message for one endpoint: MSG(m_self, m_other, timegap, edge feats)."""
-    if dt < 0:
-        raise ValueError("negative time gap: events processed out of order")
-    with T.no_grad():
-        phi = model.time_enc(model.pset, np.array([dt]))
-        msg_in = T.concat(
-            [
-                T.constant(np.asarray(m_self)[None, :]),
-                T.constant(np.asarray(m_other)[None, :]),
-                phi,
-                T.constant(np.asarray(x_uv, dtype=np.float64).reshape(1, -1)),
-            ],
-            axis=1,
-        )
-        return model.msg_mlp(model.pset, msg_in).data[0]
 
 
 def update_memory(model: TgnModel, state: MemoryState, batch: EventBatch, num_users: int) -> MemoryState:

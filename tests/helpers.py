@@ -5,6 +5,7 @@ import numpy as np
 
 from tgtransfer.numerics import backward
 from tgtransfer.numerics import tensor as T
+from tgtransfer.numerics.nn import Mlp
 
 
 def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4):
@@ -74,3 +75,81 @@ def node_static_features_loop(model, ctx, nodes):
         emb = T.gather(model.pset["feat.table"], flat)
         mean = T.segment_sum(emb, seg, len(nodes)) * T.constant(1.0 / counts[:, None])
     return model.feat_proj(model.pset, mean)
+
+
+def compute_message(model, m_self, m_other, dt, x_uv):
+    """Raw message for one endpoint: MSG(m_self, m_other, timegap, edge feats),
+    the single-event reference for `TgnModel.batch_updates`."""
+    if dt < 0:
+        raise ValueError("negative time gap: events processed out of order")
+    with T.no_grad():
+        phi = model.time_enc(model.pset, np.array([dt]))
+        msg_in = T.concat(
+            [
+                T.constant(np.asarray(m_self)[None, :]),
+                T.constant(np.asarray(m_other)[None, :]),
+                phi,
+                T.constant(np.asarray(x_uv, dtype=np.float64).reshape(1, -1)),
+            ],
+            axis=1,
+        )
+        return model.msg_mlp(model.pset, msg_in).data[0]
+
+
+def predict_link(model, ctx, state, user, item_global, t):
+    """Link probability of one (user, item, t) triple from a memory state,
+    the single-pair reference for batched scoring."""
+    with T.no_grad():
+        mem = T.constant(state.memory)
+        p = model.score_pairs(ctx, mem, np.array([user]), np.array([item_global]), np.array([t]))
+    return float(p.data[0])
+
+
+def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
+    """Single-target FGAT attention block, the per-node reference for
+    `FgatModel._phase_update`; `neighbors` is [(node_id, h_v, a_uv)].
+
+    Neighbors are aggregated in ascending node-id order, matching the sorted
+    edge tables of the vectorized path, so permuting the input list cannot
+    change the result.
+    """
+    d = len(h_u)
+    with T.no_grad():
+        hu = T.constant(np.asarray(h_u)[None, :])
+        self_proj = T.matmul(hu, pset[f"{prefix}.w5"])
+        if neighbors:
+            ordered = sorted(neighbors, key=lambda nb: nb[0])
+            hv = T.constant(np.stack([np.asarray(nb[1]) for nb in ordered]))
+            a = np.array([nb[2] for nb in ordered], dtype=np.float64)
+            hu_rep = T.constant(np.repeat(np.asarray(h_u)[None, :], len(ordered), axis=0))
+            msg = T.leaky_relu(
+                T.concat(
+                    [
+                        T.matmul(hu_rep, pset[f"{prefix}.w1"]),
+                        T.matmul(hv, pset[f"{prefix}.w2"]),
+                        T.constant(a[:, None]) * pset[f"{prefix}.w3"],
+                    ],
+                    axis=1,
+                ),
+                slope=slope,
+            )
+            logits = T.matmul(msg, pset[f"{prefix}.w4"])
+            seg = np.zeros(len(ordered), dtype=np.int64)
+            shifted = logits - T.constant(np.full((len(ordered), 1), logits.data.max()))
+            e = T.exp(shifted)
+            denom = T.segment_sum(e, seg, 1)
+            alpha = e / T.gather(denom, seg)
+            context = T.segment_sum(T.matmul(hv, pset[f"{prefix}.w6"]) * alpha, seg, 1)
+        else:
+            context = T.constant(np.zeros((1, d)))
+        mlp = Mlp(f"{prefix}.mlp", [2 * d, d, d], activation="leaky_relu")
+        return mlp(pset, T.concat([self_proj, context], axis=1)).data[0]
+
+
+def score_link(h_u, h_v):
+    """sigmoid(h_u . h_v), the FGAT link decoder for one pair."""
+    h_u = np.asarray(h_u, dtype=np.float64)
+    h_v = np.asarray(h_v, dtype=np.float64)
+    if h_u.shape != h_v.shape:
+        raise ValueError(f"embedding shapes disagree: {h_u.shape} vs {h_v.shape}")
+    return float(0.5 * (np.tanh(0.5 * float(h_u @ h_v)) + 1.0))

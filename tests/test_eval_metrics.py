@@ -7,6 +7,8 @@ import tgtransfer.eval_metrics as em
 import tgtransfer.tgn as tgn
 from tgtransfer import temporal_graph as tg
 
+from helpers import predict_link
+
 VOCAB = [f"tok{k}" for k in range(4)]
 
 
@@ -255,7 +257,7 @@ def test_catalog_ranks_match_direct_scoring():
     # recompute the first event's rank by scoring each item separately
     u, truth, t = int(g.users[10]), int(g.items[10]), float(g.times[10])
     scores = np.array([
-        model.predict_link(ctx, state, u, g.num_users + i, t) for i in range(g.num_items)
+        predict_link(model, ctx, state, u, g.num_users + i, t) for i in range(g.num_items)
     ])
     expect = em.truth_rank(scores, np.arange(g.num_items), truth)
     got_scores_rank = None

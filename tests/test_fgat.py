@@ -5,7 +5,7 @@ import tgtransfer.fgat as fg
 from tgtransfer import transform as tf
 from tgtransfer.numerics import tensor as T
 
-from helpers import assert_grads_match_fd, sample_non_edges_loop
+from helpers import assert_grads_match_fd, g_theta, sample_non_edges_loop, score_link
 
 
 def make_tg(rng, n_users=4, n_items=3, vocab_size=4, n_events=30, user_feats=None, item_feats=None):
@@ -122,17 +122,17 @@ def test_phase_output_matches_per_node_block(rng, model):
                 (int(s), before[int(s)], float(a))
                 for s, a in zip(table.edge_src[sel], table.edge_a[sel])
             ]
-            expect = fg.g_theta(model.pset, prefix, before[node], nbrs, slope=model.config.slope)
+            expect = g_theta(model.pset, prefix, before[node], nbrs, slope=model.config.slope)
             assert np.allclose(after[node], expect, atol=1e-12)
 
 
 def test_g_theta_permutation_invariant(rng, model):
     h_u = rng.normal(size=8)
     nbrs = [(k, rng.normal(size=8), float(rng.uniform(0.1, 1))) for k in (4, 9, 2, 7)]
-    a = fg.g_theta(model.pset, "layer1.phase2", h_u, nbrs)
+    a = g_theta(model.pset, "layer1.phase2", h_u, nbrs)
     for _ in range(4):
         perm = [nbrs[j] for j in rng.permutation(len(nbrs))]
-        b = fg.g_theta(model.pset, "layer1.phase2", h_u, perm)
+        b = g_theta(model.pset, "layer1.phase2", h_u, perm)
         assert a.tobytes() == b.tobytes()
 
 
@@ -140,8 +140,8 @@ def test_g_theta_duplicate_neighbor_equals_single(rng, model):
     # two identical neighbors get alpha 0.5 each, reproducing the singleton sum
     h_u = rng.normal(size=8)
     h_v = rng.normal(size=8)
-    single = fg.g_theta(model.pset, "layer1.phase3", h_u, [(3, h_v, 0.4)])
-    double = fg.g_theta(model.pset, "layer1.phase3", h_u, [(3, h_v, 0.4), (5, h_v, 0.4)])
+    single = g_theta(model.pset, "layer1.phase3", h_u, [(3, h_v, 0.4)])
+    double = g_theta(model.pset, "layer1.phase3", h_u, [(3, h_v, 0.4), (5, h_v, 0.4)])
     assert np.allclose(single, double, atol=1e-12)
 
 
@@ -161,7 +161,7 @@ def test_isolated_node_runs_mlp_chain(rng):
     h = np.zeros(8)
     for layer in (1, 2):
         for phase in (1, 2):  # isolated user is a target of phases 1 and 2 only
-            h = fg.g_theta(model.pset, f"layer{layer}.phase{phase}", h, [])
+            h = g_theta(model.pset, f"layer{layer}.phase{phase}", h, [])
     assert np.allclose(H[1], h, atol=1e-12)
 
 
@@ -239,13 +239,13 @@ def test_layer_gradients_match_fd(rng):
 
 
 def test_score_link_values():
-    assert fg.score_link(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
+    assert score_link(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
     h = np.array([1.0, 1.0, 1.0])
-    assert abs(fg.score_link(h, h) - 1.0 / (1.0 + np.exp(-3.0))) < 1e-12
+    assert abs(score_link(h, h) - 1.0 / (1.0 + np.exp(-3.0))) < 1e-12
     a, b = np.array([0.3, -0.2, 1.0]), np.array([0.5, 0.4, -0.1])
-    assert fg.score_link(a, b) == fg.score_link(b, a)
+    assert score_link(a, b) == score_link(b, a)
     with pytest.raises(ValueError):
-        fg.score_link(np.zeros(2), np.zeros(3))
+        score_link(np.zeros(2), np.zeros(3))
 
 
 def test_train_fgat_loss_decreases(rng):

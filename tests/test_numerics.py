@@ -498,6 +498,51 @@ def test_adam_state_roundtrip(tmp_path):
     assert after_a.tobytes() == w2.data.tobytes()
 
 
+def test_adam_bytes_match_the_update_expression(rng):
+    # the update as one expression per array, rebinding every result
+    pset = N.ParameterSet()
+    shapes = {"a": (3, 4), "b": (5,), "c": (1, 1)}
+    ref = {}
+    for name, shape in shapes.items():
+        ref[name] = rng.normal(size=shape)
+        pset.add(name, ref[name].copy())
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    opt = N.Adam(lr=0.01)
+    for t in range(1, 21):
+        for name, p in pset.items():
+            g = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-6, 3)
+            p.grad = g
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+            m_hat = m[name] / (1.0 - 0.9 ** t)
+            v_hat = v[name] / (1.0 - 0.999 ** t)
+            ref[name] = ref[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        opt.step(pset)
+    state = opt.state_arrays()
+    for name, p in pset.items():
+        assert p.data.tobytes() == ref[name].tobytes()
+        assert state[f"m.{name}"].tobytes() == m[name].tobytes()
+        assert state[f"v.{name}"].tobytes() == v[name].tobytes()
+    assert state["__step__"][0] == 20.0
+
+
+def test_adam_state_snapshot_is_not_updated_by_later_steps():
+    pset = N.ParameterSet()
+    w = pset.add("w", np.array([1.0, 2.0]))
+    shared = w.data
+    opt = N.Adam(lr=0.05)
+    w.grad = np.array([0.2, -0.3])
+    opt.step(pset)
+    state = opt.state_arrays()
+    frozen = {key: arr.copy() for key, arr in state.items()}
+    w.grad = np.array([-0.1, 0.6])
+    opt.step(pset)
+    for key, arr in state.items():
+        assert arr.tobytes() == frozen[key].tobytes()
+    assert np.array_equal(shared, [1.0, 2.0])  # the step rebinds, never writes, p.data
+
+
 def test_training_loop_is_deterministic():
     def run():
         rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ import tgtransfer.tgn as tgn
 from tgtransfer import temporal_graph as tg
 from tgtransfer.numerics import Sgd, tensor as T
 
-from helpers import assert_grads_match_fd, node_static_features_loop
+from helpers import assert_grads_match_fd, compute_message, node_static_features_loop, predict_link
 
 VOCAB = [f"tok{k}" for k in range(5)]
 
@@ -64,7 +64,7 @@ def zero_params(model, prefixes):
 def test_message_zero_weights_gives_zero(setup, rng):
     model, _, _ = setup
     zero_params(model, ["msg."])
-    out = tgn.compute_message(model, rng.normal(size=8), rng.normal(size=8), 3.0, np.zeros(0))
+    out = compute_message(model, rng.normal(size=8), rng.normal(size=8), 3.0, np.zeros(0))
     assert np.array_equal(out, np.zeros(8))
 
 
@@ -72,15 +72,15 @@ def test_message_concat_order_matters(setup, rng):
     model, _, _ = setup
     a = rng.normal(size=8)
     b = rng.normal(size=8)
-    m_ab = tgn.compute_message(model, a, b, 1.0, np.zeros(0))
-    m_ba = tgn.compute_message(model, b, a, 1.0, np.zeros(0))
+    m_ab = compute_message(model, a, b, 1.0, np.zeros(0))
+    m_ba = compute_message(model, b, a, 1.0, np.zeros(0))
     assert not np.allclose(m_ab, m_ba)
 
 
 def test_message_negative_dt_raises(setup):
     model, _, _ = setup
     with pytest.raises(ValueError):
-        tgn.compute_message(model, np.zeros(8), np.zeros(8), -0.5, np.zeros(0))
+        compute_message(model, np.zeros(8), np.zeros(8), -0.5, np.zeros(0))
 
 
 def test_memory_update_grads_match_fd(rng):
@@ -171,7 +171,7 @@ def test_last_message_wins_within_batch(rng):
     out = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 2), g.num_users)
     assert out.last_update[0] == 9.0
     # oracle: user 0's new memory comes from the t=9 event alone
-    msg = tgn.compute_message(model, state.memory[0], state.memory[2], 9.0, np.zeros(0))
+    msg = compute_message(model, state.memory[0], state.memory[2], 9.0, np.zeros(0))
     with T.no_grad():
         expect = model.gru(model.pset, T.constant(msg[None, :]), T.constant(state.memory[0][None, :]))
     assert np.allclose(out.memory[0], expect.data[0], atol=1e-12)
@@ -201,19 +201,44 @@ def test_node_static_features_matches_row_loop(rng):
                          g.feature_vocab, user_feats, item_feats)
     model = tgn.TgnModel(small_config(), VOCAB[:3], 0, rng)  # tok3, tok4 unknown
     ctx = model.bind_graph(g)
-    table = model.pset["feat.table"]
+    checked = [model.pset[name] for name in ("feat.table", "feat_proj.w", "feat_proj.b")]
     for nodes in ([0, 5, 0, 1, 6, 1, 8, 3, 5], [1, 3, 7, 1], [], list(range(g.num_nodes))):
         nodes = np.array(nodes, dtype=np.int64)
-        outs = []
+        outs, grads = [], []
         for fn in (model.node_static_features, lambda c, n: node_static_features_loop(model, c, n)):
             model.pset.zero_grads()
             out = fn(ctx, nodes)
             T.backward(T.tensor_sum(out * T.constant(np.arange(out.data.size).reshape(out.shape))),
                        params=model.pset.tensors())
-            outs.append((out.data.tobytes(), None if table.grad is None else table.grad.tobytes()))
+            outs.append(out.data.tobytes())
+            grads.append([np.zeros_like(p.data) if p.grad is None else p.grad for p in checked])
         assert outs[0] == outs[1]
+        # the per-node table sums gradients in another order than the row loop
+        for got, expect in zip(*grads):
+            assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
     with pytest.raises(KeyError):
         model.node_static_features(ctx, np.array([0, -1]))
+
+
+def test_node_static_rows_do_not_depend_on_the_query(setup):
+    model, ctx, _ = setup
+    proj, projected = model.feat_proj, []
+
+    def counting_proj(pset, x):
+        projected.append(x.shape[0])
+        return proj(pset, x)
+
+    model.feat_proj = counting_proj
+    every = np.arange(ctx.num_nodes)
+    long = np.random.default_rng(0).integers(0, ctx.num_nodes, 5000)  # repeats every node
+    batch = model.node_static_features(ctx, long).data
+    with T.no_grad():
+        full = model.node_static_features(ctx, every).data
+        for node in every:
+            alone = model.node_static_features(ctx, np.array([node])).data
+            assert alone.tobytes() == full[node:node + 1].tobytes()
+    assert batch.tobytes() == full[long].tobytes()
+    assert len(projected) == ctx.num_nodes + 2 and max(projected) <= ctx.num_nodes
 
 
 def test_embed_empty_neighborhood_is_combine_of_zero_context(setup, rng):
@@ -261,13 +286,13 @@ def test_attention_weights_sum_to_one(setup, rng):
 def test_predict_link_range_and_determinism(setup, rng):
     model, ctx, g = setup
     state = tgn.MemoryState(np.asarray(rng.normal(size=(g.num_nodes, 8))), np.zeros(g.num_nodes))
-    p1 = model.predict_link(ctx, state, 0, g.num_users + 1, 100.0)
-    p2 = model.predict_link(ctx, state, 0, g.num_users + 1, 100.0)
+    p1 = predict_link(model, ctx, state, 0, g.num_users + 1, 100.0)
+    p2 = predict_link(model, ctx, state, 0, g.num_users + 1, 100.0)
     assert 0.0 < p1 < 1.0 and p1 == p2
     zero_params(model, ["dec."])
-    assert model.predict_link(ctx, state, 0, g.num_users + 1, 100.0) == 0.5
+    assert predict_link(model, ctx, state, 0, g.num_users + 1, 100.0) == 0.5
     with pytest.raises(KeyError):
-        model.predict_link(ctx, state, g.num_nodes, 0, 1.0)
+        predict_link(model, ctx, state, g.num_nodes, 0, 1.0)
 
 
 def test_scoring_never_mutates_state(setup, rng):
@@ -275,7 +300,7 @@ def test_scoring_never_mutates_state(setup, rng):
     state = tgn.MemoryState(np.asarray(rng.normal(size=(g.num_nodes, 8))), np.zeros(g.num_nodes))
     mem_before = state.memory.copy()
     lu_before = state.last_update.copy()
-    model.predict_link(ctx, state, 0, g.num_users, 50.0)
+    predict_link(model, ctx, state, 0, g.num_users, 50.0)
     assert np.array_equal(state.memory, mem_before)
     assert np.array_equal(state.last_update, lu_before)
 
@@ -446,8 +471,8 @@ def test_snapshot_restore_roundtrip(tmp_path, rng):
 
     assert loaded.model.feature_vocab == VOCAB
     ctx2 = loaded.model.bind_graph(g)
-    p_orig = model.predict_link(ctx, state, 0, g.num_users + 1, 600.0)
-    p_load = loaded.model.predict_link(ctx2, loaded.state, 0, g.num_users + 1, 600.0)
+    p_orig = predict_link(model, ctx, state, 0, g.num_users + 1, 600.0)
+    p_load = predict_link(loaded.model, ctx2, loaded.state, 0, g.num_users + 1, 600.0)
     assert p_orig == p_load
     assert loaded.state.memory.tobytes() == state.memory.tobytes()
     assert np.array_equal(loaded.graph_arrays["pair_counts"], [3, 4])
