@@ -59,7 +59,6 @@ class PhaseTable(NamedTuple):
     edge_src: np.ndarray
     edge_a: np.ndarray
     seg: np.ndarray  # edge -> target position, edges sorted by (tgt, src)
-    runs: np.ndarray  # first edge of each target that has edges
 
 
 def _sorted_table(start, count, tgt, src, a) -> PhaseTable:
@@ -68,8 +67,7 @@ def _sorted_table(start, count, tgt, src, a) -> PhaseTable:
     a = np.asarray(a, dtype=np.float64)
     order = np.lexsort((src, tgt))
     tgt, src, a = tgt[order], src[order], a[order]
-    runs = np.flatnonzero(np.diff(tgt, prepend=start - 1))
-    return PhaseTable(start, count, tgt, src, a, tgt - start, runs)
+    return PhaseTable(start, count, tgt, src, a, tgt - start)
 
 
 def phase_plan(tg: TransformedGraph) -> list[PhaseTable]:
@@ -144,14 +142,7 @@ class FgatModel:
                 slope=self.config.slope,
             )
             logits = T.matmul(msg, pset[f"{p}.w4"])
-            # max per segment subtracted as a constant: keeps exp in range
-            # without routing gradient through the max itself
-            seg_max = np.full(table.count, -np.inf)
-            seg_max[table.seg[table.runs]] = np.maximum.reduceat(logits.data[:, 0], table.runs)
-            shifted = logits - T.constant(seg_max[table.seg][:, None])
-            e = T.exp(shifted)
-            denom = T.segment_sum(e, table.seg, table.count)
-            alpha = e / T.gather(denom, table.seg)
+            alpha = T.segment_softmax(logits, table.seg, table.count)
             weighted = T.matmul(h_v, pset[f"{p}.w6"]) * alpha
             context = T.segment_sum(weighted, table.seg, table.count)
         else:

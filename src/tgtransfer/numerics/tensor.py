@@ -454,6 +454,24 @@ def segment_sum(a: Tensor, seg_ids: np.ndarray, num_segments: int) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="segment_sum")
 
 
+def segment_softmax(a: Tensor, seg_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Softmax of `a`'s rows within each segment, separately per column.
+
+    `seg_ids` gives each row's segment and must be sorted. Each segment's max
+    is subtracted as a constant, which keeps exp in range without routing
+    gradient through the max; the sums add rows in order, as `segment_sum`
+    does.
+    """
+    seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    step = np.diff(seg_ids, prepend=seg_ids[:1] - 1)  # the first row starts a segment
+    if step.size and step.min() < 0:
+        raise ValueError("segment_softmax requires sorted segment ids")
+    starts = np.flatnonzero(step > 0)  # a boolean scan is several times faster
+    top = np.maximum.reduceat(a.data, starts, axis=0)
+    e = exp(a - constant(np.repeat(top, np.diff(starts, append=len(seg_ids)), axis=0)))
+    return e / gather(segment_sum(e, seg_ids, num_segments), seg_ids)
+
+
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
     """Copy of `base` with `out[idx] = rows`.
 

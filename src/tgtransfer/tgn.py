@@ -8,8 +8,9 @@ messages read batch-start memories and the latest message per node wins.
 Node embeddings at time t start from projected static features plus current
 memory and pass through layers of multi-head dot-product attention over the
 k most recent strictly-earlier interactions, keyed on neighbor embedding,
-encoded time gap, and edge features. A two-tower MLP decoder turns a pair of
-embeddings into a link probability.
+encoded time gap, and edge features. Attention runs over a node's real
+neighbor slots only: no padded slot is embedded, encoded or scored. A
+two-tower MLP decoder turns a pair of embeddings into a link probability.
 
 Training defers each batch's memory write until just before the next batch is
 scored (values are unchanged by the delay: no optimizer step intervenes), so
@@ -173,6 +174,10 @@ class TgnModel:
         `hide` marks query rows whose neighbor context is masked out at the
         top layer (training-time context dropout); they fall back to the
         empty-neighborhood path.
+
+        Each `trace` entry holds the layer, the (b, k) slot mask and the
+        attention weights `alpha` as a (b, k, heads) array, zero on padded
+        slots; a query with no real neighbor has all-zero `alpha`.
         """
         cfg = self.config
         layer = cfg.n_layers if layer is None else layer
@@ -190,28 +195,30 @@ class TgnModel:
         nbr_ids, nbr_times, nbr_ords, mask = ctx.index.batch_neighbors(nodes, ts, k)
         if hide is not None:
             mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
-        flat_ids = nbr_ids.reshape(-1)
-        flat_ts = np.repeat(ts, k)
-        h_nbr = self.embed(ctx, mem, flat_ids, flat_ts, layer - 1, trace)
-        dt = flat_ts - nbr_times.reshape(-1)
+        # real slots only; row-major order keeps each query's slots together
+        row, slot = np.nonzero(mask)
+        n = len(row)
+        h_nbr = self.embed(ctx, mem, nbr_ids[row, slot], ts[row], layer - 1, trace)
+        dt = ts[row] - nbr_times[row, slot]
         if dt.size and dt.min() < -1e-12:
             raise ValueError("neighbor newer than query time")
         phi = self.time_enc(self.pset, dt)
-        x_uv = T.constant(ctx.index.edge_features_for(nbr_ords.reshape(-1)))
+        x_uv = T.constant(ctx.index.edge_features_for(nbr_ords[row, slot]))
         kv_in = T.concat([h_nbr, phi, x_uv], axis=1)
         q_in = T.concat([h_self, self.time_enc(self.pset, np.zeros(b))], axis=1)
 
         li = layer - 1
-        q = self.att_q[li](self.pset, q_in).reshape((b, 1, heads, dh))
-        kk = self.att_k[li](self.pset, kv_in).reshape((b, k, heads, dh))
-        vv = self.att_v[li](self.pset, kv_in).reshape((b, k, heads, dh))
-        scores = T.tensor_sum(q * kk, axis=3) * (1.0 / np.sqrt(dh))  # (b, k, heads)
-        scores = scores + T.constant((mask - 1.0)[:, :, None] * 1e30)
-        alpha = T.softmax(scores, axis=1)
+        q = self.att_q[li](self.pset, q_in)
+        kk = self.att_k[li](self.pset, kv_in)
+        vv = self.att_v[li](self.pset, kv_in).reshape((n, heads, dh))
+        scores = T.tensor_sum((T.gather(q, row) * kk).reshape((n, heads, dh)), axis=2) * (1.0 / np.sqrt(dh))
+        alpha = T.segment_softmax(scores, row, b)  # (n, heads)
         if trace is not None:
-            trace.append({"layer": layer, "alpha": alpha.data.copy(), "mask": mask.copy()})
-        context = T.tensor_sum(alpha.reshape((b, k, heads, 1)) * vv, axis=1)  # (b, heads, dh)
-        context = self.att_o[li](self.pset, context.reshape((b, d)))
+            dense = np.zeros((b, k, heads))
+            dense[row, slot] = alpha.data
+            trace.append({"layer": layer, "alpha": dense, "mask": mask.copy()})
+        context = T.segment_sum((alpha.reshape((n, heads, 1)) * vv).reshape((n, d)), row, b)
+        context = self.att_o[li](self.pset, context)
         has_nbr = (mask.max(axis=1) > 0).astype(np.float64)
         context = context * T.constant(has_nbr[:, None])
         return self.combine[li](self.pset, T.concat([h_self, context], axis=1))

@@ -153,3 +153,53 @@ def score_link(h_u, h_v):
     if h_u.shape != h_v.shape:
         raise ValueError(f"embedding shapes disagree: {h_u.shape} vs {h_v.shape}")
     return float(0.5 * (np.tanh(0.5 * float(h_u @ h_v)) + 1.0))
+
+
+def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
+    """Padded reference for `TgnModel.embed`: every query attends over all k
+    neighbor slots, and padded slots are pushed out of a dense softmax by a
+    -1e30 score offset. The library attends over real slots only and must
+    give the same values."""
+    cfg = model.config
+    layer = cfg.n_layers if layer is None else layer
+    nodes = np.asarray(nodes, dtype=np.int64)
+    ts = np.asarray(ts, dtype=np.float64)
+    if layer == 0:
+        return model.embed(ctx, mem, nodes, ts, layer=0)
+
+    b, k = len(nodes), cfg.k_neighbors
+    d, heads = cfg.d_mem, cfg.n_heads
+    dh = d // heads
+    h_self = embed_padded(model, ctx, mem, nodes, ts, layer=layer - 1)
+    nbr_ids, nbr_times, nbr_ords, mask = ctx.index.batch_neighbors(nodes, ts, k)
+    if hide is not None:
+        mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
+    flat_ids = nbr_ids.reshape(-1)
+    flat_ts = np.repeat(ts, k)
+    h_nbr = embed_padded(model, ctx, mem, flat_ids, flat_ts, layer=layer - 1)
+    dt = flat_ts - nbr_times.reshape(-1)
+    phi = model.time_enc(model.pset, dt)
+    x_uv = T.constant(ctx.index.edge_features_for(nbr_ords.reshape(-1)))
+    kv_in = T.concat([h_nbr, phi, x_uv], axis=1)
+    q_in = T.concat([h_self, model.time_enc(model.pset, np.zeros(b))], axis=1)
+
+    li = layer - 1
+    q = model.att_q[li](model.pset, q_in).reshape((b, 1, heads, dh))
+    kk = model.att_k[li](model.pset, kv_in).reshape((b, k, heads, dh))
+    vv = model.att_v[li](model.pset, kv_in).reshape((b, k, heads, dh))
+    scores = T.tensor_sum(q * kk, axis=3) * (1.0 / np.sqrt(dh))  # (b, k, heads)
+    scores = scores + T.constant((mask - 1.0)[:, :, None] * 1e30)
+    alpha = T.softmax(scores, axis=1)
+    context = T.tensor_sum(alpha.reshape((b, k, heads, 1)) * vv, axis=1)  # (b, heads, dh)
+    context = model.att_o[li](model.pset, context.reshape((b, d)))
+    has_nbr = (mask.max(axis=1) > 0).astype(np.float64)
+    context = context * T.constant(has_nbr[:, None])
+    return model.combine[li](model.pset, T.concat([h_self, context], axis=1))
+
+
+def score_pairs_padded(model, ctx, mem, users, items, ts, hide_users=None, hide_items=None):
+    """`TgnModel.score_pairs` with `embed_padded` in place of `embed`."""
+    h_u = embed_padded(model, ctx, mem, users, ts, hide=hide_users)
+    h_i = embed_padded(model, ctx, mem, items, ts, hide=hide_items)
+    logits = model.decoder(model.pset, T.concat([h_u, h_i], axis=1))
+    return T.sigmoid(logits.reshape((len(users),)))

@@ -265,6 +265,49 @@ def test_segment_sum_empty_segment_is_zero():
     assert np.array_equal(out[1], [0, 0]) and np.array_equal(out[3], [0, 0])
 
 
+def segment_softmax_loop(x, seg, count):
+    """Per-segment reference: shift by the segment max, exponentiate, and
+    add the rows in order onto 0.0."""
+    out = np.empty_like(x)
+    for s in range(count):
+        rows = np.flatnonzero(seg == s)
+        if rows.size:
+            e = np.exp(x[rows] - x[rows].max(axis=0))
+            total = np.zeros(x.shape[1:])
+            for r in e:
+                total = total + r
+            out[rows] = e / total
+    return out
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (40, 1), (40,), (3000, 40)])
+def test_segment_softmax_bytes_match_loop(shape):
+    # the tall case sums through the one-bincount-per-column path
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=shape) * 10.0
+    seg = np.sort(rng.integers(0, 9, size=shape[0]))
+    seg[seg == 4] = 5  # segment 4 is empty
+    got = N.segment_softmax(N.constant(x), seg, 9).data
+    assert got.tobytes() == segment_softmax_loop(x, seg, 9).tobytes()
+
+
+def test_segment_softmax_grads(rng):
+    x = N.parameter(rng.normal(size=(7, 2)))
+    seg = np.array([0, 0, 0, 2, 2, 3, 3])  # segment 1 is empty, 4 is past the last row
+    weights = rng.normal(size=(7, 2))
+
+    def build():
+        return N.tensor_sum(N.segment_softmax(x, seg, 5) * N.constant(weights))
+
+    assert_grads_match_fd(build, [x], rng, n_coords=8)
+
+
+def test_segment_softmax_rejects_unsorted_ids():
+    with pytest.raises(ValueError):
+        N.segment_softmax(N.constant(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
+    assert N.segment_softmax(N.constant(np.zeros((0, 2))), np.zeros(0, dtype=np.int64), 3).shape == (0, 2)
+
+
 def test_scatter_rows_semantics():
     base = N.constant(np.zeros((4, 2)))
     rows = N.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))

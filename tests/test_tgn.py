@@ -5,7 +5,10 @@ import tgtransfer.tgn as tgn
 from tgtransfer import temporal_graph as tg
 from tgtransfer.numerics import Sgd, tensor as T
 
-from helpers import assert_grads_match_fd, compute_message, node_static_features_loop, predict_link
+from helpers import (
+    assert_grads_match_fd, compute_message, embed_padded, node_static_features_loop, predict_link,
+    score_pairs_padded,
+)
 
 VOCAB = [f"tok{k}" for k in range(5)]
 
@@ -281,6 +284,86 @@ def test_attention_weights_sum_to_one(setup, rng):
     for step in trace:
         sums = step["alpha"].sum(axis=1)  # (b, heads)
         assert np.allclose(sums, 1.0, atol=1e-6)
+    # queries made before a node's first event have no neighbor to attend to
+    trace = []
+    nodes = np.concatenate([np.arange(g.num_nodes), np.arange(g.num_nodes)])
+    ts = np.concatenate([np.full(g.num_nodes, 400.0), np.zeros(g.num_nodes)])
+    with T.no_grad():
+        model.embed(ctx, mem, nodes, ts, trace=trace)
+    (step,) = trace
+    assert step["alpha"].shape == (len(nodes), model.config.k_neighbors, model.config.n_heads)
+    assert not step["mask"][g.num_nodes:].any()
+    sums = step["alpha"].sum(axis=1)
+    assert np.allclose(sums[:g.num_nodes], 1.0, atol=1e-6)
+    assert np.array_equal(sums[g.num_nodes:], np.zeros((g.num_nodes, model.config.n_heads)))
+    assert not step["alpha"][step["mask"] == 0].any()
+
+
+def _outputs_and_grads(model, mem, forward):
+    """Forward values of `forward()` and the gradients of a fixed weighted
+    sum of them, for every parameter and for `mem`."""
+    model.pset.zero_grads()
+    mem.grad = None
+    out = forward()
+    weights = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+    T.backward(T.tensor_sum(out * T.constant(weights)), params=model.pset.tensors())
+    grads = {name: t.grad.copy() for name, t in model.pset.items()}
+    grads["mem"] = mem.grad.copy()
+    return out.data, grads
+
+
+def _assert_matches_padded(model, ctx, mem, users, items, ts, hide_u, hide_i, exact):
+    pairs = [
+        (lambda: model.embed(ctx, mem, users, ts, hide=hide_u),
+         lambda: embed_padded(model, ctx, mem, users, ts, hide=hide_u)),
+        (lambda: model.score_pairs(ctx, mem, users, items, ts, hide_users=hide_u, hide_items=hide_i),
+         lambda: score_pairs_padded(model, ctx, mem, users, items, ts, hide_users=hide_u, hide_items=hide_i)),
+    ]
+    for ragged, padded in pairs:
+        got, got_grads = _outputs_and_grads(model, mem, ragged)
+        expect, expect_grads = _outputs_and_grads(model, mem, padded)
+        if exact:
+            assert got.tobytes() == expect.tobytes()
+        else:
+            assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
+        # the segment softmax sums gradients in another order than the dense one
+        for name, grad in expect_grads.items():
+            assert np.allclose(got_grads[name], grad, rtol=0.0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("k", [4, 64])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_embed_matches_padded_attention(rng, k, n_layers):
+    # one batch mixing full, partial and empty neighborhoods, repeated nodes
+    # and hidden rows; k=64 is larger than any node's history
+    g = make_graph(n_events=40, seed=8, edge_dim=3)
+    model = tgn.TgnModel(small_config(k_neighbors=k, n_layers=n_layers), VOCAB, 3, rng)
+    ctx = model.bind_graph(g)
+    mem = T.Tensor(rng.normal(size=(g.num_nodes, 8)), requires_grad=True)
+    users = np.array([0, 1, 2, 0, 3, 4, 0, 1])
+    items = g.num_users + np.array([0, 1, 2, 3, 0, 1, 0, 2])
+    ts = np.array([600.0, 250.0, 0.0, 600.0, 60.0, 600.0, 600.0, 120.0])
+    hide_u = np.array([0, 0, 0, 1, 0, 0, 0, 1], dtype=bool)
+    hide_i = np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=bool)
+    counts = ctx.index.batch_neighbors(users, ts, 64)[3].sum(axis=1)
+    assert counts.max() < 64 and set(counts[counts < 4]) >= {0.0, 1.0} and (counts >= 4).any()
+    _assert_matches_padded(model, ctx, mem, users, items, ts, hide_u, hide_i, exact=True)
+
+
+def test_embed_matches_padded_attention_with_one_real_slot(rng):
+    # numpy multiplies a one-row matrix through a matrix-vector kernel, whose
+    # bytes differ from the same row inside a taller product
+    model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
+    g = tg.TemporalGraph(
+        np.array([0, 1]), np.array([0, 1]), np.array([5.0, 8.0]), np.zeros((2, 0)),
+        ["u0", "u1"], ["i0", "i1"], VOCAB, [np.array([0]), np.array([2])], [np.array([1]), np.array([3])],
+    )
+    ctx = model.bind_graph(g)
+    mem = T.Tensor(rng.normal(size=(g.num_nodes, 8)), requires_grad=True)
+    users, items, ts = np.array([0, 1]), np.array([3, 3]), np.array([6.0, 6.0])
+    assert ctx.index.batch_neighbors(users, ts, 4)[3].sum() == 1.0
+    assert ctx.index.batch_neighbors(items, ts, 4)[3].sum() == 0.0
+    _assert_matches_padded(model, ctx, mem, users, items, ts, None, None, exact=False)
 
 
 def test_predict_link_range_and_determinism(setup, rng):
