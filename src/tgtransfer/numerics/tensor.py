@@ -97,9 +97,6 @@ class Tensor:
         """Same values, cut from the tape."""
         return Tensor(self.data.copy())
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- operator sugar --------------------------------------------------------
 
     def __add__(self, other):
@@ -463,13 +460,22 @@ def segment_softmax(a: Tensor, seg_ids: np.ndarray, num_segments: int) -> Tensor
     does.
     """
     seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    e = exp(a - constant(_segment_max_rows(a.data, seg_ids)))
+    return e / gather(segment_sum(e, seg_ids, num_segments), seg_ids)
+
+
+def _segment_max_rows(values: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
+    """Per column, the max of each row's segment, repeated to `values`' rows.
+
+    `seg_ids` must be sorted; the max of a segment is taken over its own
+    rows only, so it is a constant shift that keeps a softmax's exp in range.
+    """
     step = np.diff(seg_ids, prepend=seg_ids[:1] - 1)  # the first row starts a segment
     if step.size and step.min() < 0:
         raise ValueError("segment_softmax requires sorted segment ids")
     starts = np.flatnonzero(step > 0)  # a boolean scan is several times faster
-    top = np.maximum.reduceat(a.data, starts, axis=0)
-    e = exp(a - constant(np.repeat(top, np.diff(starts, append=len(seg_ids)), axis=0)))
-    return e / gather(segment_sum(e, seg_ids, num_segments), seg_ids)
+    top = np.maximum.reduceat(values, starts, axis=0)
+    return np.repeat(top, np.diff(starts, append=len(seg_ids)), axis=0)
 
 
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
@@ -492,21 +498,6 @@ def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
         return g_base, g[idx]
 
     return Tensor(out_data, _parents=(base, rows), _backward=backward, _op="scatter_rows")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis` (max subtracted before exponentiating)."""
-    if a.shape == () or a.shape[axis] == 0:
-        raise ValueError("softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - dot),)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward, _op="softmax")
 
 
 def bce_loss(prob: Tensor, labels) -> Tensor:

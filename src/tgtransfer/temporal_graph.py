@@ -440,10 +440,7 @@ class NeighborIndex:
         return ids, times, ords, real.astype(np.float64)
 
     def edge_features_for(self, ordinals: np.ndarray) -> np.ndarray:
-        # padding ordinals are 0, which only exists in nonempty graphs; all
-        # padded rows are masked downstream so zeros are safe here
-        if self._g.num_events == 0:
-            return np.zeros((len(ordinals), self._g.edge_feature_dim))
+        """Edge feature rows of the given event ordinals, one row each."""
         return self._g.edge_features[ordinals]
 
 

@@ -146,6 +146,29 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
         return mlp(pset, T.concat([self_proj, context], axis=1)).data[0]
 
 
+def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
+    """Composed-op reference for `fgat._edge_attention`: gather `h_u` and
+    `h_v` per edge, project them per edge, and score, normalise and sum with
+    one autodiff op per step. Returns the context and the `alpha` array."""
+    h_u = T.gather(H, table.edge_tgt)
+    h_v = T.gather(H, table.edge_src)
+    msg = T.leaky_relu(
+        T.concat(
+            [
+                T.matmul(h_u, w1),
+                T.matmul(h_v, w2),
+                T.constant(table.edge_a[:, None]) * w3,
+            ],
+            axis=1,
+        ),
+        slope=slope,
+    )
+    logits = T.matmul(msg, w4)
+    alpha = T.segment_softmax(logits, table.seg, table.count)
+    weighted = T.matmul(h_v, w6) * alpha
+    return T.segment_sum(weighted, table.seg, table.count), alpha.data
+
+
 def score_link(h_u, h_v):
     """sigmoid(h_u . h_v), the FGAT link decoder for one pair."""
     h_u = np.asarray(h_u, dtype=np.float64)
@@ -153,6 +176,22 @@ def score_link(h_u, h_v):
     if h_u.shape != h_v.shape:
         raise ValueError(f"embedding shapes disagree: {h_u.shape} vs {h_v.shape}")
     return float(0.5 * (np.tanh(0.5 * float(h_u @ h_v)) + 1.0))
+
+
+def softmax(a, axis=-1):
+    """Stable dense softmax op along `axis` (max subtracted before
+    exponentiating), the attention normaliser of `embed_padded`."""
+    if a.shape == () or a.shape[axis] == 0:
+        raise ValueError("softmax over an empty axis")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        return (out_data * (g - dot),)
+
+    return T.Tensor(out_data, _parents=(a,), _backward=backward, _op="softmax")
 
 
 def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
@@ -189,7 +228,7 @@ def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
     vv = model.att_v[li](model.pset, kv_in).reshape((b, k, heads, dh))
     scores = T.tensor_sum(q * kk, axis=3) * (1.0 / np.sqrt(dh))  # (b, k, heads)
     scores = scores + T.constant((mask - 1.0)[:, :, None] * 1e30)
-    alpha = T.softmax(scores, axis=1)
+    alpha = softmax(scores, axis=1)
     context = T.tensor_sum(alpha.reshape((b, k, heads, 1)) * vv, axis=1)  # (b, heads, dh)
     context = model.att_o[li](model.pset, context.reshape((b, d)))
     has_nbr = (mask.max(axis=1) > 0).astype(np.float64)

@@ -5,7 +5,9 @@ import tgtransfer.fgat as fg
 from tgtransfer import transform as tf
 from tgtransfer.numerics import tensor as T
 
-from helpers import assert_grads_match_fd, g_theta, sample_non_edges_loop, score_link
+from helpers import (
+    assert_grads_match_fd, edge_attention_composed, g_theta, sample_non_edges_loop, score_link,
+)
 
 
 def make_tg(rng, n_users=4, n_items=3, vocab_size=4, n_events=30, user_feats=None, item_feats=None):
@@ -238,6 +240,73 @@ def test_layer_gradients_match_fd(rng):
     assert_grads_match_fd(loss, checked, rng, n_coords=3, tol=1e-4)
 
 
+WEIGHTS = ("w1", "w2", "w6", "w3", "w4")
+
+
+def _attention_graphs():
+    # users 0 and 4, item 3, user 0's feature row and token 3 have no
+    # neighbours in their phases; item 0 is the source of three user edges
+    isolated = tf.TransformedGraph(
+        tf.StaticGraph([1, 1, 2, 3, 3], [0, 1, 0, 0, 2], [2, 1, 3, 1, 4], 5, 4),
+        [np.array([], dtype=np.int64), np.array([0, 1]), np.array([2]), np.array([0]), np.array([1, 2])],
+        [np.array([0]), np.array([1, 2]), np.array([0]), np.array([2])],
+        [f"tok{k}" for k in range(4)],
+    )
+    # one user, one item, one pair: phases 2 and 3 hold a single edge
+    single = tf.TransformedGraph(
+        tf.StaticGraph([0], [0], [3], 1, 1), [np.array([0])], [np.array([1])], ["tok0", "tok1"],
+    )
+    return isolated, single
+
+
+def _attention_inputs(model, tg, phase, seed):
+    rng = np.random.default_rng(seed)
+    H = T.parameter(rng.normal(size=(tg.num_nodes, model.config.dim)))
+    weights = [model.pset[f"layer1.phase{phase}.{w}"] for w in WEIGHTS]
+    return H, weights, rng.normal(size=(fg.phase_plan(tg)[phase - 1].count, model.config.dim))
+
+
+@pytest.mark.parametrize("graph", [0, 1])
+@pytest.mark.parametrize("phase", [1, 2, 3, 4])
+def test_edge_attention_matches_composed_ops(model, graph, phase):
+    tg = _attention_graphs()[graph]
+    table = fg.phase_plan(tg)[phase - 1]
+    H, weights, out_w = _attention_inputs(model, tg, phase, seed=10 * graph + phase)
+    runs = []
+    for op in (fg._edge_attention, edge_attention_composed):
+        for t in [H, *weights]:
+            t.grad = None
+        context, alpha = op(H, *weights, table, model.config.slope)
+        T.backward(T.tensor_sum(context * T.constant(out_w)))
+        runs.append((context.data, alpha, [t.grad.copy() for t in [H, *weights]]))
+    (context, alpha, grads), (expect_context, expect_alpha, expect_grads) = runs
+    assert context.tobytes() == expect_context.tobytes()
+    assert alpha.tobytes() == expect_alpha.tobytes()
+    for got, expect in zip(grads, expect_grads):
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def test_edge_attention_grads_match_fd(model):
+    tg = _attention_graphs()[0]
+    table = fg.phase_plan(tg)[1]
+    H, weights, out_w = _attention_inputs(model, tg, 2, seed=3)
+
+    def loss():
+        context, _ = fg._edge_attention(H, *weights, table, model.config.slope)
+        return T.tensor_mean(context * T.constant(out_w))
+
+    assert_grads_match_fd(loss, [H, *weights], np.random.default_rng(4))
+
+
+def test_edge_attention_names_itself_on_nan(model):
+    tg = _attention_graphs()[0]
+    table = fg.phase_plan(tg)[1]
+    H, weights, _ = _attention_inputs(model, tg, 2, seed=5)
+    H.data[table.edge_src[0]] = np.nan
+    with pytest.raises(T.NonFiniteError, match="edge_attention"):
+        fg._edge_attention(H, *weights, table, model.config.slope)
+
+
 def test_score_link_values():
     assert score_link(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
     h = np.array([1.0, 1.0, 1.0])
@@ -293,6 +362,31 @@ def test_sample_non_edges_matches_scalar_loop(present_share):
         assert fast_rng.random() == loop_rng.random()
     present = set((tg.static.pair_users * n_items + tg.static.pair_items).tolist())
     assert not present & set((got[0] * n_items + got[1]).tolist())
+
+
+def test_sample_non_edges_ends_on_one_non_edge():
+    """A graph one pair short of complete: every sample is that pair, drawn
+    with at most two random numbers each (rejection sampling would need
+    about 72 candidates per sample here)."""
+    n_users, n_items = 8, 9
+    missing = 40
+    keys = np.delete(np.arange(n_users * n_items), missing)
+    tg = _pairs_graph(keys, n_users, n_items)
+
+    class CountingRng:
+        def __init__(self):
+            self.rng, self.draws = np.random.default_rng(0), 0
+
+        def integers(self, *args, **kwargs):
+            out = self.rng.integers(*args, **kwargs)
+            self.draws += np.size(out)
+            return out
+
+    rng = CountingRng()
+    users, items = fg._sample_non_edges(tg, 50, rng)
+    assert users.tolist() == [missing // n_items] * 50
+    assert items.tolist() == [missing % n_items] * 50
+    assert rng.draws <= 2 * 50
 
 
 def test_sample_non_edges_rejects_complete_graph():
