@@ -138,15 +138,19 @@ def summarize(values) -> tuple[float, float]:
 
 
 def _catalog_scores(model: TgnModel, ctx: GraphContext, mem, users, ts) -> np.ndarray:
-    """(B, num_items) probabilities of every item for each (user, t) query."""
+    """(B, num_items) probabilities of every item for each (user, t) query.
+
+    Items and users are embedded in one call, so they share one neighbor
+    lookup and one static feature table.
+    """
     n_items = ctx.graph.num_items
     b = len(users)
     items_g = np.tile(np.arange(n_items, dtype=np.int64) + ctx.graph.num_users, b)
-    rep_ts = np.repeat(ts, n_items)
-    h_items = model.embed(ctx, mem, items_g, rep_ts)
-    h_users = model.embed(ctx, mem, users, ts)
-    h_users_rep = T.gather(h_users, np.repeat(np.arange(b), n_items))
-    logits = model.decoder(model.pset, T.concat([h_users_rep, h_items], axis=1))
+    nodes = np.concatenate([items_g, users])
+    h = model.embed(ctx, mem, nodes, np.concatenate([np.repeat(ts, n_items), ts]))
+    pairs = b * n_items
+    h_users_rep = T.gather(h, pairs + np.repeat(np.arange(b), n_items))
+    logits = model.decoder(model.pset, T.concat([h_users_rep, T.gather(h, slice(0, pairs))], axis=1))
     return T.sigmoid(logits).data.reshape(b, n_items)
 
 

@@ -21,24 +21,23 @@ _ACTIVATIONS = {
 
 
 class Linear:
-    """y = x @ W + b with W of shape (in_dim, out_dim)."""
+    """y = x @ W + b with W of shape (in_dim, out_dim), one `T.linear` op."""
 
-    def __init__(self, prefix: str, in_dim: int, out_dim: int, bias: bool = True):
+    def __init__(self, prefix: str, in_dim: int, out_dim: int):
         self.prefix = prefix
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.bias = bias
 
     def init_params(self, pset: ParameterSet, rng: np.random.Generator) -> None:
         pset.add(f"{self.prefix}.w", xavier_uniform(rng, self.in_dim, self.out_dim, (self.in_dim, self.out_dim)))
-        if self.bias:
-            pset.add(f"{self.prefix}.b", np.zeros(self.out_dim))
+        pset.add(f"{self.prefix}.b", np.zeros(self.out_dim))
+
+    def weights(self, pset: ParameterSet) -> tuple[T.Tensor, T.Tensor]:
+        """The (W, b) parameters, for ops that fuse this projection."""
+        return pset[f"{self.prefix}.w"], pset[f"{self.prefix}.b"]
 
     def __call__(self, pset: ParameterSet, x: T.Tensor) -> T.Tensor:
-        out = T.matmul(x, pset[f"{self.prefix}.w"])
-        if self.bias:
-            out = out + pset[f"{self.prefix}.b"]
-        return out
+        return T.linear(x, *self.weights(pset))
 
 
 class Mlp:
@@ -91,10 +90,10 @@ class GruCell:
     def __call__(self, pset: ParameterSet, x: T.Tensor, h: T.Tensor) -> T.Tensor:
         p = self.prefix
         xh = T.concat([x, h], axis=1)
-        z = T.sigmoid(T.matmul(xh, pset[f"{p}.wz"]) + pset[f"{p}.bz"])
-        r = T.sigmoid(T.matmul(xh, pset[f"{p}.wr"]) + pset[f"{p}.br"])
+        z = T.sigmoid(T.linear(xh, pset[f"{p}.wz"], pset[f"{p}.bz"]))
+        r = T.sigmoid(T.linear(xh, pset[f"{p}.wr"], pset[f"{p}.br"]))
         xrh = T.concat([x, r * h], axis=1)
-        cand = T.tanh(T.matmul(xrh, pset[f"{p}.wh"]) + pset[f"{p}.bh"])
+        cand = T.tanh(T.linear(xrh, pset[f"{p}.wh"], pset[f"{p}.bh"]))
         one = T.constant(np.ones((1, self.hidden_dim)))
         return (one - z) * cand + z * h
 

@@ -55,12 +55,19 @@ def _check_finite(values: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
+# ops whose outputs only copy values of their inputs: a non-finite value
+# among them was made by an earlier op, or sits in a parameter changed in
+# place, and the next op that computes with it raises
+_COPY_OPS = frozenset({"gather", "concat", "reshape", "transpose", "scatter_rows"})
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "node_id")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, _op)
+        if _op not in _COPY_OPS:
+            _check_finite(arr, _op)
         self.data = arr
         self.grad = None
         self.node_id = next(_node_counter)
@@ -308,6 +315,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=backward, _op="matmul")
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for a 2-D `x` and a 1-D bias `b`, as one op.
+
+    Bytes equal `add(matmul(x, w), b)`, forward and backward, with one tape
+    node and no intermediate product kept.
+    """
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear expects (n, {w.shape[0]}) input, got {x.shape}")
+    out_data = _matmul(x.data, w.data)
+    out_data += b.data
+
+    def backward(g):
+        gx = _matmul(g, w.data.T) if x.requires_grad else None
+        gw = _matmul(x.data.T, g) if w.requires_grad else None
+        gb = g.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return Tensor(out_data, _parents=(x, w, b), _backward=backward, _op="linear")
+
+
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`x @ y`, with an inner dimension of 1 taken as a broadcast multiply.
 
@@ -378,7 +405,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor(out_data, _parents=tensors, _backward=backward, _op="concat")
 
 
-_FLAT_INDEX_CELLS = 1 << 16
+_INDEX_CELLS = 1 << 20
 
 
 def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -387,10 +414,11 @@ def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
     Each row is added in input order onto an initial 0.0, exactly as
     `np.add.at` on a zero array does, so results are bytewise the same.
-    `np.bincount` keeps that order and runs several times faster. One call
-    covers every column through a flattened (row, column) index while that
-    index holds at most `_FLAT_INDEX_CELLS` entries; taller inputs take one
-    call per column, which keeps the index at `len(idx)`.
+    `np.bincount` keeps that order and runs several times faster. Each call
+    sums a block of columns through a flattened (row, column) index of at
+    most `_INDEX_CELLS` entries, so inputs up to that size take one call;
+    wider ones take as few blocks as fit, as equal as they can be so all but
+    the last share one index, down to one call per column.
     """
     if idx.size:
         lo, hi = int(idx.min()), int(idx.max())
@@ -400,13 +428,17 @@ def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
             idx = np.where(idx < 0, idx + n, idx)
     width = math.prod(values.shape[1:])
     rows = values.reshape(len(idx), width)
-    if len(idx) * width <= _FLAT_INDEX_CELLS:
-        flat = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
-        out = np.bincount(flat, weights=rows.ravel(), minlength=n * width)
-    else:
-        out = np.empty((n, width))
-        for j in range(width):
-            out[:, j] = np.bincount(idx, weights=rows[:, j], minlength=n)
+    most = max(_INDEX_CELLS // max(len(idx), 1), 1)  # columns one index may cover
+    blocks = max(-(-width // most), 1)
+    step = max(-(-width // blocks), 1)  # as equal as the blocks can be
+    out = np.empty((n, width))
+    flat = None
+    for j in range(0, width, step):
+        w = min(step, width - j)
+        if flat is None or flat.size != len(idx) * w:
+            flat = idx if w == 1 else (idx[:, None] * w + np.arange(w)).ravel()
+        sums = np.bincount(flat, weights=rows[:, j : j + w].ravel(), minlength=n * w)
+        out[:, j : j + w] = sums.reshape(n, w)
     return out.reshape((n,) + values.shape[1:])
 
 
@@ -451,19 +483,6 @@ def segment_sum(a: Tensor, seg_ids: np.ndarray, num_segments: int) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="segment_sum")
 
 
-def segment_softmax(a: Tensor, seg_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax of `a`'s rows within each segment, separately per column.
-
-    `seg_ids` gives each row's segment and must be sorted. Each segment's max
-    is subtracted as a constant, which keeps exp in range without routing
-    gradient through the max; the sums add rows in order, as `segment_sum`
-    does.
-    """
-    seg_ids = np.asarray(seg_ids, dtype=np.int64)
-    e = exp(a - constant(_segment_max_rows(a.data, seg_ids)))
-    return e / gather(segment_sum(e, seg_ids, num_segments), seg_ids)
-
-
 def _segment_max_rows(values: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
     """Per column, the max of each row's segment, repeated to `values`' rows.
 
@@ -472,7 +491,7 @@ def _segment_max_rows(values: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
     """
     step = np.diff(seg_ids, prepend=seg_ids[:1] - 1)  # the first row starts a segment
     if step.size and step.min() < 0:
-        raise ValueError("segment_softmax requires sorted segment ids")
+        raise ValueError("segment softmax requires sorted segment ids")
     starts = np.flatnonzero(step > 0)  # a boolean scan is several times faster
     top = np.maximum.reduceat(values, starts, axis=0)
     return np.repeat(top, np.diff(starts, append=len(seg_ids)), axis=0)

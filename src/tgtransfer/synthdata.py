@@ -224,16 +224,6 @@ def generate_pair(cfg: SynthConfig) -> tuple[TemporalGraph, TemporalGraph, Plant
     return source, target, mapping
 
 
-def scarcity_subsample(g: TemporalGraph, fraction: float) -> TemporalGraph:
-    """Earliest floor(fraction * N) events; node tables and vocab unchanged."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    keep = int(np.floor(fraction * g.num_events))
-    if keep == 0:
-        raise ValueError(f"fraction {fraction} keeps zero of {g.num_events} events")
-    return g.slice(0, keep)
-
-
 def write_events_csv(g: TemporalGraph, path) -> None:
     """Emit the interaction CSV consumed by `load_events`.
 

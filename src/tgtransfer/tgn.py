@@ -12,6 +12,14 @@ encoded time gap, and edge features. Attention runs over a node's real
 neighbor slots only: no padded slot is embedded, encoded or scored. A
 two-tower MLP decoder turns a pair of embeddings into a link probability.
 
+Each `embed` call builds the layer-0 table (static features plus memory) for
+every graph node once and gathers it wherever its recursion reaches layer 0.
+The attention of one layer, from the key and value projections to the
+softmax-weighted sum of values, is one autodiff op with a hand-written
+backward, `_temporal_attention`: the tape keeps its concatenated input and
+the attention weights, and the backward recomputes keys, values and the
+per-slot query rows instead of storing them.
+
 Training defers each batch's memory write until just before the next batch is
 scored (values are unchanged by the delay: no optimizer step intervenes), so
 the write happens on the autodiff tape and the message/GRU weights receive
@@ -88,6 +96,64 @@ class GraphContext(NamedTuple):
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
+
+
+def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+    """Multi-head dot-product attention of `b` queries over their real
+    neighbor slots, as one op.
+
+    Slot `s` belongs to query `row[s]` (sorted); its key and value input is
+    `[h_nbr, phi, x_uv]`, with `x_uv` a constant array. Returns the (b, d)
+    context as a `Tensor` with op name "temporal_attention", and the
+    (n, heads) `alpha` array. The forward runs the numpy steps of the
+    composed ops: concat, key and value projections, per-slot query dot
+    products, a segment softmax and a segment sum.
+
+    Backward keeps the concatenated input and `alpha` only: it recomputes
+    the keys, values and per-slot query rows, then applies the softmax rule
+    `alpha * (g - segsum(alpha * g))`.
+    """
+    n, d = len(row), q.shape[1]
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    kv_in = np.concatenate([h_nbr.data, phi.data, x_uv], axis=1)
+
+    def project(w, bias):
+        out = T._matmul(kv_in, w.data)
+        out += bias.data
+        return out.reshape(n, heads, dh)
+
+    kk = project(wk, bk)
+    scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * kk).sum(axis=2) * scale
+    del kk
+    e = np.exp(scores - T._segment_max_rows(scores, row))
+    alpha = e / T._index_add(row, e, b).take(row, axis=0)
+    context = T._index_add(row, (alpha[:, :, None] * project(wv, bv)).reshape(n, d), b)
+
+    def backward(g):
+        g_edge = g.take(row, axis=0).reshape(n, heads, dh)
+        g_alpha = np.sum(g_edge * project(wv, bv), axis=2)
+        g_scores = alpha * (g_alpha - T._index_add(row, alpha * g_alpha, b).take(row, axis=0))
+        g_scores = (g_scores * scale)[:, :, None]
+        g_q = T._index_add(row, (g_scores * project(wk, bk)).reshape(n, d), b)
+        g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
+        g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
+        g_kv = T._matmul(g_k, wk.data.T) + T._matmul(g_v, wv.data.T)
+        dm = h_nbr.shape[1]
+        return (
+            g_q,
+            np.ascontiguousarray(g_kv[:, :dm]),
+            np.ascontiguousarray(g_kv[:, dm : dm + phi.shape[1]]),
+            T._matmul(kv_in.T, g_k),
+            g_k.sum(axis=0),
+            T._matmul(kv_in.T, g_v),
+            g_v.sum(axis=0),
+        )
+
+    out = T.Tensor(
+        context, _parents=(q, h_nbr, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
+    )
+    return out, alpha
 
 
 class TgnModel:
@@ -171,57 +237,55 @@ class TgnModel:
     def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int | None = None, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
         """h^layer(t) for each (node, t) query; layer defaults to config.
 
-        `hide` marks query rows whose neighbor context is masked out at the
-        top layer (training-time context dropout); they fall back to the
-        empty-neighborhood path.
+        `mem` holds one memory row per graph node. `hide` marks query rows
+        whose neighbor context is masked out at the top layer (training-time
+        context dropout); they fall back to the empty-neighborhood path.
 
         Each `trace` entry holds the layer, the (b, k) slot mask and the
         attention weights `alpha` as a (b, k, heads) array, zero on padded
         slots; a query with no real neighbor has all-zero `alpha`.
         """
-        cfg = self.config
-        layer = cfg.n_layers if layer is None else layer
+        layer = self.config.n_layers if layer is None else layer
         nodes = np.asarray(nodes, dtype=np.int64)
-        ts = np.asarray(ts, dtype=np.float64)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= ctx.num_nodes):
             raise KeyError("embedding query for unknown node")
-        if layer == 0:
-            return self.node_static_features(ctx, nodes) + T.gather(mem, nodes)
+        # layer 0 of every node, built once per call: static features plus memory
+        h0 = self.node_static_features(ctx, np.arange(ctx.num_nodes)) + mem
+        return self._embed(ctx, h0, nodes, np.asarray(ts, dtype=np.float64), layer, trace, hide)
 
+    def _embed(self, ctx: GraphContext, h0: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int, trace, hide) -> T.Tensor:
+        if layer == 0:
+            return T.gather(h0, nodes)
+        cfg = self.config
         b, k = len(nodes), cfg.k_neighbors
-        d, heads = cfg.d_mem, cfg.n_heads
-        dh = d // heads
-        h_self = self.embed(ctx, mem, nodes, ts, layer - 1, trace)
+        h_self = self._embed(ctx, h0, nodes, ts, layer - 1, trace, None)
         nbr_ids, nbr_times, nbr_ords, mask = ctx.index.batch_neighbors(nodes, ts, k)
         if hide is not None:
             mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
         # real slots only; row-major order keeps each query's slots together
         row, slot = np.nonzero(mask)
-        n = len(row)
-        h_nbr = self.embed(ctx, mem, nbr_ids[row, slot], ts[row], layer - 1, trace)
+        h_nbr = self._embed(ctx, h0, nbr_ids[row, slot], ts[row], layer - 1, trace, None)
         dt = ts[row] - nbr_times[row, slot]
         if dt.size and dt.min() < -1e-12:
             raise ValueError("neighbor newer than query time")
         phi = self.time_enc(self.pset, dt)
-        x_uv = T.constant(ctx.index.edge_features_for(nbr_ords[row, slot]))
-        kv_in = T.concat([h_nbr, phi, x_uv], axis=1)
+        x_uv = ctx.index.edge_features_for(nbr_ords[row, slot])
         q_in = T.concat([h_self, self.time_enc(self.pset, np.zeros(b))], axis=1)
 
-        li = layer - 1
-        q = self.att_q[li](self.pset, q_in)
-        kk = self.att_k[li](self.pset, kv_in)
-        vv = self.att_v[li](self.pset, kv_in).reshape((n, heads, dh))
-        scores = T.tensor_sum((T.gather(q, row) * kk).reshape((n, heads, dh)), axis=2) * (1.0 / np.sqrt(dh))
-        alpha = T.segment_softmax(scores, row, b)  # (n, heads)
+        li, ps = layer - 1, self.pset
+        q = self.att_q[li](ps, q_in)
+        context, alpha = _temporal_attention(
+            q, h_nbr, phi, x_uv, *self.att_k[li].weights(ps), *self.att_v[li].weights(ps),
+            row, b, cfg.n_heads,
+        )
         if trace is not None:
-            dense = np.zeros((b, k, heads))
-            dense[row, slot] = alpha.data
+            dense = np.zeros((b, k, cfg.n_heads))
+            dense[row, slot] = alpha
             trace.append({"layer": layer, "alpha": dense, "mask": mask.copy()})
-        context = T.segment_sum((alpha.reshape((n, heads, 1)) * vv).reshape((n, d)), row, b)
-        context = self.att_o[li](self.pset, context)
+        context = self.att_o[li](ps, context)
         has_nbr = (mask.max(axis=1) > 0).astype(np.float64)
         context = context * T.constant(has_nbr[:, None])
-        return self.combine[li](self.pset, T.concat([h_self, context], axis=1))
+        return self.combine[li](ps, T.concat([h_self, context], axis=1))
 
     def score_pairs(self, ctx: GraphContext, mem: T.Tensor, users: np.ndarray, items: np.ndarray, ts: np.ndarray, trace=None, hide_users: np.ndarray | None = None, hide_items: np.ndarray | None = None) -> T.Tensor:
         """Link probabilities for (user, item, t) triples; items are global ids."""
@@ -282,13 +346,6 @@ def flush_pending(model: TgnModel, ctx: GraphContext, state: MemoryState) -> Mem
     cleared.pending = None
     out = update_memory(model, cleared, batch, ctx.graph.num_users)
     return out
-
-
-def event_batch_of(g: TemporalGraph, start: int, end: int) -> EventBatch:
-    return EventBatch(
-        g.users[start:end], g.items[start:end], g.times[start:end],
-        g.edge_features[start:end], np.arange(start, end, dtype=np.int64),
-    )
 
 
 def train_epoch(

@@ -6,6 +6,7 @@ import numpy as np
 from tgtransfer.numerics import backward
 from tgtransfer.numerics import tensor as T
 from tgtransfer.numerics.nn import Mlp
+from tgtransfer.temporal_graph import EventBatch
 
 
 def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4):
@@ -164,7 +165,7 @@ def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
         slope=slope,
     )
     logits = T.matmul(msg, w4)
-    alpha = T.segment_softmax(logits, table.seg, table.count)
+    alpha = segment_softmax(logits, table.seg, table.count)
     weighted = T.matmul(h_v, w6) * alpha
     return T.segment_sum(weighted, table.seg, table.count), alpha.data
 
@@ -242,3 +243,45 @@ def score_pairs_padded(model, ctx, mem, users, items, ts, hide_users=None, hide_
     h_i = embed_padded(model, ctx, mem, items, ts, hide=hide_items)
     logits = model.decoder(model.pset, T.concat([h_u, h_i], axis=1))
     return T.sigmoid(logits.reshape((len(users),)))
+
+
+def segment_softmax(a, seg_ids, num_segments):
+    """Softmax of `a`'s rows within each segment, separately per column, as
+    composed ops; `seg_ids` must be sorted. Each segment's max is subtracted
+    as a constant, and the sums add rows in order, as `segment_sum` does."""
+    seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    e = T.exp(a - T.constant(T._segment_max_rows(a.data, seg_ids)))
+    return e / T.gather(T.segment_sum(e, seg_ids, num_segments), seg_ids)
+
+
+def temporal_attention_composed(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+    """Composed-op reference for `tgn._temporal_attention`: one autodiff op
+    per step, each keeping its output on the tape. Returns the context and
+    the `alpha` array."""
+    n, d = len(row), q.shape[1]
+    dh = d // heads
+    kv_in = T.concat([h_nbr, phi, T.constant(x_uv)], axis=1)
+    kk = T.matmul(kv_in, wk) + bk
+    vv = (T.matmul(kv_in, wv) + bv).reshape((n, heads, dh))
+    scores = T.tensor_sum((T.gather(q, row) * kk).reshape((n, heads, dh)), axis=2) * (1.0 / np.sqrt(dh))
+    alpha = segment_softmax(scores, row, b)
+    context = T.segment_sum((alpha.reshape((n, heads, 1)) * vv).reshape((n, d)), row, b)
+    return context, alpha.data
+
+
+def event_batch_of(g, start, end):
+    """Events `start:end` of `g` as one `EventBatch`."""
+    return EventBatch(
+        g.users[start:end], g.items[start:end], g.times[start:end],
+        g.edge_features[start:end], np.arange(start, end, dtype=np.int64),
+    )
+
+
+def scarcity_subsample(g, fraction):
+    """Earliest floor(fraction * N) events; node tables and vocab unchanged."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    keep = int(np.floor(fraction * g.num_events))
+    if keep == 0:
+        raise ValueError(f"fraction {fraction} keeps zero of {g.num_events} events")
+    return g.slice(0, keep)

@@ -269,3 +269,23 @@ def test_catalog_ranks_match_direct_scoring():
     got_scores_rank = em.truth_rank(cat[0], np.arange(g.num_items), truth)
     assert got_scores_rank == expect
     assert np.allclose(cat[0], scores, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_catalog_row_same_alone_and_in_a_chunk(n_layers):
+    # items and users are embedded in one call, so a user's catalog row gets
+    # the same bytes whether the user is ranked alone or inside a chunk, as
+    # the last chunk of a split can hold a single user
+    g = make_graph(n_events=60, seed=4)
+    cfg = tgn.TgnConfig(d_mem=8, d_time=4, d_feat=8, n_layers=n_layers, n_heads=2, k_neighbors=4, batch_size=10)
+    model = tgn.TgnModel(cfg, VOCAB, 0, np.random.default_rng(3))
+    ctx = model.bind_graph(g)
+    from tgtransfer.numerics import tensor as T
+
+    mem = T.constant(np.random.default_rng(0).normal(size=(g.num_nodes, 8)))
+    users, ts = g.users[30:37], g.times[30:37]
+    with T.no_grad():
+        chunk = em._catalog_scores(model, ctx, mem, users, ts)
+        for r in range(len(users)):
+            alone = em._catalog_scores(model, ctx, mem, users[r : r + 1], ts[r : r + 1])
+            assert alone[0].tobytes() == chunk[r].tobytes()

@@ -4,7 +4,7 @@ import pytest
 import tgtransfer.numerics as N
 from tgtransfer.numerics import tensor as T
 
-from helpers import assert_grads_match_fd, softmax
+from helpers import assert_grads_match_fd, segment_softmax, softmax
 
 
 @pytest.fixture
@@ -178,7 +178,7 @@ def test_segment_sum_matches_loop(rng):
 @pytest.mark.parametrize("shape", [(40, 3), (40,), (3000, 40)])
 def test_segment_sum_bytes_match_loop_at_any_width(shape):
     # magnitudes spread over many decades make every reordering visible;
-    # the tall case takes the one-bincount-per-column path
+    # the tall case sums 120 000 cells through one flattened index
     rng = np.random.default_rng(3)
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     seg = rng.integers(0, 7, size=shape[0])
@@ -198,6 +198,36 @@ def test_gather_backward_bytes_match_loop_with_repeats():
     for row, k in zip(g, idx):
         expect[k] += row
     assert table.grad.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("rows, width", [(40_000, 33), (600_000, 2)])
+def test_index_add_column_blocks_match_add_at(rows, width):
+    # both exceed one index: 40 000 x 33 takes two column blocks, the last
+    # one narrower, so it builds an index of its own; 600 000 x 2 takes one
+    # call per column
+    rng = np.random.default_rng(6)
+    n = 5000
+    idx = rng.integers(-n, n, size=rows)
+    values = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 9, size=(rows, width))
+    assert rows * width > T._INDEX_CELLS
+    expect = np.zeros((n, width))
+    np.add.at(expect, idx, values)
+    assert T._index_add(idx, values, n).tobytes() == expect.tobytes()
+
+
+def test_linear_bytes_match_matmul_plus_add(rng):
+    x = N.parameter(rng.normal(size=(7, 4)))
+    w = N.parameter(rng.normal(size=(4, 3)))
+    b = N.parameter(rng.normal(size=(3,)))
+    g = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-8, 9, size=(7, 3))
+    runs = []
+    for op in (N.linear, lambda x, w, b: N.matmul(x, w) + b):
+        x.grad = w.grad = b.grad = None
+        out = op(x, w, b)
+        N.backward(N.tensor_sum(out * N.constant(g)))
+        runs.append([out.data, x.grad, w.grad, b.grad])
+    for got, expect in zip(*runs):
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_gather_and_scatter_accept_a_slice(rng):
@@ -282,12 +312,12 @@ def segment_softmax_loop(x, seg, count):
 
 @pytest.mark.parametrize("shape", [(40, 3), (40, 1), (40,), (3000, 40)])
 def test_segment_softmax_bytes_match_loop(shape):
-    # the tall case sums through the one-bincount-per-column path
+    # the tall case sums 120 000 cells through one flattened index
     rng = np.random.default_rng(5)
     x = rng.normal(size=shape) * 10.0
     seg = np.sort(rng.integers(0, 9, size=shape[0]))
     seg[seg == 4] = 5  # segment 4 is empty
-    got = N.segment_softmax(N.constant(x), seg, 9).data
+    got = segment_softmax(N.constant(x), seg, 9).data
     assert got.tobytes() == segment_softmax_loop(x, seg, 9).tobytes()
 
 
@@ -297,15 +327,15 @@ def test_segment_softmax_grads(rng):
     weights = rng.normal(size=(7, 2))
 
     def build():
-        return N.tensor_sum(N.segment_softmax(x, seg, 5) * N.constant(weights))
+        return N.tensor_sum(segment_softmax(x, seg, 5) * N.constant(weights))
 
     assert_grads_match_fd(build, [x], rng, n_coords=8)
 
 
 def test_segment_softmax_rejects_unsorted_ids():
     with pytest.raises(ValueError):
-        N.segment_softmax(N.constant(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
-    assert N.segment_softmax(N.constant(np.zeros((0, 2))), np.zeros(0, dtype=np.int64), 3).shape == (0, 2)
+        segment_softmax(N.constant(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
+    assert segment_softmax(N.constant(np.zeros((0, 2))), np.zeros(0, dtype=np.int64), 3).shape == (0, 2)
 
 
 def test_scatter_rows_semantics():
@@ -347,6 +377,28 @@ def test_nonfinite_forward_raises():
             N.constant(np.array([1.0])) / N.constant(np.array([0.0]))
         with pytest.raises(N.NonFiniteError):
             N.Tensor(np.array([np.nan]))
+
+
+def test_nan_planted_in_a_parameter_after_adam_step_raises(rng):
+    # copy ops pass values on unchecked; the next op that computes raises
+    pset = N.ParameterSet()
+    lin = N.Linear("fc", 3, 2)
+    lin.init_params(pset, rng)
+    pset.add("table", rng.normal(size=(4, 3)))
+
+    def forward():
+        rows = N.gather(pset["table"], np.array([0, 2, 2])).reshape((3, 3))
+        return N.tensor_sum(lin(pset, N.concat([rows], axis=0)))
+
+    N.backward(forward(), params=pset.tensors())
+    N.Adam(lr=0.01).step(pset)
+    for name in ("fc.w", "table"):
+        kept = pset[name].data.copy()
+        pset[name].data[0, 0] = np.nan
+        with pytest.raises(N.NonFiniteError, match="linear"):
+            forward()
+        pset[name].data = kept
+    forward()
 
 
 def test_backward_requires_scalar():

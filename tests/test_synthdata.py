@@ -4,6 +4,8 @@ import pytest
 from tgtransfer import synthdata as sd
 from tgtransfer import temporal_graph as tg
 
+from helpers import scarcity_subsample
+
 
 SMALL = sd.SynthConfig(
     n_users=20,
@@ -118,21 +120,21 @@ def test_target_scale_too_small_for_communities():
 
 def test_scarcity_subsample_prefix_and_identity():
     src, _, _ = sd.generate_pair(SMALL)
-    sub = sd.scarcity_subsample(src, 0.1)
+    sub = scarcity_subsample(src, 0.1)
     assert sub.num_events == 60
     assert np.array_equal(sub.times, src.times[:60])
     assert np.array_equal(sub.users, src.users[:60])
     assert sub.user_ids == src.user_ids and sub.item_ids == src.item_ids
     assert sub.feature_vocab == src.feature_vocab
 
-    same = sd.scarcity_subsample(src, 1.0)
+    same = scarcity_subsample(src, 1.0)
     assert same.num_events == src.num_events
 
 
 def test_scarcity_subsample_composes_like_prefix_products():
     src, _, _ = sd.generate_pair(SMALL)
-    twice = sd.scarcity_subsample(sd.scarcity_subsample(src, 0.5), 0.2)
-    once = sd.scarcity_subsample(src, 0.1)
+    twice = scarcity_subsample(scarcity_subsample(src, 0.5), 0.2)
+    once = scarcity_subsample(src, 0.1)
     assert twice.num_events == once.num_events
     assert np.array_equal(twice.times, once.times)
     assert np.array_equal(twice.items, once.items)
@@ -141,11 +143,11 @@ def test_scarcity_subsample_composes_like_prefix_products():
 def test_scarcity_subsample_rejects_bad_fractions():
     src, _, _ = sd.generate_pair(SMALL)
     with pytest.raises(ValueError):
-        sd.scarcity_subsample(src, 0.0)
+        scarcity_subsample(src, 0.0)
     with pytest.raises(ValueError):
-        sd.scarcity_subsample(src, 1.5)
+        scarcity_subsample(src, 1.5)
     with pytest.raises(ValueError):
-        sd.scarcity_subsample(src, 1e-5)
+        scarcity_subsample(src, 1e-5)
 
 
 def test_csv_round_trip_preserves_events_and_features(tmp_path):

@@ -6,8 +6,8 @@ from tgtransfer import temporal_graph as tg
 from tgtransfer.numerics import Sgd, tensor as T
 
 from helpers import (
-    assert_grads_match_fd, compute_message, embed_padded, node_static_features_loop, predict_link,
-    score_pairs_padded,
+    assert_grads_match_fd, compute_message, embed_padded, event_batch_of, node_static_features_loop,
+    predict_link, score_pairs_padded, temporal_attention_composed,
 )
 
 VOCAB = [f"tok{k}" for k in range(5)]
@@ -91,7 +91,7 @@ def test_memory_update_grads_match_fd(rng):
     g = make_graph(n_events=6, seed=4)
     mem0 = rng.normal(size=(g.num_nodes, 8))
     mem = T.Tensor(mem0, requires_grad=True)
-    batch = tgn.event_batch_of(g, 0, 6)
+    batch = event_batch_of(g, 0, 6)
 
     def loss():
         _, rows, _ = model.batch_updates(mem, np.zeros(g.num_nodes), batch, g.num_users)
@@ -104,7 +104,7 @@ def test_update_memory_touches_only_endpoints(setup):
     model, ctx, g = setup
     state = tgn.MemoryState.zeros(g.num_nodes, 8)
     state.memory[:] = 0.3
-    batch = tgn.event_batch_of(g, 0, 1)
+    batch = event_batch_of(g, 0, 1)
     u, i, t = int(g.users[0]), int(g.items[0]) + g.num_users, float(g.times[0])
     out = tgn.update_memory(model, state, batch, g.num_users)
     assert out.last_update[u] == t and out.last_update[i] == t
@@ -120,7 +120,7 @@ def test_zero_params_zero_memory_fixed_point(rng):
     zero_params(model, ["msg.", "gru."])
     g = make_graph(n_events=10)
     state = tgn.MemoryState.zeros(g.num_nodes, 8)
-    out = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 10), g.num_users)
+    out = tgn.update_memory(model, state, event_batch_of(g, 0, 10), g.num_users)
     assert np.array_equal(out.memory, np.zeros_like(out.memory))
 
 
@@ -133,9 +133,9 @@ def test_batch_equals_sequential_without_repeats(rng):
         [np.array([0]), np.array([1])], [np.array([2]), np.array([3])],
     )
     state = tgn.MemoryState(np.asarray(rng.normal(size=(4, 8))), np.zeros(4))
-    whole = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 2), g.num_users)
-    step = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 1), g.num_users)
-    step = tgn.update_memory(model, step, tgn.event_batch_of(g, 1, 2), g.num_users)
+    whole = tgn.update_memory(model, state, event_batch_of(g, 0, 2), g.num_users)
+    step = tgn.update_memory(model, state, event_batch_of(g, 0, 1), g.num_users)
+    step = tgn.update_memory(model, step, event_batch_of(g, 1, 2), g.num_users)
     assert np.allclose(whole.memory, step.memory, atol=1e-12)
     assert np.array_equal(whole.last_update, step.last_update)
 
@@ -149,9 +149,9 @@ def test_batch_differs_from_sequential_with_repeats(rng):
         [np.array([0])], [np.array([1]), np.array([2])],
     )
     state = tgn.MemoryState(np.asarray(rng.normal(size=(3, 8))), np.zeros(3))
-    whole = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 2), g.num_users)
-    step = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 1), g.num_users)
-    step = tgn.update_memory(model, step, tgn.event_batch_of(g, 1, 2), g.num_users)
+    whole = tgn.update_memory(model, state, event_batch_of(g, 0, 2), g.num_users)
+    step = tgn.update_memory(model, state, event_batch_of(g, 0, 1), g.num_users)
+    step = tgn.update_memory(model, step, event_batch_of(g, 1, 2), g.num_users)
     assert not np.allclose(whole.memory[0], step.memory[0])
 
 
@@ -160,7 +160,7 @@ def test_update_rejects_time_regression(setup, rng):
     state = tgn.MemoryState.zeros(g.num_nodes, 8)
     state.last_update[:] = 1e6
     with pytest.raises(ValueError, match="precedes"):
-        tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 5), g.num_users)
+        tgn.update_memory(model, state, event_batch_of(g, 0, 5), g.num_users)
 
 
 def test_last_message_wins_within_batch(rng):
@@ -171,7 +171,7 @@ def test_last_message_wins_within_batch(rng):
         [np.array([0])], [np.array([1]), np.array([2])],
     )
     state = tgn.MemoryState(np.asarray(rng.normal(size=(3, 8))), np.zeros(3))
-    out = tgn.update_memory(model, state, tgn.event_batch_of(g, 0, 2), g.num_users)
+    out = tgn.update_memory(model, state, event_batch_of(g, 0, 2), g.num_users)
     assert out.last_update[0] == 9.0
     # oracle: user 0's new memory comes from the t=9 event alone
     msg = compute_message(model, state.memory[0], state.memory[2], 9.0, np.zeros(0))
@@ -364,6 +364,61 @@ def test_embed_matches_padded_attention_with_one_real_slot(rng):
     assert ctx.index.batch_neighbors(users, ts, 4)[3].sum() == 1.0
     assert ctx.index.batch_neighbors(items, ts, 4)[3].sum() == 0.0
     _assert_matches_padded(model, ctx, mem, users, items, ts, None, None, exact=False)
+
+
+def _attention_inputs(model, layer, seed):
+    # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four
+    rng = np.random.default_rng(seed)
+    row = np.array([0, 2, 2, 2, 3, 4, 4, 4, 4])
+    n, b, d, dt = len(row), 6, model.config.d_mem, model.config.d_time
+    q = T.Tensor(rng.normal(size=(b, d)), requires_grad=True)
+    h_nbr = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    phi = T.Tensor(rng.normal(size=(n, dt)), requires_grad=True)
+    x_uv = rng.normal(size=(n, model.edge_dim))
+    weights = [model.pset[f"att{layer}.{p}"] for p in ("k.w", "k.b", "v.w", "v.b")]
+    return [q, h_nbr, phi], x_uv, weights, row, b
+
+
+@pytest.mark.parametrize("layer", [1, 2])
+def test_temporal_attention_matches_composed_ops(rng, layer):
+    model = tgn.TgnModel(small_config(n_layers=2), VOCAB, 3, rng)
+    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, layer, seed=layer)
+    out_w = np.random.default_rng(9).normal(size=(b, model.config.d_mem))
+    checked = [q, h_nbr, phi, *weights]
+    runs = []
+    for op in (tgn._temporal_attention, temporal_attention_composed):
+        for t in checked:
+            t.grad = None
+        context, alpha = op(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        T.backward(T.tensor_sum(context * T.constant(out_w)))
+        runs.append((context.data, alpha, [t.grad.copy() for t in checked]))
+    (context, alpha, grads), (expect_context, expect_alpha, expect_grads) = runs
+    assert context.tobytes() == expect_context.tobytes()
+    assert alpha.tobytes() == expect_alpha.tobytes()
+    assert not context[[1, 5]].any()  # queries without a slot get no context
+    assert np.array_equal(alpha[[0, 4]], np.ones((2, model.config.n_heads)))
+    for got, expect in zip(grads, expect_grads):
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def test_temporal_attention_grads_match_fd(rng):
+    model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
+    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, 1, seed=3)
+    out_w = np.random.default_rng(4).normal(size=(b, model.config.d_mem))
+
+    def loss():
+        context, _ = tgn._temporal_attention(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        return T.tensor_mean(context * T.constant(out_w))
+
+    assert_grads_match_fd(loss, [q, h_nbr, phi, *weights], np.random.default_rng(5))
+
+
+def test_temporal_attention_names_itself_on_nan(rng):
+    model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
+    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, 1, seed=6)
+    h_nbr.data[2] = np.nan
+    with pytest.raises(T.NonFiniteError, match="temporal_attention"):
+        tgn._temporal_attention(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
 
 
 def test_predict_link_range_and_determinism(setup, rng):
@@ -571,6 +626,6 @@ def test_snapshot_rejects_pending(tmp_path, rng):
     g = make_graph(n_events=10)
     model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
     state = tgn.MemoryState.zeros(g.num_users + g.num_items, 8)
-    state.pending = tgn.event_batch_of(g, 0, 5)
+    state.pending = event_batch_of(g, 0, 5)
     with pytest.raises(ValueError, match="pending"):
         tgn.snapshot(model, state, Sgd(0.1), tmp_path / "x.ckpt")
