@@ -2,7 +2,9 @@
 
 Positive scores come from the split's true events; an equal number of
 negatives pair each event's user with a random other item at the same time.
-Ranking metrics score each event's user against the full item catalog.
+Ranking metrics score each event's user against the full item catalog; a
+ranked run then reads its positive and negative scores off that catalog
+instead of scoring the pairs again, with the same bytes.
 In streaming mode the true events update the memory after being scored, so
 later events are predicted with everything observed so far; frozen mode
 leaves memory untouched.
@@ -183,18 +185,23 @@ def evaluate(
     for batch in batch_iter(split, chunk):
         with T.no_grad():
             mem = T.constant(state.memory)
-            negs = sample_negatives(batch.items, ctx.graph.num_items, rng) + num_users
-            b = len(batch.users)
-            users2 = np.concatenate([batch.users, batch.users])
-            cands = np.concatenate([batch.items + num_users, negs])
-            ts2 = np.concatenate([batch.times, batch.times])
-            probs = model.score_pairs(ctx, mem, users2, cands, ts2).data
-            pos_scores.append(probs[:b])
-            neg_scores.append(probs[b:])
+            negs = sample_negatives(batch.items, ctx.graph.num_items, rng)
             if rank_metrics:
+                # every pair query is a catalog query: read the pair scores off it
                 catalog = _catalog_scores(model, ctx, mem, batch.users, batch.times)
+                rows = np.arange(len(catalog))
+                pos_scores.append(catalog[rows, batch.items])
+                neg_scores.append(catalog[rows, negs])
                 for row, truth in zip(catalog, batch.items):
                     ranks.append(truth_rank(row, item_ids, int(truth)))
+            else:
+                b = len(batch.users)
+                users2 = np.concatenate([batch.users, batch.users])
+                cands = np.concatenate([batch.items, negs]) + num_users
+                ts2 = np.concatenate([batch.times, batch.times])
+                probs = model.score_pairs(ctx, mem, users2, cands, ts2).data
+                pos_scores.append(probs[:b])
+                neg_scores.append(probs[b:])
         if mode == "streaming":
             state = update_memory(model, state, batch, num_users)
     pos = np.concatenate(pos_scores)

@@ -12,8 +12,11 @@ encoded time gap, and edge features. Attention runs over a node's real
 neighbor slots only: no padded slot is embedded, encoded or scored. A
 two-tower MLP decoder turns a pair of embeddings into a link probability.
 
-Each `embed` call builds the layer-0 table (static features plus memory) for
-every graph node once and gathers it wherever its recursion reaches layer 0.
+Each `embed` call embeds every distinct (node, t, hidden) query once and
+gathers the result back to the caller's rows; `score_pairs` embeds users and
+items in one call. A call builds the layer-0 table (static features plus
+memory) for every graph node once and gathers it wherever its recursion
+reaches layer 0, and each layer encodes the query side's zero time gap once.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
 backward, `_temporal_attention`: the tape keeps its concatenated input and
@@ -96,6 +99,28 @@ class GraphContext(NamedTuple):
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
+
+
+def _check_lengths(**arrays) -> None:
+    """Raise `ValueError` unless every array given (None skipped) has as many
+    entries as the first."""
+    (first, n), *rest = [(name, np.size(a)) for name, a in arrays.items() if a is not None]
+    for name, m in rest:
+        if m != n:
+            raise ValueError(f"{name} has {m} entries but {first} has {n}")
+
+
+def _distinct_queries(nodes: np.ndarray, ts: np.ndarray, hide) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of a batch of (node, t, hidden) queries: `first` picks
+    one row per distinct query, in (node, t, hidden) order, and `inverse` maps
+    each row to its query's place in `first`."""
+    keys = (ts, nodes) if hide is None else (hide, ts, nodes)
+    order = np.lexsort(keys)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
@@ -240,25 +265,40 @@ class TgnModel:
         `mem` holds one memory row per graph node. `hide` marks query rows
         whose neighbor context is masked out at the top layer (training-time
         context dropout); they fall back to the empty-neighborhood path.
+        Repeated queries are folded: each distinct (node, t, hidden) query is
+        embedded once and its row gathered wherever it repeats, so repeats
+        get the same bytes and their gradients are summed before the layers
+        see them. A hidden and an unhidden copy stay distinct.
 
         Each `trace` entry holds the layer, the (b, k) slot mask and the
         attention weights `alpha` as a (b, k, heads) array, zero on padded
-        slots; a query with no real neighbor has all-zero `alpha`.
+        slots; a query with no real neighbor has all-zero `alpha`. Entries of
+        the caller's own queries keep one row per caller query; a deeper
+        layer's entry for neighbor slots has one row per real slot of the
+        distinct queries.
         """
         layer = self.config.n_layers if layer is None else layer
         nodes = np.asarray(nodes, dtype=np.int64)
+        ts = np.asarray(ts, dtype=np.float64)
+        hide = None if hide is None else np.asarray(hide)
+        _check_lengths(nodes=nodes, ts=ts, hide=hide)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= ctx.num_nodes):
             raise KeyError("embedding query for unknown node")
         # layer 0 of every node, built once per call: static features plus memory
         h0 = self.node_static_features(ctx, np.arange(ctx.num_nodes)) + mem
-        return self._embed(ctx, h0, nodes, np.asarray(ts, dtype=np.float64), layer, trace, hide)
+        first, inverse = _distinct_queries(nodes, ts, hide)
+        hide = None if hide is None else hide[first]
+        h = self._embed(ctx, h0, nodes[first], ts[first], layer, trace, hide, trace_rows=inverse)
+        return T.gather(h, inverse)
 
-    def _embed(self, ctx: GraphContext, h0: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int, trace, hide) -> T.Tensor:
+    def _embed(self, ctx: GraphContext, h0: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int, trace, hide, trace_rows=slice(None)) -> T.Tensor:
+        """`embed` of distinct queries; the trace entries of these queries
+        keep their rows `trace_rows`, one per caller query."""
         if layer == 0:
             return T.gather(h0, nodes)
         cfg = self.config
         b, k = len(nodes), cfg.k_neighbors
-        h_self = self._embed(ctx, h0, nodes, ts, layer - 1, trace, None)
+        h_self = self._embed(ctx, h0, nodes, ts, layer - 1, trace, None, trace_rows)
         nbr_ids, nbr_times, nbr_ords, mask = ctx.index.batch_neighbors(nodes, ts, k)
         if hide is not None:
             mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
@@ -270,7 +310,9 @@ class TgnModel:
             raise ValueError("neighbor newer than query time")
         phi = self.time_enc(self.pset, dt)
         x_uv = ctx.index.edge_features_for(nbr_ords[row, slot])
-        q_in = T.concat([h_self, self.time_enc(self.pset, np.zeros(b))], axis=1)
+        # every query sees a zero gap to itself: encode it once, copy it per row
+        phi_self = T.gather(self.time_enc(self.pset, np.zeros(1)), np.zeros(b, dtype=np.int64))
+        q_in = T.concat([h_self, phi_self], axis=1)
 
         li, ps = layer - 1, self.pset
         q = self.att_q[li](ps, q_in)
@@ -281,18 +323,28 @@ class TgnModel:
         if trace is not None:
             dense = np.zeros((b, k, cfg.n_heads))
             dense[row, slot] = alpha
-            trace.append({"layer": layer, "alpha": dense, "mask": mask.copy()})
+            trace.append({"layer": layer, "alpha": dense[trace_rows], "mask": mask[trace_rows].copy()})
         context = self.att_o[li](ps, context)
         has_nbr = (mask.max(axis=1) > 0).astype(np.float64)
         context = context * T.constant(has_nbr[:, None])
         return self.combine[li](ps, T.concat([h_self, context], axis=1))
 
     def score_pairs(self, ctx: GraphContext, mem: T.Tensor, users: np.ndarray, items: np.ndarray, ts: np.ndarray, trace=None, hide_users: np.ndarray | None = None, hide_items: np.ndarray | None = None) -> T.Tensor:
-        """Link probabilities for (user, item, t) triples; items are global ids."""
-        h_u = self.embed(ctx, mem, users, ts, trace=trace, hide=hide_users)
-        h_i = self.embed(ctx, mem, items, ts, trace=trace, hide=hide_items)
-        logits = self.decoder(self.pset, T.concat([h_u, h_i], axis=1))
-        return T.sigmoid(logits.reshape((len(users),)))
+        """Link probabilities for (user, item, t) triples; items are global ids.
+
+        Users and items are embedded in one `embed` call on the users followed
+        by the items, so repeated queries are folded across both sides and a
+        `trace` gets each entry of the caller's queries once, users first.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        _check_lengths(users=users, items=items, ts=ts, hide_users=hide_users, hide_items=hide_items)
+        b = len(ts)
+        hide = None
+        if hide_users is not None or hide_items is not None:
+            hide = np.concatenate([np.zeros(b) if h is None else h for h in (hide_users, hide_items)])
+        h = self.embed(ctx, mem, np.concatenate([users, items]), np.concatenate([ts, ts]), trace=trace, hide=hide)
+        logits = self.decoder(self.pset, T.concat([T.gather(h, slice(0, b)), T.gather(h, slice(b, 2 * b))], axis=1))
+        return T.sigmoid(logits.reshape((b,)))
 
     # -- memory updates ------------------------------------------------------------
 

@@ -219,6 +219,31 @@ def test_evaluate_streaming_updates_frozen_does_not():
     assert end_stream.last_update.max() == g.times[-1]
 
 
+@pytest.mark.parametrize("mode", ["streaming", "frozen"])
+def test_evaluate_pair_scores_same_with_and_without_ranking(mode):
+    # a ranked run reads its pair scores off the catalog; they must be the
+    # bytes score_pairs gives, and the negatives the same draws
+    g = make_graph(n_events=60, seed=3)
+    model = small_model(2)
+    ctx = model.bind_graph(g)
+    state = tgn.MemoryState(np.random.default_rng(4).normal(size=(g.num_nodes, 8)), np.zeros(g.num_nodes))
+    split = g.slice(30, 51)  # chunks of 10, 10 and one event
+    scored, score_pairs = [], model.score_pairs
+
+    def counting_score_pairs(*args, **kwargs):
+        scored.append(args)
+        return score_pairs(*args, **kwargs)
+
+    model.score_pairs = counting_score_pairs
+    runs = []
+    for rank in (True, False):
+        rng = np.random.default_rng(6)
+        rep, end = em.evaluate(model, ctx, split, state, rng, mode=mode, chunk=10, rank_metrics=rank)
+        runs.append((rep.ap, rep.auc, end.memory.tobytes(), rng.random()))
+        assert len(scored) == (0 if rank else 3)
+    assert runs[0] == runs[1]
+
+
 def test_evaluate_rejects_bad_inputs():
     g = make_graph()
     model = small_model()

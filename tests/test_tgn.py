@@ -366,6 +366,80 @@ def test_embed_matches_padded_attention_with_one_real_slot(rng):
     _assert_matches_padded(model, ctx, mem, users, items, ts, None, None, exact=False)
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_embed_folds_repeated_queries(rng, n_layers):
+    g = make_graph(n_events=40, seed=8, edge_dim=3)
+    model = tgn.TgnModel(small_config(n_layers=n_layers), VOCAB, 3, rng)
+    ctx = model.bind_graph(g)
+    mem = T.Tensor(rng.normal(size=(g.num_nodes, 8)), requires_grad=True)
+    # five distinct queries; node 0 at t=600 comes unhidden and hidden
+    base_nodes = np.array([0, 0, 1, g.num_users, 0])
+    base_ts = np.array([600.0, 600.0, 250.0, 600.0, 120.0])
+    base_hide = np.array([0, 1, 0, 0, 0], dtype=bool)
+    rep = np.array([0, 2, 0, 1, 3, 2, 1, 0, 4, 3, 4])
+    nodes, ts, hide = base_nodes[rep], base_ts[rep], base_hide[rep]
+
+    seen, lookup = [], ctx.index.batch_neighbors
+
+    def counting_lookup(qnodes, qts, k):
+        seen.append(len(qnodes))
+        return lookup(qnodes, qts, k)
+
+    ctx.index.batch_neighbors = counting_lookup
+    trace, base_trace = [], []
+    with T.no_grad():
+        folded = model.embed(ctx, mem, nodes, ts, hide=hide, trace=trace).data
+        calls = len(seen)
+        alone = model.embed(ctx, mem, base_nodes, base_ts, hide=base_hide, trace=base_trace).data
+    # only the distinct queries reach the neighbor lookup, at every layer
+    assert seen[0] == len(base_nodes) and seen[:calls] == seen[calls:]
+    assert folded.tobytes() == alone[rep].tobytes()
+    # the top layer's trace entry keeps one row per caller query
+    assert trace[-1]["alpha"].tobytes() == base_trace[-1]["alpha"][rep].tobytes()
+    assert np.array_equal(trace[-1]["mask"], base_trace[-1]["mask"][rep])
+
+    got, got_grads = _outputs_and_grads(model, mem, lambda: model.embed(ctx, mem, nodes, ts, hide=hide))
+    expect, expect_grads = _outputs_and_grads(
+        model, mem, lambda: embed_padded(model, ctx, mem, nodes, ts, hide=hide))
+    assert got.tobytes() == expect.tobytes()
+    # repeats sum their gradients before the layers, not after
+    for name, grad in expect_grads.items():
+        assert np.allclose(got_grads[name], grad, rtol=0.0, atol=1e-12), name
+
+
+def test_score_pairs_traces_each_layer_once_users_first(setup, rng):
+    model, ctx, g = setup
+    mem = T.constant(rng.normal(size=(g.num_nodes, 8)))
+    users, items = np.array([0, 1, 0]), g.num_users + np.array([2, 2, 1])
+    ts = np.array([400.0, 450.0, 400.0])
+    trace, expect = [], []
+    with T.no_grad():
+        model.score_pairs(ctx, mem, users, items, ts, trace=trace)
+        model.embed(ctx, mem, np.concatenate([users, items]), np.concatenate([ts, ts]), trace=expect)
+    (step,) = trace
+    assert step["alpha"].shape[0] == 2 * len(users)
+    assert step["alpha"].tobytes() == expect[0]["alpha"].tobytes()
+
+
+def test_embed_and_score_pairs_reject_mismatched_lengths(setup):
+    model, ctx, g = setup
+    mem = T.constant(np.zeros((g.num_nodes, 8)))
+    items = g.num_users + np.array([0, 1, 2])
+    with pytest.raises(ValueError, match="ts has 1 entries but nodes has 3"):
+        model.embed(ctx, mem, np.array([0, 1, 2]), np.array([5.0]))
+    with pytest.raises(ValueError, match="hide has 2 entries but nodes has 3"):
+        model.embed(ctx, mem, np.array([0, 1, 2]), np.full(3, 5.0), hide=np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match="ts has 1 entries but users has 3"):
+        model.score_pairs(ctx, mem, np.array([0, 1, 2]), items, np.array([5.0]))
+    with pytest.raises(ValueError, match="ts has 3 entries but users has 2"):
+        model.score_pairs(ctx, mem, np.array([0, 1]), items[:2], np.full(3, 5.0))
+    with pytest.raises(ValueError, match="items has 2 entries but users has 3"):
+        model.score_pairs(ctx, mem, np.array([0, 1, 2]), items[:2], np.full(3, 5.0))
+    for hides in (dict(hide_users=np.zeros(2, dtype=bool)), dict(hide_items=np.zeros(4, dtype=bool))):
+        with pytest.raises(ValueError, match="entries but users has 3"):
+            model.score_pairs(ctx, mem, np.array([0, 1, 2]), items, np.full(3, 5.0), **hides)
+
+
 def _attention_inputs(model, layer, seed):
     # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four
     rng = np.random.default_rng(seed)
