@@ -22,12 +22,14 @@ from . import fgat as fg
 from . import synthdata as sd
 from . import tgn
 from . import transfer as tr
-from .eval_metrics import CSV_HEADER, csv_row, summarize
+from .eval_metrics import summarize
 from .numerics import Adam, CheckpointError
-from .temporal_graph import IngestError, TemporalGraph, load_events
+from .temporal_graph import IngestError, TemporalGraph, chronological_split, load_events
 from .transform import build_static, load_transformed, save_transformed, transform_graph
 
+CSV_HEADER = "variant,pair,seed,ap,auc,mrr,recall@20"
 SWEEP_HEADER = "variant,fraction,seed,ap,auc,mrr,recall@20"
+METRICS = ("ap", "auc", "mrr", "recall_at_k")
 
 
 # -- shared helpers ------------------------------------------------------------------
@@ -42,23 +44,28 @@ def _write_config_snapshot(args, default_dir) -> None:
     path.write_text(json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """Either a comma list '1,2,3' or an inclusive range '1..5'."""
-    spec = spec.strip()
+def _parse_list(spec: str, what: str, parse) -> list:
+    """The comma-separated entries of `spec` through `parse`, blanks
+    skipped; at least one is required."""
+    vals = [parse(tok.strip()) for tok in spec.split(",") if tok.strip()]
+    if not vals:
+        raise ValueError(f"no {what} given in {spec!r}")
+    return vals
+
+
+def _parse_seeds(args) -> list[int]:
+    """--seeds as a comma list '1,2,3' or an inclusive range '1..5', else
+    [--seed]."""
+    if not args.seeds:
+        return [args.seed]
+    spec = args.seeds.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty seed range {spec!r}")
         return list(range(lo, hi + 1))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
-
-
-def _parse_fractions(spec: str) -> list[float]:
-    vals = [float(tok) for tok in spec.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("no fractions given")
-    return vals
+    return _parse_list(spec, "seeds", int)
 
 
 def _split_triple(spec: str) -> tuple:
@@ -196,20 +203,28 @@ def _pair_label(args) -> str:
     return tgt
 
 
-def cmd_transfer(args) -> int:
-    if args.variant == "nt" and args.src_ckpt:
-        print("warning: --src-ckpt is ignored for variant nt", file=sys.stderr)
-    src_ckpt = args.src_ckpt if args.variant != "nt" else None
-    fgat_ckpt = args.fgat_ckpt if args.variant == "mintt" else None
+def _metric_row(key: str, seed, metrics: dict) -> str:
+    """One metrics CSV row: `key`, then the seed (or "mean"/"std"), then
+    each of METRICS to six places."""
+    return f"{key},{seed}," + ",".join(f"{metrics[m]:.6f}" for m in METRICS)
 
-    g = load_events(args.target)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    pair = _pair_label(args)
-    runs = []
-    print(CSV_HEADER)
+
+def _summary(key: str, reports) -> tuple[dict, dict, list[str]]:
+    """Per-metric mean and std over `reports`, and their two CSV rows."""
+    mean, std = {}, {}
+    for m in METRICS:
+        mean[m], std[m] = summarize([getattr(r, m) for r in reports])
+    return mean, std, [_metric_row(key, "mean", mean), _metric_row(key, "std", std)]
+
+
+def _seed_runs(args, seeds, variant: str, g: TemporalGraph, splits, key: str):
+    """`run_variant` of `variant` on the (train, val, test) `splits` of `g`
+    once per seed, from the flags `transfer` and `sweep` share; yields
+    (result, CSV row) as each run ends."""
+    src_ckpt = args.src_ckpt if variant != "nt" else None
+    fgat_ckpt = args.fgat_ckpt if variant == "mintt" else None
     for seed in seeds:
         cfg = tr.TransferConfig(
-            split=_split_triple(args.split),
             nt_epochs=args.nt_epochs,
             ft_epochs=args.ft_epochs,
             ft_lr=args.ft_lr,
@@ -217,9 +232,23 @@ def cmd_transfer(args) -> int:
             rank_metrics=not args.no_rank_metrics,
             tgn=_tgn_config(args),
         )
-        result = tr.run_variant(args.variant, g, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt)
+        result = tr.run_variant(variant, g, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt, splits=splits)
+        yield result, _metric_row(key, seed, result.test_report.to_dict())
+
+
+def cmd_transfer(args) -> int:
+    if args.variant == "nt" and args.src_ckpt:
+        print("warning: --src-ckpt is ignored for variant nt", file=sys.stderr)
+    g = load_events(args.target)
+    seeds = _parse_seeds(args)
+    # only transfer takes --split; sweep scores the fixed windows of sweep_splits
+    splits = chronological_split(g, _split_triple(args.split))
+    pair = _pair_label(args)
+    runs = []
+    print(CSV_HEADER)
+    for result, row in _seed_runs(args, seeds, args.variant, g, splits, f"{args.variant},{pair}"):
         runs.append(result)
-        print(csv_row(result.test_report, pair))
+        print(row)
         if args.mapping_out and result.mapping is not None:
             Path(args.mapping_out).write_text(tr.mapping_to_json(result.mapping) + "\n")
 
@@ -231,10 +260,7 @@ def cmd_transfer(args) -> int:
             test=runs[0].test_report.to_dict(),
         )
     else:
-        metrics = ("ap", "auc", "mrr", "recall_at_k")
-        mean, std = {}, {}
-        for m in metrics:
-            mean[m], std[m] = summarize([getattr(r.test_report, m) for r in runs])
+        mean, std, rows = _summary(f"{args.variant},{pair}", [r.test_report for r in runs])
         report.update(
             seeds=seeds,
             runs=[{"seed": s, "val": r.val_report.to_dict(), "test": r.test_report.to_dict()}
@@ -242,10 +268,7 @@ def cmd_transfer(args) -> int:
             mean=mean,
             std=std,
         )
-        mean_row = ",".join(f"{mean[m]:.6f}" for m in metrics)
-        std_row = ",".join(f"{std[m]:.6f}" for m in metrics)
-        print(f"{args.variant},{pair},mean,{mean_row}")
-        print(f"{args.variant},{pair},std,{std_row}")
+        print("\n".join(rows))
 
     Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     _write_config_snapshot(args, Path(args.out).parent)
@@ -253,41 +276,21 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    fractions = _parse_fractions(args.fractions)
-    variants = [v.strip().lower() for v in args.variants.split(",") if v.strip()]
+    fractions = _parse_list(args.fractions, "fractions", float)
+    variants = _parse_list(args.variants, "variants", str.lower)
     for v in variants:
         if v not in tr.VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
     g = load_events(args.target)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    seeds = _parse_seeds(args)
 
     rows = [SWEEP_HEADER]
     for variant in variants:
-        src = args.src_ckpt if variant != "nt" else None
-        enc = args.fgat_ckpt if variant == "mintt" else None
         for fraction in fractions:
-            splits = tr.sweep_splits(g, fraction)
-            per_seed = []
-            for seed in seeds:
-                cfg = tr.TransferConfig(
-                    nt_epochs=args.nt_epochs,
-                    ft_epochs=args.ft_epochs,
-                    ft_lr=args.ft_lr,
-                    seed=seed,
-                    rank_metrics=not args.no_rank_metrics,
-                    tgn=_tgn_config(args),
-                )
-                result = tr.run_variant(variant, g, cfg, src_ckpt=src, fgat_ckpt=enc, splits=splits)
-                rep = result.test_report
-                per_seed.append(rep)
-                rows.append(
-                    f"{variant},{fraction},{seed},"
-                    f"{rep.ap:.6f},{rep.auc:.6f},{rep.mrr:.6f},{rep.recall_at_k:.6f}"
-                )
-            stats = [summarize([getattr(r, m) for r in per_seed])
-                     for m in ("ap", "auc", "mrr", "recall_at_k")]
-            rows.append(f"{variant},{fraction},mean," + ",".join(f"{s[0]:.6f}" for s in stats))
-            rows.append(f"{variant},{fraction},std," + ",".join(f"{s[1]:.6f}" for s in stats))
+            key = f"{variant},{fraction}"
+            runs = list(_seed_runs(args, seeds, variant, g, tr.sweep_splits(g, fraction), key))
+            rows += [row for _, row in runs]
+            rows += _summary(key, [result.test_report for result, _ in runs])[2]
 
     text = "\n".join(rows) + "\n"
     Path(args.out).write_text(text)

@@ -5,9 +5,8 @@ negatives pair each event's user with a random other item at the same time.
 Ranking metrics score each event's user against the full item catalog; a
 ranked run then reads its positive and negative scores off that catalog
 instead of scoring the pairs again, with the same bytes.
-In streaming mode the true events update the memory after being scored, so
-later events are predicted with everything observed so far; frozen mode
-leaves memory untouched.
+The true events update the memory after being scored, so later events are
+predicted with everything observed so far.
 
 Ties are handled deterministically everywhere: AP breaks score ties by input
 order, AUC gives half credit, and catalog ranks order tied items by item id.
@@ -15,7 +14,6 @@ order, AUC gives half credit, and catalog ranks order tied items by item id.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -50,17 +48,10 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # midrank of the tie group [i, j], 1-based
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1  # each tie group spans sorted places [first, last]
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[group]  # 1-based midranks, exact
     pos_rank_sum = float(ranks[labels].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -115,19 +106,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-CSV_HEADER = "variant,pair,seed,ap,auc,mrr,recall@20"
-
-
-def csv_row(report: MetricsReport, pair: str) -> str:
-    return (
-        f"{report.variant},{pair},{report.seed},"
-        f"{report.ap:.6f},{report.auc:.6f},{report.mrr:.6f},{report.recall_at_k:.6f}"
-    )
-
 
 def summarize(values) -> tuple[float, float]:
     """(mean, std); std below 0.001 collapses to exactly 0.0."""
@@ -162,7 +140,6 @@ def evaluate(
     split: TemporalGraph,
     state: MemoryState,
     rng: np.random.Generator,
-    mode: str = "streaming",
     k: int = 20,
     chunk: int = 50,
     variant: str = "",
@@ -171,13 +148,11 @@ def evaluate(
 ) -> tuple[MetricsReport, MemoryState]:
     """Score a chronological split; returns the report and the end state.
 
-    The caller's state is never mutated; the returned state reflects the
-    split's events in streaming mode (and is an unchanged copy when frozen).
+    The caller's state is never mutated; the returned state has absorbed the
+    split's events.
     """
     if split.num_events == 0:
         raise ValueError("cannot evaluate an empty split")
-    if mode not in ("streaming", "frozen"):
-        raise ValueError(f"unknown mode {mode!r}")
     state = state.copy()
     num_users = ctx.graph.num_users
     pos_scores, neg_scores, ranks = [], [], []
@@ -202,8 +177,7 @@ def evaluate(
                 probs = model.score_pairs(ctx, mem, users2, cands, ts2).data
                 pos_scores.append(probs[:b])
                 neg_scores.append(probs[b:])
-        if mode == "streaming":
-            state = update_memory(model, state, batch, num_users)
+        state = update_memory(model, state, batch, num_users)
     pos = np.concatenate(pos_scores)
     neg = np.concatenate(neg_scores)
     scores = np.concatenate([pos, neg])

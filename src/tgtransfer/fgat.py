@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import read_blob, write_blob
+from .numerics.checkpoint import read_blob, require, write_blob
 from .numerics.nn import Mlp
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
@@ -203,7 +203,7 @@ class FgatModel:
                     self.pset.add(f"{p}.{w}", xavier_uniform(rng, d, d, (d, d)))
                 self.pset.add(f"{p}.w3", xavier_uniform(rng, 1, d, (d,)))
                 self.pset.add(f"{p}.w4", xavier_uniform(rng, 3 * d, 1, (3 * d, 1)))
-                mlp = Mlp(f"{p}.mlp", [2 * d, d, d], activation="leaky_relu")
+                mlp = Mlp(f"{p}.mlp", [2 * d, d, d])
                 mlp.init_params(self.pset, rng)
                 self._mlps[(layer, phase)] = mlp
 
@@ -400,7 +400,7 @@ def load_fgat(path) -> FgatModel:
     meta, arrays = read_blob(path)
     if meta.get("kind") != "fgat-checkpoint":
         raise ValueError(f"{path} is not an fgat checkpoint")
-    config = FgatConfig(**meta["config"])
-    model = FgatModel(config, meta["feature_vocab"], np.random.default_rng(0))
+    config, vocab = require(meta, "config", "feature_vocab")
+    model = FgatModel(FgatConfig(**config), vocab, np.random.default_rng(0))
     model.pset.load_arrays(arrays)
     return model

@@ -60,25 +60,45 @@ def read_blob(path):
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"bad header: {err}") from err
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
     if header.get("schema") != SCHEMA_VERSION:
         raise CheckpointError(
             f"schema version mismatch: file has {header.get('schema')!r}, "
             f"reader supports {SCHEMA_VERSION}"
         )
+    manifest, meta = require(header, "arrays", "meta")
+    if not isinstance(manifest, list) or not isinstance(meta, dict):
+        raise CheckpointError("header needs an 'arrays' list and a 'meta' object")
     arrays: dict[str, np.ndarray] = {}
     offset = nl + 1
-    for entry in header["arrays"]:
-        dtype = _DTYPES.get(entry["dtype"])
+    for entry in manifest:
+        name, code, shape = require(entry, "name", "dtype", "shape")
+        if not (
+            isinstance(name, str) and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise CheckpointError(f"bad manifest entry {entry!r}")
+        dtype = _DTYPES.get(code)
         if dtype is None:
-            raise CheckpointError(f"unsupported dtype in manifest: {entry['dtype']}")
-        shape = tuple(entry["shape"])
+            raise CheckpointError(f"unsupported dtype in manifest: {code!r}")
+        shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * dtype.itemsize
         chunk = raw[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"truncated payload for array {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+            raise CheckpointError(f"truncated payload for array {name}")
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError("trailing bytes after last array")
-    return header["meta"], arrays
+    return meta, arrays
+
+
+def require(record, *keys: str) -> list:
+    """The values of `keys` in `record`, a blob's header, manifest entry,
+    meta or arrays; CheckpointError when `record` is not a dict or lacks one."""
+    missing = [k for k in keys if k not in record] if isinstance(record, dict) else list(keys)
+    if missing:
+        raise CheckpointError(f"checkpoint entry lacks {', '.join(missing)}")
+    return [record[k] for k in keys]

@@ -13,13 +13,6 @@ import numpy as np
 from . import tensor as T
 from .params import ParameterSet, xavier_uniform
 
-_ACTIVATIONS = {
-    "tanh": T.tanh,
-    "sigmoid": T.sigmoid,
-    "leaky_relu": T.leaky_relu,
-}
-
-
 class Linear:
     """y = x @ W + b with W of shape (in_dim, out_dim), one `T.linear` op."""
 
@@ -41,16 +34,13 @@ class Linear:
 
 
 class Mlp:
-    """Stacked Linear layers; `activation` between layers, none after the last."""
+    """Stacked Linear layers; leaky ReLU between layers, none after the last."""
 
-    def __init__(self, prefix: str, widths: list[int], activation: str = "leaky_relu"):
+    def __init__(self, prefix: str, widths: list[int]):
         if len(widths) < 2:
             raise ValueError("widths must list at least input and output size")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation: {activation}")
         self.prefix = prefix
         self.widths = list(widths)
-        self.activation = activation
         self.layers = [
             Linear(f"{prefix}.l{i}", widths[i], widths[i + 1])
             for i in range(len(widths) - 1)
@@ -61,12 +51,11 @@ class Mlp:
             layer.init_params(pset, rng)
 
     def __call__(self, pset: ParameterSet, x: T.Tensor) -> T.Tensor:
-        act = _ACTIVATIONS[self.activation]
         out = x
         for i, layer in enumerate(self.layers):
             out = layer(pset, out)
             if i < len(self.layers) - 1:
-                out = act(out)
+                out = T.leaky_relu(out)
         return out
 
 

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers over a ParameterSet.
+"""The Adam optimizer over a ParameterSet.
 
 Updates walk parameters in sorted-name order, so two runs with identical
 gradients apply identical floating-point operations.
@@ -10,26 +10,6 @@ import numpy as np
 
 from .params import ParameterSet
 from .tensor import MissingGradError
-
-
-class Sgd:
-    kind = "sgd"
-
-    def __init__(self, lr: float):
-        self.lr = float(lr)
-
-    def step(self, pset: ParameterSet) -> None:
-        for name, t in pset.items():
-            if t.grad is None:
-                raise MissingGradError(f"no gradient for parameter {name}")
-            t.data = t.data - self.lr * t.grad
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        if arrays:
-            raise ValueError("sgd carries no state")
 
 
 class Adam:
@@ -95,11 +75,3 @@ class Adam:
             slot, name = key.split(".", 1)
             target = self._m if slot == "m" else self._v
             target[name] = np.asarray(arr, dtype=np.float64).copy()
-
-
-def make_optimizer(kind: str, lr: float):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer kind: {kind}")

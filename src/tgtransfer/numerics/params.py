@@ -28,9 +28,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -47,13 +44,6 @@ class ParameterSet:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def copy(self) -> "ParameterSet":
-        """Deep copy: fresh tensors with the same values, grads dropped."""
-        out = ParameterSet()
-        for name, t in self.items():
-            out.add(name, parameter(t.data.copy()))
-        return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.items()}

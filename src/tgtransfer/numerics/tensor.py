@@ -44,10 +44,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def _check_finite(values: np.ndarray, op: str) -> None:
     # a sum is finite when every term is; only a non-finite sum (which may
     # also be an overflow of finite terms) needs the elementwise test
@@ -58,7 +54,7 @@ def _check_finite(values: np.ndarray, op: str) -> None:
 # ops whose outputs only copy values of their inputs: a non-finite value
 # among them was made by an earlier op, or sits in a parameter changed in
 # place, and the next op that computes with it raises
-_COPY_OPS = frozenset({"gather", "concat", "reshape", "transpose", "scatter_rows"})
+_COPY_OPS = frozenset({"gather", "concat", "reshape", "scatter_rows"})
 
 
 class Tensor:
@@ -94,15 +90,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        """Same values, cut from the tape."""
-        return Tensor(self.data.copy())
 
     # -- operator sugar --------------------------------------------------------
 
@@ -124,9 +113,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
     def __neg__(self):
         return neg(self)
 
@@ -141,9 +127,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *perm):
-        return transpose(self, perm or None)
 
 
 def _wrap(x) -> Tensor:
@@ -201,17 +184,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return Tensor(out_data, _parents=(a, b), _backward=backward, _op="mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward, _op="div")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -373,16 +345,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.shape),)
 
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="reshape")
-
-
-def transpose(a: Tensor, perm=None) -> Tensor:
-    out_data = a.data.transpose(perm)
-    inv = np.argsort(perm) if perm is not None else None
-
-    def backward(g):
-        return (g.transpose(inv),)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward, _op="transpose")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

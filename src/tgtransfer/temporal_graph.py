@@ -12,8 +12,7 @@ Every ragged per-node table is one `Csr`: a flat `values` array cut into rows
 by an `offsets` array, row r being values[offsets[r]:offsets[r + 1]]. That
 holds the feature ids of users and of items, the embedding rows a model binds
 to them, and the temporal adjacency, whose flat neighbor, time and ordinal
-arrays are sorted by (node, time) under one offsets array. On disk a feature
-table is its values plus its row lengths.
+arrays are sorted by (node, time) under one offsets array.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import csv
 from typing import Iterator, NamedTuple
 
 import numpy as np
-
-from .numerics.checkpoint import read_blob, write_blob
 
 
 class Csr:
@@ -178,19 +175,10 @@ class TemporalGraph:
     def edge_feature_dim(self) -> int:
         return self.edge_features.shape[1]
 
-    def item_global(self, item_idx):
-        """Dense item index -> global node id."""
-        return self.num_users + item_idx
-
     @property
     def node_features(self) -> Csr:
         """Feature ids per global node id: user rows, then item rows."""
         return Csr.concat([self.user_features, self.item_features])
-
-    def node_feature_ids(self, node: int) -> np.ndarray:
-        if node < self.num_users:
-            return self.user_features[node]
-        return self.item_features[node - self.num_users]
 
     def slice(self, start: int, end: int) -> "TemporalGraph":
         """Event window [start, end); shares vocab and node tables."""
@@ -329,12 +317,8 @@ def chronological_split(g: TemporalGraph, fractions) -> tuple[TemporalGraph, Tem
     return g.slice(0, a), g.slice(a, b), g.slice(b, n)
 
 
-def batch_iter(g: TemporalGraph, batch_size: int, base_ordinal: int = 0) -> Iterator[EventBatch]:
-    """Contiguous chronological slices; the final batch may be short.
-
-    `base_ordinal` offsets the reported event ordinals, for graphs that are
-    slices of a larger stream.
-    """
+def batch_iter(g: TemporalGraph, batch_size: int) -> Iterator[EventBatch]:
+    """Contiguous chronological slices; the final batch may be short."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     for start in range(0, g.num_events, batch_size):
@@ -344,7 +328,7 @@ def batch_iter(g: TemporalGraph, batch_size: int, base_ordinal: int = 0) -> Iter
             g.items[start:end],
             g.times[start:end],
             g.edge_features[start:end],
-            np.arange(start, end, dtype=np.int64) + base_ordinal,
+            np.arange(start, end, dtype=np.int64),
         )
 
 
@@ -399,21 +383,6 @@ class NeighborIndex:
     def num_nodes(self) -> int:
         return len(self.adjacency)
 
-    def neighbors(self, node: int, t: float, k: int):
-        """The k most recent interactions of `node` before t, newest first.
-
-        Returns (neighbor_ids, times, event_ordinals); shorter than k when
-        the history is short.
-        """
-        lo, hi = self.adjacency.bounds(node)
-        cut = lo + int(np.searchsorted(self._times[lo:hi], t, side="left"))
-        sel = slice(max(lo, cut - k), cut)
-        return (
-            self.adjacency.values[sel][::-1],
-            self._times[sel][::-1],
-            self._ords[sel][::-1],
-        )
-
     def batch_neighbors(self, nodes: np.ndarray, ts: np.ndarray, k: int):
         """Padded per-row neighbor tables for a batch of (node, time) queries.
 
@@ -442,54 +411,3 @@ class NeighborIndex:
     def edge_features_for(self, ordinals: np.ndarray) -> np.ndarray:
         """Edge feature rows of the given event ordinals, one row each."""
         return self._g.edge_features[ordinals]
-
-
-# -- binary cache ------------------------------------------------------------------
-
-
-def feature_arrays(g, prefix: str = "") -> dict[str, np.ndarray]:
-    """The blob arrays of `g`'s user and item feature tables: per side, the
-    flat values and the row lengths."""
-    arrays = {}
-    for side, table in (("user", g.user_features), ("item", g.item_features)):
-        arrays[f"{prefix}{side}_feat_values"] = table.values
-        arrays[f"{prefix}{side}_feat_lengths"] = table.lengths
-    return arrays
-
-
-def pop_feature_tables(arrays: dict, prefix: str = "") -> tuple[Csr, Csr]:
-    """Remove the arrays `feature_arrays` wrote from `arrays`; returns the
-    (user, item) feature tables they hold."""
-    return tuple(
-        Csr.from_lengths(
-            arrays.pop(f"{prefix}{side}_feat_lengths"), arrays.pop(f"{prefix}{side}_feat_values")
-        )
-        for side in ("user", "item")
-    )
-
-
-def save_cache(g: TemporalGraph, path) -> None:
-    meta = {
-        "kind": "temporal-graph-cache",
-        "user_ids": g.user_ids,
-        "item_ids": g.item_ids,
-        "feature_vocab": g.feature_vocab,
-    }
-    arrays = {"users": g.users, "items": g.items, "times": g.times, "edge_features": g.edge_features}
-    write_blob(path, meta, {**arrays, **feature_arrays(g)})
-
-
-def load_cache(path) -> TemporalGraph:
-    meta, arrays = read_blob(path)
-    if meta.get("kind") != "temporal-graph-cache":
-        raise ValueError(f"{path} is not a temporal graph cache")
-    return TemporalGraph(
-        arrays["users"],
-        arrays["items"],
-        arrays["times"],
-        arrays["edge_features"],
-        meta["user_ids"],
-        meta["item_ids"],
-        meta["feature_vocab"],
-        *pop_feature_tables(arrays),
-    )

@@ -38,14 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import read_blob, write_blob
+from .numerics.checkpoint import CheckpointError, read_blob, require, write_blob
 from .numerics.nn import GruCell, Linear, Mlp, TimeEncoder
-from .numerics.optim import Adam, make_optimizer
+from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
-from .temporal_graph import (
-    Csr, EventBatch, NeighborIndex, TemporalGraph, batch_iter, feature_arrays, pop_feature_tables,
-    sample_negatives,
-)
+from .temporal_graph import Csr, EventBatch, NeighborIndex, TemporalGraph, batch_iter, sample_negatives
+from .transform import StaticGraph, TransformedGraph, graph_blob, graph_from_blob
 
 UNKNOWN_ROW = 0
 
@@ -199,7 +197,7 @@ class TgnModel:
         self.feat_proj.init_params(self.pset, rng)
         self.time_enc = TimeEncoder("time", dt)
         self.time_enc.init_params(self.pset, rng)
-        self.msg_mlp = Mlp("msg", [2 * d + dt + de, d, d], activation="leaky_relu")
+        self.msg_mlp = Mlp("msg", [2 * d + dt + de, d, d])
         self.msg_mlp.init_params(self.pset, rng)
         self.gru = GruCell("gru", d, d)
         self.gru.init_params(self.pset, rng)
@@ -213,7 +211,7 @@ class TgnModel:
             k = Linear(f"att{layer}.k", d + dt + de, d)
             v = Linear(f"att{layer}.v", d + dt + de, d)
             o = Linear(f"att{layer}.o", d, d)
-            c = Mlp(f"combine{layer}", [2 * d, d, d], activation="leaky_relu")
+            c = Mlp(f"combine{layer}", [2 * d, d, d])
             for mod in (q, k, v, o, c):
                 mod.init_params(self.pset, rng)
             self.att_q.append(q)
@@ -221,7 +219,7 @@ class TgnModel:
             self.att_v.append(v)
             self.att_o.append(o)
             self.combine.append(c)
-        self.decoder = Mlp("dec", [2 * d, d, 1], activation="leaky_relu")
+        self.decoder = Mlp("dec", [2 * d, d, 1])
         self.decoder.init_params(self.pset, rng)
 
     # -- vocabulary and graph binding ----------------------------------------
@@ -229,7 +227,7 @@ class TgnModel:
     def token_rows(self, tokens: list[str]) -> np.ndarray:
         return np.array([self._token_row.get(t, UNKNOWN_ROW) for t in tokens], dtype=np.int64)
 
-    def bind_graph(self, graph: TemporalGraph, index: NeighborIndex | None = None) -> GraphContext:
+    def bind_graph(self, graph: TemporalGraph) -> GraphContext:
         """Map the graph's feature tokens into this model's embedding rows."""
         if graph.edge_feature_dim != self.edge_dim:
             raise ValueError(
@@ -237,7 +235,7 @@ class TgnModel:
             )
         feats = graph.node_features
         node_rows = Csr(feats.offsets, self.token_rows(graph.feature_vocab)[feats.values])
-        return GraphContext(graph, index or NeighborIndex(graph), node_rows)
+        return GraphContext(graph, NeighborIndex(graph), node_rows)
 
     # -- forward pieces ---------------------------------------------------------
 
@@ -407,7 +405,6 @@ def train_epoch(
     init_state: MemoryState,
     opt,
     rng: np.random.Generator,
-    batch_size: int | None = None,
 ) -> tuple[MemoryState, float]:
     """One pass over the training events; returns (end state, mean loss).
 
@@ -416,11 +413,10 @@ def train_epoch(
     """
     if train_graph.num_events == 0:
         raise ValueError("empty training graph")
-    bs = batch_size or model.config.batch_size
     num_users = ctx.graph.num_users
     state = init_state.copy()
     losses = []
-    for batch in batch_iter(train_graph, bs):
+    for batch in batch_iter(train_graph, model.config.batch_size):
         model.pset.zero_grads()
         mem = T.constant(state.memory)
         applied = None
@@ -462,7 +458,6 @@ def train(
     epochs: int,
     rng: np.random.Generator,
     init_state: MemoryState | None = None,
-    batch_size: int | None = None,
     optimizer=None,
 ) -> tuple[MemoryState, list[float]]:
     """Multi-epoch training; memory restarts from `init_state` every epoch."""
@@ -471,7 +466,7 @@ def train(
     losses = []
     state = base.copy()
     for _ in range(epochs):
-        state, loss = train_epoch(model, ctx, train_graph, base, opt, rng, batch_size)
+        state, loss = train_epoch(model, ctx, train_graph, base, opt, rng)
         losses.append(loss)
     return state, losses
 
@@ -482,23 +477,23 @@ def train(
 class TgnCheckpoint(NamedTuple):
     model: TgnModel
     state: MemoryState
-    optimizer: object
-    graph_meta: dict
-    graph_arrays: dict
+    optimizer: Adam
+    source: TransformedGraph | None
 
 
 def snapshot(
     model: TgnModel,
     state: MemoryState,
-    optimizer,
+    optimizer: Adam,
     path,
     source_graph: TemporalGraph | None = None,
     train_pairs: tuple | None = None,
-    extra_meta: dict | None = None,
 ) -> None:
-    """Write params, memory, optimizer state, and optionally the source-graph
-    summary (feature tables plus train-split pair counts) a later transfer
-    run needs to rebuild the source side without the raw event log."""
+    """Write params, memory, optimizer state, and optionally the source graph
+    a later transfer run maps memory from: its transformed graph over the
+    (user, item, count) `train_pairs` of its training split, stored at
+    array names prefixed "graph." in the `transform` blob format, so the
+    raw event log is not needed."""
     if state.pending is not None:
         raise ValueError("flush pending memory updates before snapshotting")
     arrays = dict(model.pset.state_arrays())
@@ -514,38 +509,36 @@ def snapshot(
         "optimizer": {"kind": optimizer.kind, "lr": optimizer.lr},
         "graph": None,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     if source_graph is not None:
         if train_pairs is None:
             raise ValueError("source_graph requires train_pairs")
-        pu, pi, pc = train_pairs
-        meta["graph"] = {
-            "num_users": source_graph.num_users,
-            "num_items": source_graph.num_items,
-            "feature_vocab": source_graph.feature_vocab,
-        }
-        arrays["graph.pair_users"] = np.asarray(pu, dtype=np.int64)
-        arrays["graph.pair_items"] = np.asarray(pi, dtype=np.int64)
-        arrays["graph.pair_counts"] = np.asarray(pc, dtype=np.int64)
-        arrays.update(feature_arrays(source_graph, prefix="graph."))
+        static = StaticGraph(*train_pairs, source_graph.num_users, source_graph.num_items)
+        tg = TransformedGraph(static, source_graph.user_features, source_graph.item_features,
+                              source_graph.feature_vocab)
+        meta["graph"], graph_arrays = graph_blob(tg, prefix="graph.")
+        arrays.update(graph_arrays)
     write_blob(path, meta, arrays)
 
 
 def restore(path) -> TgnCheckpoint:
+    """The model, memory, Adam optimizer and source graph `snapshot` wrote;
+    `source` is None when it wrote no graph."""
     meta, arrays = read_blob(path)
     if meta.get("kind") != "tgn-checkpoint":
         raise ValueError(f"{path} is not a tgn checkpoint")
-    config = TgnConfig(**meta["config"])
-    model = TgnModel(config, meta["feature_vocab"], meta["edge_dim"], np.random.default_rng(0))
+    config, edge_dim, vocab, opt, graph = require(
+        meta, "config", "edge_dim", "feature_vocab", "optimizer", "graph"
+    )
+    model = TgnModel(TgnConfig(**config), vocab, edge_dim, np.random.default_rng(0))
     param_names = set(model.pset.names())
     model.pset.load_arrays({k: v for k, v in arrays.items() if k in param_names})
-    state = MemoryState(arrays["memory.values"], arrays["memory.last_update"])
-    optimizer = make_optimizer(meta["optimizer"]["kind"], meta["optimizer"]["lr"])
+    state = MemoryState(*require(arrays, "memory.values", "memory.last_update"))
+    kind, lr = require(opt, "kind", "lr")
+    if kind != "adam":
+        raise CheckpointError(f"unknown optimizer kind: {kind!r}")
+    optimizer = Adam(lr)
     opt_state = {k[len("optim."):]: v for k, v in arrays.items() if k.startswith("optim.")}
     if opt_state:
         optimizer.load_state(opt_state)
-    graph_arrays = {k[len("graph."):]: v for k, v in arrays.items() if k.startswith("graph.")}
-    if graph_arrays:
-        graph_arrays["user_features"], graph_arrays["item_features"] = pop_feature_tables(graph_arrays)
-    return TgnCheckpoint(model, state, optimizer, meta.get("graph") or {}, graph_arrays)
+    source = None if graph is None else graph_from_blob(graph, arrays, prefix="graph.")
+    return TgnCheckpoint(model, state, optimizer, source)

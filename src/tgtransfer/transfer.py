@@ -24,11 +24,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .eval_metrics import MetricsReport, evaluate
-from .fgat import FgatModel, load_fgat
+from .fgat import load_fgat
 from .numerics import Adam
 from .temporal_graph import TemporalGraph, batch_iter, chronological_split
-from .tgn import MemoryState, TgnCheckpoint, TgnConfig, TgnModel, restore, train, update_memory
-from .transform import StaticGraph, TransformedGraph, build_transformed, transform_graph
+from .tgn import MemoryState, TgnConfig, TgnModel, restore, train, update_memory
+from .transform import transform_graph
 
 VARIANTS = ("nt", "wt", "mintt")
 
@@ -47,16 +47,6 @@ def mapping_to_json(mapping: MemoryMapping) -> str:
         for t, (s, v) in enumerate(zip(mapping.source_node, mapping.similarity))
     ]
     return json.dumps(entries)
-
-
-def mapping_from_json(text: str) -> MemoryMapping:
-    entries = json.loads(text)
-    if [e["target_id"] for e in entries] != list(range(len(entries))):
-        raise ValueError("mapping entries must cover target ids 0..n-1 in order")
-    return MemoryMapping(
-        np.array([e["source_id"] for e in entries], dtype=np.int64),
-        np.array([e["similarity"] for e in entries], dtype=np.float64),
-    )
 
 
 def _normalize_rows(h: np.ndarray) -> np.ndarray:
@@ -136,7 +126,6 @@ class TransferConfig:
     ft_lr: float | None = None
     seed: int = 0
     rank_metrics: bool = True
-    chunk: int = 50
     tgn: TgnConfig = field(default_factory=TgnConfig)
 
     def __post_init__(self):
@@ -161,25 +150,6 @@ class RunResult(NamedTuple):
     test_report: MetricsReport
     losses: list
     mapping: MemoryMapping | None
-
-
-def source_transformed(ckpt: TgnCheckpoint) -> TransformedGraph:
-    """Rebuild the source attribute graph from a checkpoint's graph bundle."""
-    if not ckpt.graph_meta:
-        raise ValueError("source checkpoint lacks the graph bundle needed for memory mapping")
-    static = StaticGraph(
-        ckpt.graph_arrays["pair_users"],
-        ckpt.graph_arrays["pair_items"],
-        ckpt.graph_arrays["pair_counts"],
-        ckpt.graph_meta["num_users"],
-        ckpt.graph_meta["num_items"],
-    )
-    return build_transformed(
-        static,
-        ckpt.graph_arrays["user_features"],
-        ckpt.graph_arrays["item_features"],
-        ckpt.graph_meta["feature_vocab"],
-    )
 
 
 def prepare_variant(
@@ -218,7 +188,9 @@ def prepare_variant(
     if fgat_ckpt is None:
         raise ValueError("variant 'mintt' requires an attribute-encoder checkpoint")
     encoder = load_fgat(fgat_ckpt)
-    tg_src = source_transformed(ckpt)
+    tg_src = ckpt.source
+    if tg_src is None:
+        raise ValueError("source checkpoint lacks the graph bundle needed for memory mapping")
     tg_tgt = transform_graph(train_graph)
     h_src = encoder.encode_arrays(tg_src)[: tg_src.num_graph_nodes]
     h_tgt = encoder.encode_arrays(tg_tgt)[: tg_tgt.num_graph_nodes]
@@ -280,9 +252,8 @@ def execute_run(
     for split in (val_g, test_g):
         ctx = setup.model.bind_graph(_concat_events([train_g, split]))
         report, _ = evaluate(
-            setup.model, ctx, split, state.copy(), rng, mode="streaming",
-            chunk=cfg.chunk, variant=setup.variant, seed=cfg.seed,
-            rank_metrics=cfg.rank_metrics,
+            setup.model, ctx, split, state.copy(), rng,
+            variant=setup.variant, seed=cfg.seed, rank_metrics=cfg.rank_metrics,
         )
         reports.append(report)
     return RunResult(setup.model, state, reports[0], reports[1], losses, setup.mapping)

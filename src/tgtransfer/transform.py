@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics.checkpoint import read_blob, write_blob
-from .temporal_graph import Csr, TemporalGraph, feature_arrays, pop_feature_tables
+from .numerics.checkpoint import read_blob, require, write_blob
+from .temporal_graph import Csr, TemporalGraph
 
 
 class StaticGraph:
@@ -141,21 +141,6 @@ class TransformedGraph:
         """Feature id -> transformed-graph node id."""
         return self.num_graph_nodes + feat_id
 
-    def partition(self, node: int) -> str:
-        if node < self.num_users:
-            return "user"
-        if node < self.num_graph_nodes:
-            return "item"
-        if node < self.num_nodes:
-            return "feature"
-        raise KeyError(f"unknown node {node}")
-
-    def node_feature_ids(self, node: int) -> np.ndarray:
-        return self.node_features[node]
-
-    def attached_nodes(self, feat_id: int) -> np.ndarray:
-        return self.feature_nodes[feat_id]
-
 
 def build_transformed(static: StaticGraph, user_features, item_features, feature_vocab) -> TransformedGraph:
     return TransformedGraph(static, user_features, item_features, feature_vocab)
@@ -173,12 +158,11 @@ def neighborhoods(tg: TransformedGraph, node: int) -> Neighborhood:
         raise KeyError(f"unknown node {node}")
     if node < tg.num_graph_nodes:
         g_ids, g_w = tg.static.out_neighbors(node)
-        feats = tg.node_feature_ids(node)
+        feats = tg.node_features[node]
         f_ids = tg.feature_global(feats)
         f_w = np.full(len(feats), 1.0 / len(feats)) if len(feats) else np.zeros(0)
         return Neighborhood(g_ids, g_w, f_ids, f_w)
-    feat_id = node - tg.num_graph_nodes
-    attached = tg.attached_nodes(feat_id)
+    attached = tg.feature_nodes[node - tg.num_graph_nodes]
     w = np.full(len(attached), 1.0 / len(attached)) if len(attached) else np.zeros(0)
     return Neighborhood(attached, w, np.zeros(0, dtype=np.int64), np.zeros(0))
 
@@ -188,36 +172,46 @@ def transform_graph(g: TemporalGraph) -> TransformedGraph:
     return build_transformed(build_static(g), g.user_features, g.item_features, g.feature_vocab)
 
 
-# -- cache -----------------------------------------------------------------------
+# -- blob format ------------------------------------------------------------------
+# A transformed graph on disk is its interaction pairs and, per side, the flat
+# feature ids and row lengths of its feature table, plus `num_users`,
+# `num_items` and `feature_vocab` in the meta. A `.cache` file holds one at
+# array names without a prefix; a TGN checkpoint holds its source graph's at
+# names prefixed "graph.".
+
+_SIDES = ("user", "item")
+
+
+def graph_blob(tg: TransformedGraph, prefix: str = "") -> tuple[dict, dict]:
+    """(meta, arrays) of `tg` in the blob format, array names under `prefix`."""
+    meta = {"num_users": tg.num_users, "num_items": tg.num_items, "feature_vocab": tg.feature_vocab}
+    s = tg.static
+    arrays = {"pair_users": s.pair_users, "pair_items": s.pair_items, "pair_counts": s.pair_counts}
+    for side, table in zip(_SIDES, (tg.user_features, tg.item_features)):
+        arrays[f"{side}_feat_values"] = table.values
+        arrays[f"{side}_feat_lengths"] = table.lengths
+    return meta, {prefix + name: arr for name, arr in arrays.items()}
+
+
+def graph_from_blob(meta: dict, arrays: dict, prefix: str = "") -> TransformedGraph:
+    """The transformed graph `graph_blob` wrote; CheckpointError when a field
+    is missing."""
+    num_users, num_items, vocab = require(meta, "num_users", "num_items", "feature_vocab")
+    pairs = require(arrays, *(prefix + name for name in ("pair_users", "pair_items", "pair_counts")))
+    tables = [
+        Csr.from_lengths(*require(arrays, f"{prefix}{side}_feat_lengths", f"{prefix}{side}_feat_values"))
+        for side in _SIDES
+    ]
+    return build_transformed(StaticGraph(*pairs, num_users, num_items), *tables, vocab)
 
 
 def save_transformed(tg: TransformedGraph, path) -> None:
-    write_blob(
-        path,
-        {
-            "kind": "transformed-graph-cache",
-            "num_users": tg.num_users,
-            "num_items": tg.num_items,
-            "feature_vocab": tg.feature_vocab,
-        },
-        {
-            "pair_users": tg.static.pair_users,
-            "pair_items": tg.static.pair_items,
-            "pair_counts": tg.static.pair_counts,
-            **feature_arrays(tg),
-        },
-    )
+    meta, arrays = graph_blob(tg)
+    write_blob(path, {"kind": "transformed-graph-cache", **meta}, arrays)
 
 
 def load_transformed(path) -> TransformedGraph:
     meta, arrays = read_blob(path)
     if meta.get("kind") != "transformed-graph-cache":
         raise ValueError(f"{path} is not a transformed graph cache")
-    static = StaticGraph(
-        arrays["pair_users"],
-        arrays["pair_items"],
-        arrays["pair_counts"],
-        meta["num_users"],
-        meta["num_items"],
-    )
-    return TransformedGraph(static, *pop_feature_tables(arrays), meta["feature_vocab"])
+    return graph_from_blob(meta, arrays)

@@ -40,6 +40,38 @@ def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4
             assert rel < tol, f"coord {idx}: fd={fd:.10g} ad={ad:.10g} rel={rel:.3g}"
 
 
+def auc_loop(scores, labels):
+    """Mann-Whitney AUC through a Python loop over the tie groups of the
+    sorted scores, the reference for `eval_metrics.auc`'s midranks."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        # midrank of the tie group [i, j], 1-based
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos_rank_sum = float(ranks[labels].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def neighbors(index, node, t, k):
+    """The k most recent interactions of `node` before t, newest first, as
+    (neighbor ids, times, event ordinals), shorter than k when the history
+    is: the one-query reference for `NeighborIndex.batch_neighbors`."""
+    lo, hi = index.adjacency.bounds(node)
+    cut = lo + int(np.searchsorted(index._times[lo:hi], t, side="left"))
+    sel = slice(max(lo, cut - k), cut)
+    return index.adjacency.values[sel][::-1], index._times[sel][::-1], index._ords[sel][::-1]
+
+
 def sample_non_edges_loop(tg, n, rng):
     """Scalar reference for `fgat._sample_non_edges`: draw a user, then an
     item, with one `rng.integers` call each, and skip pairs present in `tg`
@@ -139,11 +171,11 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
             shifted = logits - T.constant(np.full((len(ordered), 1), logits.data.max()))
             e = T.exp(shifted)
             denom = T.segment_sum(e, seg, 1)
-            alpha = e / T.gather(denom, seg)
+            alpha = div(e, T.gather(denom, seg))
             context = T.segment_sum(T.matmul(hv, pset[f"{prefix}.w6"]) * alpha, seg, 1)
         else:
             context = T.constant(np.zeros((1, d)))
-        mlp = Mlp(f"{prefix}.mlp", [2 * d, d, d], activation="leaky_relu")
+        mlp = Mlp(f"{prefix}.mlp", [2 * d, d, d])
         return mlp(pset, T.concat([self_proj, context], axis=1)).data[0]
 
 
@@ -245,13 +277,25 @@ def score_pairs_padded(model, ctx, mem, users, items, ts, hide_users=None, hide_
     return T.sigmoid(logits.reshape((len(users),)))
 
 
+def div(a, b):
+    """Elementwise `a / b` with broadcasting as one autodiff op; the
+    composed-op oracles normalise with it."""
+
+    def backward(g):
+        ga = T._unbroadcast(g / b.data, a.shape)
+        gb = T._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        return ga, gb
+
+    return T.Tensor(a.data / b.data, _parents=(a, b), _backward=backward, _op="div")
+
+
 def segment_softmax(a, seg_ids, num_segments):
     """Softmax of `a`'s rows within each segment, separately per column, as
     composed ops; `seg_ids` must be sorted. Each segment's max is subtracted
     as a constant, and the sums add rows in order, as `segment_sum` does."""
     seg_ids = np.asarray(seg_ids, dtype=np.int64)
     e = T.exp(a - T.constant(T._segment_max_rows(a.data, seg_ids)))
-    return e / T.gather(T.segment_sum(e, seg_ids, num_segments), seg_ids)
+    return div(e, T.gather(T.segment_sum(e, seg_ids, num_segments), seg_ids))
 
 
 def temporal_attention_composed(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):

@@ -99,7 +99,7 @@ def test_train_tgn_writes_checkpoint_and_loss_curve(synth_dir, tmp_path, capsys)
     ])
     assert rc == 0
     ckpt = restore(out)
-    assert ckpt.graph_meta["num_users"] == 12
+    assert ckpt.source.num_users == 12
     lines = (tmp_path / "model.ckpt.loss.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,loss" and len(lines) == 3
 
@@ -235,6 +235,42 @@ def test_transfer_multi_seed_summary(trained, tmp_path, capsys):
     assert report["seeds"] == [1, 2, 3]
     assert len(report["runs"]) == 3
     assert set(report["mean"]) == {"ap", "auc", "mrr", "recall_at_k"}
+    metrics = ("ap", "auc", "mrr", "recall_at_k")
+    rows = [[f"{run['seed']}", run["test"]] for run in report["runs"]]
+    rows += [["mean", report["mean"]], ["std", report["std"]]]
+    assert lines[1:] == [f"nt,target,{key}," + ",".join(f"{vals[m]:.6f}" for m in metrics)
+                         for key, vals in rows]
+
+
+@pytest.mark.parametrize("header", [
+    b'{"meta":{"kind":"tgn-checkpoint"},"schema":1}',
+    b'[{"meta":{},"schema":1}]',
+    b'{"arrays":[{"dtype":"<f8","name":"a"}],"meta":{"kind":"tgn-checkpoint"},"schema":1}',
+    b'{"arrays":[],"meta":{"kind":"tgn-checkpoint"},"schema":1}',
+], ids=["no-arrays", "list", "entry-without-shape", "meta-without-config"])
+def test_transfer_reports_malformed_checkpoint(synth_dir, tmp_path, capsys, header):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(header + b"\n")
+    rc = cli.main([
+        "transfer", "--variant", "wt", "--target", str(synth_dir / "target.csv"),
+        "--src-ckpt", str(ckpt), "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["transfer", "--variant", "nt", "--seeds", ","],
+    ["transfer", "--variant", "nt", "--seeds", " , "],
+    ["sweep", "--variants", ","],
+    ["sweep", "--variants", "nt", "--fractions", ","],
+], ids=["transfer-seeds", "transfer-blank-seeds", "sweep-variants", "sweep-fractions"])
+def test_empty_seed_variant_or_fraction_list_is_an_error(synth_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = cli.main([*command, "--target", str(synth_dir / "target.csv"), "--out", str(out)])
+    assert rc == 1
+    assert "error: no " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transfer_rerun_is_bitwise_identical(trained, tmp_path):

@@ -1,4 +1,4 @@
-"""Pinned on-disk bytes of the graph caches and the TGN checkpoint.
+"""Pinned on-disk bytes of the transformed-graph cache and the TGN checkpoint.
 
 The digests below were recorded from files written by the package before
 node feature tables moved to the CSR layout. Writing the same tiny graph
@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from tgtransfer import temporal_graph as tg
-from tgtransfer import tgn, transform
-from tgtransfer.numerics import Adam
+from tgtransfer import fgat, tgn, transform
+from tgtransfer.numerics import Adam, CheckpointError, read_blob, write_blob
 
 PINNED = {
-    "graph.cache": "f6c1f02da31c24589a6beabfa46d3c08e6c59103ef0bec6b8a1d7b618747a09b",
     "transformed.cache": "7186495581c25b0566424c95a3913980c091327039d8b1e92ca2649f34e7823b",
     "tgn.ckpt": "3574427889196696cd993572c4fc463f0dc98b60e9bbf3474e5c2630cb10eb5e",
 }
@@ -41,7 +40,6 @@ def tiny_graph():
 def write_all(tmp_path):
     g = tiny_graph()
     paths = {name: tmp_path / name for name in PINNED}
-    tg.save_cache(g, paths["graph.cache"])
     transform.save_transformed(transform.transform_graph(g), paths["transformed.cache"])
     cfg = tgn.TgnConfig(d_mem=4, d_time=2, d_feat=4, n_heads=1, k_neighbors=2, batch_size=2)
     rng = np.random.default_rng(11)
@@ -64,18 +62,36 @@ def test_written_bytes_are_pinned(tmp_path, name):
 
 def test_read_then_write_reproduces_files(tmp_path):
     paths = write_all(tmp_path)
-    g = tg.load_cache(paths["graph.cache"])
-    tg.save_cache(g, tmp_path / "again.cache")
-    assert sha256(tmp_path / "again.cache") == sha256(paths["graph.cache"])
-
+    g = tiny_graph()
     tgx = transform.load_transformed(paths["transformed.cache"])
     transform.save_transformed(tgx, tmp_path / "again.tcache")
     assert sha256(tmp_path / "again.tcache") == sha256(paths["transformed.cache"])
 
     ckpt = tgn.restore(paths["tgn.ckpt"])
-    assert [list(r) for r in ckpt.graph_arrays["user_features"]] == [[2, 0], [], [3]]
-    assert [list(r) for r in ckpt.graph_arrays["item_features"]] == [[1], [1, 2, 3], []]
-    pairs = tuple(ckpt.graph_arrays[k] for k in ("pair_users", "pair_items", "pair_counts"))
+    assert [list(r) for r in ckpt.source.user_features] == [[2, 0], [], [3]]
+    assert [list(r) for r in ckpt.source.item_features] == [[1], [1, 2, 3], []]
+    s = ckpt.source.static
+    pairs = (s.pair_users, s.pair_items, s.pair_counts)
     tgn.snapshot(ckpt.model, ckpt.state, ckpt.optimizer, tmp_path / "again.ckpt",
                  source_graph=g, train_pairs=pairs)
     assert sha256(tmp_path / "again.ckpt") == sha256(paths["tgn.ckpt"])
+
+
+@pytest.mark.parametrize("load, kind", [
+    (transform.load_transformed, "transformed-graph-cache"),
+    (tgn.restore, "tgn-checkpoint"),
+    (fgat.load_fgat, "fgat-checkpoint"),
+])
+def test_loaders_reject_a_missing_meta_key(tmp_path, load, kind):
+    path = tmp_path / "bare.bin"
+    write_blob(path, {"kind": kind}, {})
+    with pytest.raises(CheckpointError, match="lacks"):
+        load(path)
+
+
+def test_restore_accepts_adam_only(tmp_path):
+    meta, arrays = read_blob(write_all(tmp_path)["tgn.ckpt"])
+    meta["optimizer"]["kind"] = "sgd"
+    write_blob(tmp_path / "sgd.ckpt", meta, arrays)
+    with pytest.raises(CheckpointError, match="optimizer"):
+        tgn.restore(tmp_path / "sgd.ckpt")

@@ -1,0 +1,94 @@
+"""No dead API: every function, class and method defined in the library is
+referenced by library code outside its own definition.
+
+A reference is a NAME token in `src/tgtransfer` that lies outside the
+definition's own lines and outside import statements. Strings and comments
+are not NAME tokens, so a name that only a docstring or `__all__` mentions,
+or that a module only imports, does not count. Names are matched by
+spelling, not resolved, so one use of a name keeps every definition of it.
+Dunder methods are exempt. `ENTRY_POINTS` lists the names that only code
+outside the library calls: the README's Python API, the `tgtransfer`
+command's entry point, `benchmarks/` and the acceptance suite.
+"""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tgtransfer"
+
+# Names that only code outside the library calls. Every name that the
+# README's Python API, the `tgtransfer` console script (`cli.main`) and
+# `benchmarks/` call is also used inside the library; `neighborhoods`, the
+# per-node view of a transformed graph, is read by the acceptance suite's
+# transformation invariants (criterion 3) only.
+ENTRY_POINTS = frozenset({"neighborhoods"})
+
+
+def _definitions_and_names(text):
+    """([(name, first line, last line)] of every def and class, [(NAME token,
+    line)] outside import statements) of one module's source."""
+    tree = ast.parse(text)
+    defs = [
+        (node.name, node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    imports = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    names = [
+        (tok.string, tok.start[0])
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type == tokenize.NAME and tok.start[0] not in imports
+    ]
+    return defs, names
+
+
+def dead_definitions(root=SRC, entry_points=ENTRY_POINTS):
+    """`path:line name` of every definition under `root` with no reference."""
+    facts = {path: _definitions_and_names(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    uses: dict = {}
+    for path, (_, names) in facts.items():
+        for name, line in names:
+            uses.setdefault(name, []).append((path, line))
+    dead = []
+    for path, (defs, _) in facts.items():
+        for name, lo, hi in defs:
+            if (name.startswith("__") and name.endswith("__")) or name in entry_points:
+                continue
+            if not any(p != path or not lo <= line <= hi for p, line in uses.get(name, ())):
+                dead.append(f"{path.relative_to(root.parent)}:{lo} {name}")
+    return dead
+
+
+def test_every_library_definition_is_referenced():
+    assert dead_definitions() == []
+
+
+def test_guard_ignores_strings_comments_imports_and_own_body(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        '"""used() is named here only in a docstring."""\n'
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "def recursive(n):\n"
+        "    # used() in a comment\n"
+        "    return recursive(n - 1) if n else 'used'\n"
+        "\n"
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def open(self):\n"
+        "        return Box\n"
+    )
+    (pkg / "b.py").write_text("from .a import Box, recursive, used\n\nVALUE = used() + len(Box())\n")
+    assert dead_definitions(pkg, frozenset({"open"})) == ["pkg/a.py:5 recursive"]
+    assert dead_definitions(pkg, frozenset()) == ["pkg/a.py:5 recursive", "pkg/a.py:13 open"]

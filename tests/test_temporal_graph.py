@@ -3,6 +3,8 @@ import pytest
 
 from tgtransfer import temporal_graph as tg
 
+from helpers import neighbors
+
 
 def write_csv(path, rows, header="user_id,item_id,timestamp,user_feature_ids,item_feature_ids"):
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
@@ -173,15 +175,11 @@ def test_neighbor_queries_strict_and_newest_first():
         [np.array([], dtype=np.int64)] * 3,
     )
     idx = tg.NeighborIndex(g)
-    ids, ts, _ = idx.neighbors(0, 3.0, 2)
+    ids, ts, _, mask = idx.batch_neighbors(np.array([0, 0, 0]), np.array([3.0, 1.0, 99.0]), 3)
     # item globals are offset by num_users=1
-    assert list(ids) == [2, 1] and list(ts) == [2.0, 1.0]
-    ids, _, _ = idx.neighbors(0, 1.0, 5)
-    assert len(ids) == 0
-    ids, _, _ = idx.neighbors(0, 99.0, 10)
-    assert list(ids) == [3, 2, 1]
-    with pytest.raises(KeyError):
-        idx.neighbors(17, 1.0, 2)
+    assert list(ids[0, :2]) == [2, 1] and list(ts[0, :2]) == [2.0, 1.0]
+    assert list(mask.sum(axis=1)) == [2, 0, 3]
+    assert list(ids[2]) == [3, 2, 1]
 
 
 def test_neighbor_strictness_property():
@@ -191,7 +189,8 @@ def test_neighbor_strictness_property():
     for _ in range(50):
         node = int(rng.integers(0, g.num_nodes))
         t = float(rng.uniform(0, 120))
-        _, ts, _ = idx.neighbors(node, t, 8)
+        _, ts, _, mask = idx.batch_neighbors(np.array([node]), np.array([t]), 8)
+        ts = ts[0, : int(mask.sum())]
         assert all(x < t for x in ts)
         assert np.array_equal(ts, np.sort(ts)[::-1])
 
@@ -200,10 +199,9 @@ def test_neighbor_index_is_bidirectional():
     g = make_graph(30, seed=5)
     idx = tg.NeighborIndex(g)
     u, i, t = int(g.users[4]), int(g.items[4]), float(g.times[4])
-    ids_u, ts_u, _ = idx.neighbors(u, t + 1e-9, 100)
-    ids_i, ts_i, _ = idx.neighbors(g.num_users + i, t + 1e-9, 100)
-    assert g.num_users + i in ids_u
-    assert u in ids_i
+    ids, _, _, mask = idx.batch_neighbors(np.array([u, g.num_users + i]), np.full(2, t + 1e-9), 100)
+    assert g.num_users + i in ids[0][mask[0] > 0]
+    assert u in ids[1][mask[1] > 0]
 
 
 def assert_batch_matches_rows(idx, nodes, ts, k):
@@ -211,7 +209,7 @@ def assert_batch_matches_rows(idx, nodes, ts, k):
     assert ids.shape == times.shape == ords.shape == mask.shape == (len(nodes), k)
     assert (ids.dtype, times.dtype, ords.dtype, mask.dtype) == (np.int64, np.float64, np.int64, np.float64)
     for row in range(len(nodes)):
-        single_ids, single_ts, single_ords = idx.neighbors(int(nodes[row]), float(ts[row]), k)
+        single_ids, single_ts, single_ords = neighbors(idx, int(nodes[row]), float(ts[row]), k)
         c = len(single_ids)
         assert mask[row, :c].all() and not mask[row, c:].any()
         assert np.array_equal(ids[row, :c], single_ids)
@@ -272,9 +270,7 @@ def test_bad_node_ids_raise_key_error():
     idx = tg.NeighborIndex(g)
     for bad in (-1, g.num_nodes):
         with pytest.raises(KeyError):
-            g.node_feature_ids(bad)
-        with pytest.raises(KeyError):
-            idx.neighbors(bad, 50.0, 3)
+            g.node_features[bad]
         with pytest.raises(KeyError):
             idx.batch_neighbors(np.array([0, bad]), np.array([50.0, 50.0]), 3)
     with pytest.raises(KeyError):
@@ -331,28 +327,8 @@ def test_sample_negatives_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_cache_roundtrip(tmp_path, small_csv=None):
-    g = make_graph(25, seed=9)
-    path = tmp_path / "g.cache"
-    tg.save_cache(g, path)
-    g2 = tg.load_cache(path)
-    assert np.array_equal(g.users, g2.users)
-    assert np.array_equal(g.times, g2.times)
-    assert g.user_ids == g2.user_ids and g.item_ids == g2.item_ids
-    assert g.feature_vocab == g2.feature_vocab
-    for a, b in zip(g.user_features, g2.user_features):
-        assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        from tgtransfer.numerics import write_blob
-
-        other = tmp_path / "other.bin"
-        write_blob(other, {"kind": "nope"}, {"x": np.zeros(1)})
-        tg.load_cache(other)
-
-
 def test_global_node_convention():
     g = make_graph(10)
-    assert g.item_global(0) == g.num_users
     assert g.num_nodes == g.num_users + g.num_items
-    assert np.array_equal(g.node_feature_ids(0), [0])
-    assert np.array_equal(g.node_feature_ids(g.num_users), [1])
+    assert np.array_equal(g.node_features[0], [0])
+    assert np.array_equal(g.node_features[g.num_users], [1])

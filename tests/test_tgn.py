@@ -3,7 +3,7 @@ import pytest
 
 import tgtransfer.tgn as tgn
 from tgtransfer import temporal_graph as tg
-from tgtransfer.numerics import Sgd, tensor as T
+from tgtransfer.numerics import Adam, tensor as T
 
 from helpers import (
     assert_grads_match_fd, compute_message, embed_padded, event_batch_of, node_static_features_loop,
@@ -622,7 +622,7 @@ def test_deferred_updates_match_immediate_when_params_frozen(rng):
     model = tgn.TgnModel(small_config(batch_size=8), VOCAB, 0, rng)
     ctx = model.bind_graph(g)
     init = tgn.MemoryState.zeros(g.num_nodes, 8)
-    state, _ = tgn.train_epoch(model, ctx, g, init, Sgd(lr=0.0), np.random.default_rng(4))
+    state, _ = tgn.train_epoch(model, ctx, g, init, Adam(lr=0.0), np.random.default_rng(4))
 
     oracle = init.copy()
     for batch in tg.batch_iter(g, 8):
@@ -635,8 +635,8 @@ def test_train_memory_resets_each_epoch(rng):
     g = make_graph(n_events=30, seed=7)
     model = tgn.TgnModel(small_config(batch_size=10, lr=0.0), VOCAB, 0, rng)
     ctx = model.bind_graph(g)
-    one, _ = tgn.train(model, ctx, g, epochs=1, rng=np.random.default_rng(3), optimizer=Sgd(lr=0.0))
-    three, _ = tgn.train(model, ctx, g, epochs=3, rng=np.random.default_rng(3), optimizer=Sgd(lr=0.0))
+    one, _ = tgn.train(model, ctx, g, epochs=1, rng=np.random.default_rng(3), optimizer=Adam(lr=0.0))
+    three, _ = tgn.train(model, ctx, g, epochs=3, rng=np.random.default_rng(3), optimizer=Adam(lr=0.0))
     # frozen params: every epoch replays the same trajectory from the reset state
     assert np.allclose(one.memory, three.memory, atol=1e-12)
 
@@ -646,7 +646,7 @@ def test_train_empty_graph_raises(setup):
     with pytest.raises(ValueError):
         tgn.train_epoch(
             model, ctx, g.slice(0, 0), tgn.MemoryState.zeros(g.num_nodes, 8),
-            Sgd(lr=0.1), np.random.default_rng(0),
+            Adam(lr=0.1), np.random.default_rng(0),
         )
 
 
@@ -687,8 +687,8 @@ def test_snapshot_restore_roundtrip(tmp_path, rng):
     p_load = predict_link(loaded.model, ctx2, loaded.state, 0, g.num_users + 1, 600.0)
     assert p_orig == p_load
     assert loaded.state.memory.tobytes() == state.memory.tobytes()
-    assert np.array_equal(loaded.graph_arrays["pair_counts"], [3, 4])
-    assert loaded.graph_meta["num_users"] == g.num_users
+    assert np.array_equal(loaded.source.static.pair_counts, [3, 4])
+    assert loaded.source.num_users == g.num_users
 
     # resaving the restored model is byte-identical
     path2 = tmp_path / "tgn2.ckpt"
@@ -702,4 +702,4 @@ def test_snapshot_rejects_pending(tmp_path, rng):
     state = tgn.MemoryState.zeros(g.num_users + g.num_items, 8)
     state.pending = event_batch_of(g, 0, 5)
     with pytest.raises(ValueError, match="pending"):
-        tgn.snapshot(model, state, Sgd(0.1), tmp_path / "x.ckpt")
+        tgn.snapshot(model, state, Adam(0.1), tmp_path / "x.ckpt")

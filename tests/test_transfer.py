@@ -79,13 +79,11 @@ def test_map_memory_rejects_empty_partition_and_mismatch():
 def test_mapping_json_round_trip():
     mapping = tr.MemoryMapping(np.array([4, 0, 2]), np.array([0.9, 0.5, -0.1]))
     text = tr.mapping_to_json(mapping)
-    parsed = json.loads(text)
-    assert parsed[0] == {"target_id": 0, "source_id": 4, "similarity": 0.9}
-    back = tr.mapping_from_json(text)
-    assert np.array_equal(back.source_node, mapping.source_node)
-    assert np.allclose(back.similarity, mapping.similarity)
-    with pytest.raises(ValueError):
-        tr.mapping_from_json(json.dumps([{"target_id": 3, "source_id": 0, "similarity": 1.0}]))
+    assert json.loads(text) == [
+        {"target_id": 0, "source_id": 4, "similarity": 0.9},
+        {"target_id": 1, "source_id": 0, "similarity": 0.5},
+        {"target_id": 2, "source_id": 2, "similarity": -0.1},
+    ]
 
 
 # -- weight transfer ----------------------------------------------------------------

@@ -87,11 +87,9 @@ def test_transformed_node_counts_and_partitions():
     )
     tg = tf.transform_graph(g)
     assert tg.num_nodes == 7  # 2 users + 2 items + 3 features
-    assert tg.partition(0) == "user"
-    assert tg.partition(2) == "item"
-    assert tg.partition(4) == "feature"
-    with pytest.raises(KeyError):
-        tg.partition(7)
+    assert (tg.num_users, tg.num_graph_nodes) == (2, 4)
+    assert tg.feature_global(0) == 4
+    assert [list(tg.feature_nodes[f]) for f in range(3)] == [[0], [1], [2]]
 
 
 def test_feature_edges_exact():
@@ -152,16 +150,16 @@ def test_bad_node_and_feature_ids_raise_key_error():
     g = make_temporal([0, 1, 1], [0, 0, 1], 2, 2,
                       [np.array([1, 0]), np.array([], dtype=np.int64)], [np.array([1])] * 2, ["a", "b"])
     tg = tf.transform_graph(g)
-    assert list(tg.node_feature_ids(0)) == [0, 1]  # ascending, whatever the input order
-    assert list(tg.attached_nodes(1)) == [0, 2, 3]
+    assert list(tg.node_features[0]) == [0, 1]  # ascending, whatever the input order
+    assert list(tg.feature_nodes[1]) == [0, 2, 3]
     for bad in (-1, tg.num_graph_nodes):
         with pytest.raises(KeyError):
-            tg.node_feature_ids(bad)
+            tg.node_features[bad]
         with pytest.raises(KeyError):
             tg.static.out_neighbors(bad)
     for bad in (-1, tg.num_features):
         with pytest.raises(KeyError):
-            tg.attached_nodes(bad)
+            tg.feature_nodes[bad]
 
 
 def test_empty_feature_set_gives_no_feature_edges():
