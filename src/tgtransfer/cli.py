@@ -156,11 +156,8 @@ def cmd_train_tgn(args) -> int:
     model = tgn.TgnModel(_tgn_config(args), g.feature_vocab, g.edge_feature_dim, rng)
     ctx = model.bind_graph(g)
     opt = Adam(lr=model.config.lr)
-    losses: list = []
-    if args.epochs > 0:
-        state, losses = tgn.train(model, ctx, g, args.epochs, rng, optimizer=opt)
-    else:
-        state = tgn.MemoryState.zeros(ctx.num_nodes, model.config.d_mem)
+    # zero epochs leave the zero memory
+    state, losses = tgn.train(model, ctx, g, args.epochs, rng, optimizer=opt)
     static = build_static(g)
     tgn.snapshot(
         model, state, opt, args.out,
@@ -472,6 +469,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown config keys: {unknown}")
             sub.set_defaults(**overrides)
             args = parser.parse_args(argv)
+        # every output's directory exists before the work that fills it starts
+        for out in filter(None, (getattr(args, dest, None) for dest in ("out", "output", "mapping_out"))):
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except SystemExit as err:
         return int(err.code or 0)

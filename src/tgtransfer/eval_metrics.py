@@ -56,16 +56,18 @@ def auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def truth_rank(scores: np.ndarray, item_ids: np.ndarray, truth_id: int) -> int:
-    """1-based rank of the true item; tied scores are ordered by item id."""
+def truth_rank(scores: np.ndarray, item_ids: np.ndarray, truth_ids) -> np.ndarray:
+    """1-based rank of each row's true item among the candidates `item_ids`,
+    tied scores ordered by item id: (B, n) `scores` with (B,) `truth_ids`."""
     scores = np.asarray(scores, dtype=np.float64)
     item_ids = np.asarray(item_ids)
-    where = np.nonzero(item_ids == truth_id)[0]
-    if len(where) != 1:
+    truth_ids = np.asarray(truth_ids)[..., None]
+    hit = item_ids == truth_ids
+    if np.any(hit.sum(axis=-1) != 1):
         raise ValueError("truth item must appear exactly once among candidates")
-    s = scores[where[0]]
-    greater = int(np.sum(scores > s))
-    tied_earlier = int(np.sum((scores == s) & (item_ids < truth_id)))
+    s = np.take_along_axis(scores, hit.argmax(axis=-1)[..., None], axis=-1)
+    greater = np.sum(scores > s, axis=-1)
+    tied_earlier = np.sum((scores == s) & (item_ids < truth_ids), axis=-1)
     return 1 + greater + tied_earlier
 
 
@@ -167,8 +169,7 @@ def evaluate(
                 rows = np.arange(len(catalog))
                 pos_scores.append(catalog[rows, batch.items])
                 neg_scores.append(catalog[rows, negs])
-                for row, truth in zip(catalog, batch.items):
-                    ranks.append(truth_rank(row, item_ids, int(truth)))
+                ranks.extend(truth_rank(catalog, item_ids, batch.items))
             else:
                 b = len(batch.users)
                 users2 = np.concatenate([batch.users, batch.users])

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import read_blob, require, write_blob
+from .numerics.checkpoint import config_from, read_blob, require, write_blob
 from .numerics.nn import Mlp
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
@@ -401,6 +401,6 @@ def load_fgat(path) -> FgatModel:
     if meta.get("kind") != "fgat-checkpoint":
         raise ValueError(f"{path} is not an fgat checkpoint")
     config, vocab = require(meta, "config", "feature_vocab")
-    model = FgatModel(FgatConfig(**config), vocab, np.random.default_rng(0))
+    model = FgatModel(config_from(FgatConfig, config), vocab, np.random.default_rng(0))
     model.pset.load_arrays(arrays)
     return model

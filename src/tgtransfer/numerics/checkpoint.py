@@ -10,6 +10,7 @@ twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +103,14 @@ def require(record, *keys: str) -> list:
     if missing:
         raise CheckpointError(f"checkpoint entry lacks {', '.join(missing)}")
     return [record[k] for k in keys]
+
+
+def config_from(cls, config):
+    """`cls(**config)` for a checkpoint's config dataclass `cls`;
+    CheckpointError when `config` is not an object or has a key `cls` lacks."""
+    if not isinstance(config, dict):
+        raise CheckpointError(f"checkpoint config is not an object: {config!r}")
+    unknown = sorted(set(config) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CheckpointError(f"unknown checkpoint config keys: {', '.join(unknown)}")
+    return cls(**config)

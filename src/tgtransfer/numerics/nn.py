@@ -40,7 +40,6 @@ class Mlp:
         if len(widths) < 2:
             raise ValueError("widths must list at least input and output size")
         self.prefix = prefix
-        self.widths = list(widths)
         self.layers = [
             Linear(f"{prefix}.l{i}", widths[i], widths[i + 1])
             for i in range(len(widths) - 1)

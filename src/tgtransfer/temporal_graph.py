@@ -383,6 +383,15 @@ class NeighborIndex:
     def num_nodes(self) -> int:
         return len(self.adjacency)
 
+    def history_lengths(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Interactions of each (node, t) query strictly before t; its
+        `batch_neighbors` row holds the k newest of them."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
+            raise KeyError("neighbor query for unknown node")
+        query = nodes * self._stride + np.searchsorted(self._stamps, ts, side="left")
+        return np.searchsorted(self._keys, query, side="left") - self.adjacency.offsets[nodes]
+
     def batch_neighbors(self, nodes: np.ndarray, ts: np.ndarray, k: int):
         """Padded per-row neighbor tables for a batch of (node, time) queries.
 
@@ -392,11 +401,9 @@ class NeighborIndex:
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
-            raise KeyError("neighbor query for unknown node")
-        query = nodes * self._stride + np.searchsorted(self._stamps, ts, side="left")
-        cut = np.searchsorted(self._keys, query, side="left")
-        count = np.minimum(cut - self.adjacency.offsets[nodes], k)
+        length = self.history_lengths(nodes, ts)
+        cut = self.adjacency.offsets[nodes] + length
+        count = np.minimum(length, k)
         back = np.arange(k)
         real = back < count[:, None]
         src = (cut[:, None] - 1 - back)[real]  # newest first along each row

@@ -90,8 +90,6 @@ def map_memory(
         (np.arange(tgt_num_users), 0, src_num_users),
         (np.arange(tgt_num_users, len(h_tgt)), src_num_users, len(h_src)),
     ):
-        if len(rows) == 0:
-            continue
         sims = nt[rows] @ ns[lo:hi].T
         best = np.argmax(sims, axis=1)
         chosen[rows] = best + lo
@@ -168,21 +166,19 @@ def prepare_variant(
     variant = variant.lower()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    n_nodes = train_graph.num_users + train_graph.num_items
 
     if variant == "nt":
-        model = TgnModel(
-            cfg.tgn, train_graph.feature_vocab, train_graph.edge_feature_dim,
-            np.random.default_rng(cfg.seed),
-        )
-        return VariantSetup(variant, model, MemoryState.zeros(n_nodes, cfg.tgn.d_mem), cfg.nt_epochs, None)
+        model = TgnModel(cfg.tgn, train_graph.feature_vocab, train_graph.edge_feature_dim,
+                         np.random.default_rng(cfg.seed))
+        return VariantSetup(variant, model, MemoryState.zeros(train_graph.num_nodes, cfg.tgn.d_mem),
+                            cfg.nt_epochs, None)
 
     if src_ckpt is None:
         raise ValueError(f"variant {variant!r} requires a source checkpoint")
     ckpt = restore(src_ckpt)
     model = transfer_weights(ckpt.model)
     if variant == "wt":
-        init = MemoryState.zeros(n_nodes, model.config.d_mem)
+        init = MemoryState.zeros(train_graph.num_nodes, model.config.d_mem)
         return VariantSetup(variant, model, init, cfg.ft_epochs, None)
 
     if fgat_ckpt is None:
@@ -234,9 +230,7 @@ def execute_run(
 
     losses: list = []
     if setup.epochs > 0:
-        opt = None
-        if cfg.ft_lr is not None and setup.variant != "nt":
-            opt = Adam(lr=cfg.ft_lr)
+        opt = Adam(lr=cfg.ft_lr) if cfg.ft_lr is not None and setup.variant != "nt" else None
         state, losses = train(
             setup.model, ctx_train, train_g, setup.epochs, rng,
             init_state=setup.init_state, optimizer=opt,

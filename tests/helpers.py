@@ -62,6 +62,20 @@ def auc_loop(scores, labels):
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def truth_rank_row(scores, item_ids, truth_id):
+    """1-based rank of the true item in one row of scores, tied scores
+    ordered by item id: the one-row reference for `eval_metrics.truth_rank`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    item_ids = np.asarray(item_ids)
+    where = np.nonzero(item_ids == truth_id)[0]
+    if len(where) != 1:
+        raise ValueError("truth item must appear exactly once among candidates")
+    s = scores[where[0]]
+    greater = int(np.sum(scores > s))
+    tied_earlier = int(np.sum((scores == s) & (item_ids < truth_id)))
+    return 1 + greater + tied_earlier
+
+
 def neighbors(index, node, t, k):
     """The k most recent interactions of `node` before t, newest first, as
     (neighbor ids, times, event ordinals), shorter than k when the history

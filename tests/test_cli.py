@@ -242,21 +242,37 @@ def test_transfer_multi_seed_summary(trained, tmp_path, capsys):
                          for key, vals in rows]
 
 
-@pytest.mark.parametrize("header", [
-    b'{"meta":{"kind":"tgn-checkpoint"},"schema":1}',
-    b'[{"meta":{},"schema":1}]',
-    b'{"arrays":[{"dtype":"<f8","name":"a"}],"meta":{"kind":"tgn-checkpoint"},"schema":1}',
-    b'{"arrays":[],"meta":{"kind":"tgn-checkpoint"},"schema":1}',
-], ids=["no-arrays", "list", "entry-without-shape", "meta-without-config"])
-def test_transfer_reports_malformed_checkpoint(synth_dir, tmp_path, capsys, header):
+def _meta_blob(meta: bytes) -> bytes:
+    return b'{"arrays":[],"meta":{' + meta + b'},"schema":1}'
+
+
+TGN_META = b'"edge_dim":0,"feature_vocab":[],"graph":null,"kind":"tgn-checkpoint","optimizer":{"kind":"adam","lr":0.001}'
+FGAT_META = b'"feature_vocab":[],"kind":"fgat-checkpoint"'
+
+
+@pytest.mark.parametrize("loader, header, says", [
+    ("restore", b'{"meta":{"kind":"tgn-checkpoint"},"schema":1}', "lacks arrays"),
+    ("restore", b'[{"meta":{},"schema":1}]', "error: "),
+    ("restore", b'{"arrays":[{"dtype":"<f8","name":"a"}],"meta":{"kind":"tgn-checkpoint"},"schema":1}', "lacks shape"),
+    ("restore", b'{"arrays":[],"meta":{"kind":"tgn-checkpoint"},"schema":1}', "lacks config"),
+    ("restore", _meta_blob(b'"config":{"bogus":1,"d_mem":8},' + TGN_META), "unknown checkpoint config keys: bogus"),
+    ("restore", _meta_blob(b'"config":[8],' + TGN_META), "config is not an object"),
+    ("load_fgat", _meta_blob(b'"config":{"bogus":1,"dim":8},' + FGAT_META), "unknown checkpoint config keys: bogus"),
+    ("load_fgat", _meta_blob(b'"config":"dim=8",' + FGAT_META), "config is not an object"),
+], ids=["no-arrays", "list", "entry-without-shape", "meta-without-config",
+        "tgn-unknown-config-key", "tgn-config-not-object", "fgat-unknown-config-key", "fgat-config-not-object"])
+def test_transfer_reports_malformed_checkpoint(trained, tmp_path, capsys, loader, header, says):
+    src_ckpt, _, target = trained
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(header + b"\n")
-    rc = cli.main([
-        "transfer", "--variant", "wt", "--target", str(synth_dir / "target.csv"),
-        "--src-ckpt", str(ckpt), "--out", str(tmp_path / "r.json"),
-    ])
+    if loader == "restore":
+        flags = ["--variant", "wt", "--src-ckpt", str(ckpt)]
+    else:
+        flags = ["--variant", "mintt", "--src-ckpt", str(src_ckpt), "--fgat-ckpt", str(ckpt)]
+    rc = cli.main(["transfer", *flags, "--target", str(target), "--out", str(tmp_path / "r.json")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
 
 
 @pytest.mark.parametrize("command", [
@@ -271,6 +287,31 @@ def test_empty_seed_variant_or_fraction_list_is_an_error(synth_dir, tmp_path, ca
     assert rc == 1
     assert "error: no " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "train-tgn", "train-fgat", "transfer", "sweep", "plot"])
+def test_outputs_land_in_missing_nested_directories(synth_dir, trained, tmp_path, command):
+    # the walkthrough starts in an empty directory: no command may need its
+    # output directories made beforehand
+    src_ckpt, enc_ckpt, target = trained
+    new = tmp_path / "fresh" / "runs"
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(cli.SWEEP_HEADER + "\nnt,0.5,1,0.6,0.6,0.1,0.2\n")
+    flags, outputs = {
+        "transform": (["--input", str(synth_dir / "source.csv")], ["--output", new / "g.cache"]),
+        "train-tgn": (["--graph", str(synth_dir / "source.csv"), "--epochs", "0", *TGN_FAST],
+                      ["--out", new / "m.ckpt"]),
+        "train-fgat": (["--pool", str(enc_ckpt.parent / "pool"), "--epochs", "1", "--dim", "8"],
+                       ["--out", new / "e.ckpt"]),
+        "transfer": (["--variant", "mintt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+                      "--fgat-ckpt", str(enc_ckpt), "--ft-epochs", "1", "--no-rank-metrics"],
+                     ["--out", new / "r.json", "--mapping-out", tmp_path / "maps" / "new" / "m.json"]),
+        "sweep": (["--target", str(target), "--variants", "nt", "--fractions", "0.5", "--nt-epochs", "1",
+                   "--no-rank-metrics", *TGN_FAST], ["--out", new / "s.csv"]),
+        "plot": (["--sweep", str(sweep_csv)], ["--out", new / "c.csv"]),
+    }[command]
+    assert cli.main([command, *flags, *map(str, outputs)]) == 0
+    assert all(path.is_file() for path in outputs[1::2])
 
 
 def test_transfer_rerun_is_bitwise_identical(trained, tmp_path):

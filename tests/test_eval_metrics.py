@@ -7,7 +7,7 @@ import tgtransfer.eval_metrics as em
 import tgtransfer.tgn as tgn
 from tgtransfer import temporal_graph as tg
 
-from helpers import auc_loop, predict_link
+from helpers import auc_loop, predict_link, truth_rank_row
 
 VOCAB = [f"tok{k}" for k in range(4)]
 
@@ -126,6 +126,20 @@ def test_rank_matches_full_sort_oracle():
         scores = rng.choice([0.2, 0.5, 0.8], size=n)
         truth = int(ids[rng.integers(n)])
         assert em.truth_rank(scores, ids, truth) == rank_oracle(scores, ids, truth)
+
+
+@pytest.mark.parametrize("ties", ["many", "all", "none"])
+def test_truth_rank_of_a_chunk_matches_row_by_row(ties):
+    rng = np.random.default_rng(5)
+    b, n = 30, 40
+    ids = rng.permutation(100)[:n]
+    scores = {"many": rng.choice([0.2, 0.5, 0.8], size=(b, n)), "all": np.full((b, n), 0.5),
+              "none": rng.uniform(size=(b, n))}[ties]
+    truths = ids[rng.integers(0, n, b)]
+    expect = [truth_rank_row(row, ids, int(t)) for row, t in zip(scores, truths)]
+    assert em.truth_rank(scores, ids, truths).tolist() == expect
+    with pytest.raises(ValueError):
+        em.truth_rank(scores, ids, np.where(np.arange(b) == 3, 101, truths))
 
 
 def test_mrr_and_recall_formulas():

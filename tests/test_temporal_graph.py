@@ -218,6 +218,8 @@ def assert_batch_matches_rows(idx, nodes, ts, k):
         # padded slots carry id 0, ordinal 0 and the query time, so dt is zero
         assert not ids[row, c:].any() and not ords[row, c:].any()
         assert np.array_equal(times[row, c:], np.full(k - c, ts[row]))
+    # the count-only query agrees with the tables' real slots
+    assert np.array_equal(np.minimum(idx.history_lengths(nodes, ts), k), mask.sum(axis=1))
     return mask
 
 
@@ -273,6 +275,8 @@ def test_bad_node_ids_raise_key_error():
             g.node_features[bad]
         with pytest.raises(KeyError):
             idx.batch_neighbors(np.array([0, bad]), np.array([50.0, 50.0]), 3)
+        with pytest.raises(KeyError):
+            idx.history_lengths(np.array([0, bad]), np.array([50.0, 50.0]))
     with pytest.raises(KeyError):
         g.user_features[g.num_users]
 

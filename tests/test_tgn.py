@@ -391,8 +391,11 @@ def test_embed_folds_repeated_queries(rng, n_layers):
         folded = model.embed(ctx, mem, nodes, ts, hide=hide, trace=trace).data
         calls = len(seen)
         alone = model.embed(ctx, mem, base_nodes, base_ts, hide=base_hide, trace=base_trace).data
-    # only the distinct queries reach the neighbor lookup, at every layer
-    assert seen[0] == len(base_nodes) and seen[:calls] == seen[calls:]
+    # only the distinct queries reach the neighbor lookup, at every layer; the
+    # self path below the top folds the two copies of node 0 at t=600 into one
+    assert seen[n_layers - 1] == len(base_nodes) and seen[:calls] == seen[calls:]
+    if n_layers == 2:
+        assert seen[0] == len(base_nodes) - 1
     assert folded.tobytes() == alone[rep].tobytes()
     # the top layer's trace entry keeps one row per caller query
     assert trace[-1]["alpha"].tobytes() == base_trace[-1]["alpha"][rep].tobytes()
@@ -405,6 +408,61 @@ def test_embed_folds_repeated_queries(rng, n_layers):
     # repeats sum their gradients before the layers, not after
     for name, grad in expect_grads.items():
         assert np.allclose(got_grads[name], grad, rtol=0.0, atol=1e-12), name
+
+
+def _count_top_blocks(model):
+    """Record the query count of every top-layer `_embed` call on `model`."""
+    blocks, inner = [], model._embed
+
+    def counting(ctx, h0, nodes, ts, layer, *args, **kwargs):
+        if layer == model.config.n_layers:
+            blocks.append(len(nodes))
+        return inner(ctx, h0, nodes, ts, layer, *args, **kwargs)
+
+    model._embed = counting
+    return blocks
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("hidden", [False, True])
+def test_blocked_embed_same_bytes_as_one_block(rng, monkeypatch, n_layers, hidden):
+    g = make_graph(n_events=80, seed=5, edge_dim=3)
+    model = tgn.TgnModel(small_config(n_layers=n_layers), VOCAB, 3, rng)
+    ctx = model.bind_graph(g)
+    mem = T.constant(rng.normal(size=(g.num_nodes, 8)))
+    # 60 queries, the first ten before any event (no neighbors), some repeated
+    nodes = rng.integers(0, g.num_nodes, 60)
+    ts = np.concatenate([np.zeros(10), rng.uniform(1, 600, 50)])
+    nodes[50:], ts[50:] = nodes[40:50], ts[40:50]
+    hide = rng.random(60) < 0.3 if hidden else None
+    assert ctx.index.history_lengths(nodes[:10], ts[:10]).sum() == 0
+    blocks = _count_top_blocks(model)
+    with T.no_grad():
+        one = model.embed(ctx, mem, nodes, ts, hide=hide).data
+        assert len(blocks) == 1
+        monkeypatch.setattr(tgn, "BLOCK_SLOTS", 24)
+        blocked = model.embed(ctx, mem, nodes, ts, hide=hide).data
+    assert len(blocks) > 4 and min(blocks[1:]) >= 2
+    assert blocked.tobytes() == one.tobytes()
+
+
+def test_embed_with_a_tape_or_a_trace_is_one_block(rng, monkeypatch):
+    g = make_graph(n_events=80, seed=5, edge_dim=3)
+    model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
+    ctx = model.bind_graph(g)
+    mem = T.Tensor(rng.normal(size=(g.num_nodes, 8)), requires_grad=True)
+    nodes, ts = rng.integers(0, g.num_nodes, 60), rng.uniform(1, 600, 60)
+    monkeypatch.setattr(tgn, "BLOCK_SLOTS", 24)
+    blocks = _count_top_blocks(model)
+    taped = model.embed(ctx, mem, nodes, ts).data
+    trace = []
+    with T.no_grad():
+        traced = model.embed(ctx, mem, nodes, ts, trace=trace).data
+        blocked = model.embed(ctx, mem, nodes, ts).data
+    # the taped and the traced call are one block of every distinct query
+    assert blocks[0] == blocks[1] == sum(blocks[2:]) and len(blocks) > 4
+    assert taped.tobytes() == traced.tobytes() == blocked.tobytes()
+    assert trace[0]["alpha"].shape[0] == len(nodes)
 
 
 def test_score_pairs_traces_each_layer_once_users_first(setup, rng):
