@@ -215,21 +215,20 @@ def _summary(key: str, reports) -> tuple[dict, dict, list[str]]:
 
 
 def _seed_runs(args, seeds, variant: str, g: TemporalGraph, splits, key: str):
-    """`run_variant` of `variant` on the (train, val, test) `splits` of `g`
-    once per seed, from the flags `transfer` and `sweep` share; yields
-    (result, CSV row) as each run ends."""
+    """`run_seeds` of `variant` on the (train, val, test) `splits` of `g`,
+    from the flags `transfer` and `sweep` share; yields (result, CSV row) as
+    each run ends."""
+    cfg = tr.TransferConfig(
+        nt_epochs=args.nt_epochs,
+        ft_epochs=args.ft_epochs,
+        ft_lr=args.ft_lr,
+        rank_metrics=not args.no_rank_metrics,
+        tgn=_tgn_config(args),
+    )
     src_ckpt = args.src_ckpt if variant != "nt" else None
     fgat_ckpt = args.fgat_ckpt if variant == "mintt" else None
-    for seed in seeds:
-        cfg = tr.TransferConfig(
-            nt_epochs=args.nt_epochs,
-            ft_epochs=args.ft_epochs,
-            ft_lr=args.ft_lr,
-            seed=seed,
-            rank_metrics=not args.no_rank_metrics,
-            tgn=_tgn_config(args),
-        )
-        result = tr.run_variant(variant, g, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt, splits=splits)
+    runs = tr.run_seeds(variant, g, cfg, seeds, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt, splits=splits)
+    for seed, result in zip(seeds, runs):
         yield result, _metric_row(key, seed, result.test_report.to_dict())
 
 

@@ -19,9 +19,12 @@ Nodes without neighbors in a phase still update through MLP([w5 h_u, 0]).
 The edge part of a phase is one autodiff op with a hand-written backward,
 `_edge_attention`. It projects, then gathers: `w1`, `w2`, `w6` and the
 activation act once per node row and the results are gathered per edge. The
-score applies `w4` after the activation, as GATv2 does, so it does not split
-into per-node terms: the `w3 * a_uv` block, the score, the softmax and the
-weighted sum stay per edge.
+activation acts blockwise and edge weights are nonnegative, so the score
+splits into per-node terms (static, GAT-style attention, not GATv2's):
+`act(w1 h_u) @ w4[:d] + act(w2 h_v) @ w4[d:2d] + a_uv * (act(w3) @ w4[2d:])`.
+The op still scores the per-edge `(E, 3d)` product, which fixes its bytes;
+the `w3 * a_uv` block, the score, the softmax and the weighted sum stay per
+edge.
 
 Training is masked link prediction over a pool of transformed graphs: each
 epoch samples one graph, hides half of its interaction pairs, re-encodes the

@@ -90,7 +90,8 @@ class TimeEncoder:
     """cos(dt * freq + phase) with learnable freq/phase, one channel per dim.
 
     Frequencies start geometrically spaced over [1, 1e-4] so channels cover
-    several orders of magnitude of time gaps.
+    several orders of magnitude of time gaps. One op, "time_encoder", with
+    the bytes of the composed `mul`, `add` and `cos` ops.
     """
 
     def __init__(self, prefix: str, dim: int):
@@ -104,5 +105,12 @@ class TimeEncoder:
 
     def __call__(self, pset: ParameterSet, dt: np.ndarray) -> T.Tensor:
         """dt: float array of shape (...,); returns shape (..., dim)."""
-        dt_t = T.constant(np.asarray(dt, dtype=np.float64)[..., None])
-        return T.cos(dt_t * pset[f"{self.prefix}.freq"] + pset[f"{self.prefix}.phase"])
+        freq, phase = pset[f"{self.prefix}.freq"], pset[f"{self.prefix}.phase"]
+        dt = np.asarray(dt, dtype=np.float64)[..., None]
+        x = dt * freq.data + phase.data
+
+        def backward(g):
+            g_x = -g * np.sin(x)
+            return T._unbroadcast(g_x * dt, freq.shape), T._unbroadcast(g_x, phase.shape)
+
+        return T.Tensor(np.cos(x), _parents=(freq, phase), _backward=backward, _op="time_encoder")

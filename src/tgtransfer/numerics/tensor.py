@@ -372,7 +372,14 @@ _INDEX_CELLS = 1 << 20
 
 def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """`out[k]` = sum of `values[i]` over all `i` with `idx[i] == k`, zero
-    where no `i` matches; `out` has `n` rows.
+    where no `i` matches; `out` has `n` rows. See `_index_plan`."""
+    return _index_plan(idx, n, math.prod(values.shape[1:]))(values)
+
+
+def _index_plan(idx: np.ndarray, n: int, width: int):
+    """The function that sums (len(idx), width) values as `_index_add` does:
+    the range check and the flat (row, column) indices are made once, so sums
+    over the same rows can share them.
 
     Each row is added in input order onto an initial 0.0, exactly as
     `np.add.at` on a zero array does, so results are bytewise the same.
@@ -388,20 +395,22 @@ def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
             raise IndexError(f"row index out of range for {n} rows")
         if lo < 0:
             idx = np.where(idx < 0, idx + n, idx)
-    width = math.prod(values.shape[1:])
-    rows = values.reshape(len(idx), width)
     most = max(_INDEX_CELLS // max(len(idx), 1), 1)  # columns one index may cover
     blocks = max(-(-width // most), 1)
     step = max(-(-width // blocks), 1)  # as equal as the blocks can be
-    out = np.empty((n, width))
-    flat = None
-    for j in range(0, width, step):
-        w = min(step, width - j)
-        if flat is None or flat.size != len(idx) * w:
-            flat = idx if w == 1 else (idx[:, None] * w + np.arange(w)).ravel()
-        sums = np.bincount(flat, weights=rows[:, j : j + w].ravel(), minlength=n * w)
-        out[:, j : j + w] = sums.reshape(n, w)
-    return out.reshape((n,) + values.shape[1:])
+    flats = {w: idx if w == 1 else (idx[:, None] * w + np.arange(w)).ravel()
+             for w in {min(step, width - j) for j in range(0, width, step)}}
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        rows = values.reshape(len(idx), width)
+        out = np.empty((n, width))
+        for j in range(0, width, step):
+            w = min(step, width - j)
+            sums = np.bincount(flats[w], weights=rows[:, j : j + w].ravel(), minlength=n * w)
+            out[:, j : j + w] = sums.reshape(n, w)
+        return out.reshape((n,) + values.shape[1:])
+
+    return apply
 
 
 def gather(a: Tensor, idx) -> Tensor:

@@ -247,6 +247,8 @@ def load_events(path) -> TemporalGraph:
                 ef = []
                 if has_edge_feats:
                     ef = [float(v) for v in _split_tokens(row["edge_features"] or "")]
+                    if not np.isfinite(ef).all():
+                        raise ValueError(f"non-finite edge feature in {row['edge_features']!r}")
             except (TypeError, ValueError, KeyError) as err:
                 raise IngestError(f"{path}:{lineno}: malformed row: {err}") from err
 

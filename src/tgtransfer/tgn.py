@@ -23,9 +23,9 @@ a block's per-slot arrays stay cache-sized; each row gets the bytes of one
 pass. With a tape or a trace a call is one block.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
-backward, `_temporal_attention`: the tape keeps its concatenated input and
-the attention weights, and the backward recomputes keys, values and the
-per-slot query rows instead of storing them.
+backward, `_temporal_attention`: the tape keeps its concatenated input, keys,
+values, attention weights and one plan of its sums over query rows, so the
+backward reuses the forward instead of recomputing it.
 
 Training defers each batch's memory write until just before the next batch is
 scored (values are unchanged by the delay: no optimizer step intervenes), so
@@ -150,14 +150,16 @@ def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     composed ops: concat, key and value projections, per-slot query dot
     products, a segment softmax and a segment sum.
 
-    Backward keeps the concatenated input and `alpha` only: it recomputes
-    the keys, values and per-slot query rows, then applies the softmax rule
-    `alpha * (g - segsum(alpha * g))`.
+    Backward reuses the forward's `kv_in`, keys, values, `alpha` and plan of
+    sums over `row`, and applies the softmax rule `alpha * (g - segsum(alpha * g))`.
+    Its input gradient is one product over all of `kv_in`'s columns: products
+    per input block round differently at some shapes (OpenBLAS 0.3.31, x86-64).
     """
     n, d = len(row), q.shape[1]
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     kv_in = np.concatenate([h_nbr.data, phi.data, x_uv], axis=1)
+    per_row = T._index_plan(row, b, d)
 
     def project(w, bias):
         out = T._matmul(kv_in, w.data)
@@ -166,17 +168,19 @@ def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
 
     kk = project(wk, bk)
     scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * kk).sum(axis=2) * scale
-    del kk
+    if not T._grad_enabled:
+        kk = None  # no backward will read the keys: free them before the values
     e = np.exp(scores - T._segment_max_rows(scores, row))
     alpha = e / T._index_add(row, e, b).take(row, axis=0)
-    context = T._index_add(row, (alpha[:, :, None] * project(wv, bv)).reshape(n, d), b)
+    vv = project(wv, bv)
+    context = per_row((alpha[:, :, None] * vv).reshape(n, d))
 
     def backward(g):
         g_edge = g.take(row, axis=0).reshape(n, heads, dh)
-        g_alpha = np.sum(g_edge * project(wv, bv), axis=2)
+        g_alpha = np.sum(g_edge * vv, axis=2)
         g_scores = alpha * (g_alpha - T._index_add(row, alpha * g_alpha, b).take(row, axis=0))
         g_scores = (g_scores * scale)[:, :, None]
-        g_q = T._index_add(row, (g_scores * project(wk, bk)).reshape(n, d), b)
+        g_q = per_row((g_scores * kk).reshape(n, d))
         g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
         g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
         g_kv = T._matmul(g_k, wk.data.T) + T._matmul(g_v, wv.data.T)

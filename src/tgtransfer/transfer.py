@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -266,22 +266,37 @@ def run_variant(
     fgat_ckpt=None,
     splits: tuple | None = None,
 ) -> RunResult:
-    """End-to-end variant run on a target graph.
+    """End-to-end variant run on a target graph: `run_seeds` at `cfg.seed`."""
+    return next(run_seeds(variant, g_tgt, cfg, [cfg.seed], src_ckpt, fgat_ckpt, splits))
+
+
+def run_seeds(variant: str, g_tgt: TemporalGraph, cfg: TransferConfig, seeds, src_ckpt=None,
+              fgat_ckpt=None, splits: tuple | None = None):
+    """End-to-end variant runs on a target graph, `cfg` at each of `seeds`;
+    yields each result as its run ends.
 
     Uses `cfg.split` chronological fractions unless explicit `splits`
-    (train, val, test) slices are given. Checkpoint files are verified
-    unchanged after the run; they are inputs, never outputs.
+    (train, val, test) slices are given. A transferred variant's weights,
+    initial memory and mapping depend only on the checkpoints and the
+    training slice, so they are prepared once, and every run fine-tunes its
+    own copy of the weights. Checkpoint files are verified unchanged after
+    every run; they are inputs, never outputs.
     """
     sums = [(p, _sha256(p)) for p in (src_ckpt, fgat_ckpt) if p is not None]
     if splits is None:
         splits = chronological_split(g_tgt, cfg.split)
     train_g, val_g, test_g = splits
-    setup = prepare_variant(variant, train_g, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt)
-    result = execute_run(setup, train_g, val_g, test_g, cfg)
-    for path, digest in sums:
-        if _sha256(path) != digest:
-            raise RuntimeError(f"checkpoint {path} was modified during the run")
-    return result
+    prepared = None
+    for seed in seeds:
+        run_cfg = replace(cfg, seed=seed)
+        if prepared is None or prepared.variant == "nt":  # nt's weights come from the seed
+            prepared = prepare_variant(variant, train_g, run_cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt)
+        setup = prepared._replace(model=transfer_weights(prepared.model))  # each run trains its own copy
+        result = execute_run(setup, train_g, val_g, test_g, run_cfg)
+        for path, digest in sums:
+            if _sha256(path) != digest:
+                raise RuntimeError(f"checkpoint {path} was modified during the run")
+        yield result
 
 
 def sweep_splits(g: TemporalGraph, fraction: float) -> tuple[TemporalGraph, TemporalGraph, TemporalGraph]:

@@ -327,6 +327,60 @@ def temporal_attention_composed(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, hea
     return context, alpha.data
 
 
+def temporal_attention_recompute(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+    """Recomputing reference for `tgn._temporal_attention`: its backward
+    projects the keys and values and gathers the per-slot query rows again,
+    and every sum over `row` makes its own `_index_add` plan. The library op,
+    which reuses its forward, must give the same bytes, forward and backward."""
+    n, d = len(row), q.shape[1]
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    kv_in = np.concatenate([h_nbr.data, phi.data, x_uv], axis=1)
+
+    def project(w, bias):
+        out = T._matmul(kv_in, w.data)
+        out += bias.data
+        return out.reshape(n, heads, dh)
+
+    kk = project(wk, bk)
+    scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * kk).sum(axis=2) * scale
+    e = np.exp(scores - T._segment_max_rows(scores, row))
+    alpha = e / T._index_add(row, e, b).take(row, axis=0)
+    context = T._index_add(row, (alpha[:, :, None] * project(wv, bv)).reshape(n, d), b)
+
+    def backward(g):
+        g_edge = g.take(row, axis=0).reshape(n, heads, dh)
+        g_alpha = np.sum(g_edge * project(wv, bv), axis=2)
+        g_scores = alpha * (g_alpha - T._index_add(row, alpha * g_alpha, b).take(row, axis=0))
+        g_scores = (g_scores * scale)[:, :, None]
+        g_q = T._index_add(row, (g_scores * project(wk, bk)).reshape(n, d), b)
+        g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
+        g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
+        g_kv = T._matmul(g_k, wk.data.T) + T._matmul(g_v, wv.data.T)
+        dm = h_nbr.shape[1]
+        return (
+            g_q,
+            np.ascontiguousarray(g_kv[:, :dm]),
+            np.ascontiguousarray(g_kv[:, dm : dm + phi.shape[1]]),
+            T._matmul(kv_in.T, g_k),
+            g_k.sum(axis=0),
+            T._matmul(kv_in.T, g_v),
+            g_v.sum(axis=0),
+        )
+
+    out = T.Tensor(
+        context, _parents=(q, h_nbr, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
+    )
+    return out, alpha
+
+
+def time_encoder_composed(encoder, pset, dt):
+    """`TimeEncoder.__call__` as composed `mul`, `add` and `cos` ops, the
+    reference the one-op encoder must match byte for byte."""
+    dt_t = T.constant(np.asarray(dt, dtype=np.float64)[..., None])
+    return T.cos(dt_t * pset[f"{encoder.prefix}.freq"] + pset[f"{encoder.prefix}.phase"])
+
+
 def event_batch_of(g, start, end):
     """Events `start:end` of `g` as one `EventBatch`."""
     return EventBatch(

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from tgtransfer import cli
+from tgtransfer import transfer as tr
+from tgtransfer.fgat import FgatModel
 from tgtransfer.temporal_graph import load_events
 from tgtransfer.tgn import restore
 from tgtransfer.transform import load_transformed
@@ -124,6 +126,20 @@ def test_train_tgn_deterministic_checkpoints(synth_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_tgn_rejects_non_finite_edge_features(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text(
+        "user_id,item_id,timestamp,user_feature_ids,item_feature_ids,edge_features\n"
+        "u0,i0,1.0,a,c,0.5\nu1,i0,2.0,b,c,nan\nu0,i1,3.0,a,d,1.0\n"
+    )
+    rc = cli.main(["train-tgn", "--graph", str(csv), "--epochs", "1", "--out", str(tmp_path / "m.ckpt"),
+                   *TGN_FAST])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nan.csv:3" in err[0]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def trained(synth_dir, tmp_path_factory):
     """Source checkpoint, encoder checkpoint, and target CSV via the CLI."""
@@ -240,6 +256,33 @@ def test_transfer_multi_seed_summary(trained, tmp_path, capsys):
     rows += [["mean", report["mean"]], ["std", report["std"]]]
     assert lines[1:] == [f"nt,target,{key}," + ",".join(f"{vals[m]:.6f}" for m in metrics)
                          for key, vals in rows]
+
+
+def test_transfer_seeds_share_one_mintt_preparation(trained, tmp_path, monkeypatch):
+    src_ckpt, enc_ckpt, target = trained
+    calls = {"restore": 0, "encode": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    base = ["transfer", "--variant", "mintt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+            "--fgat-ckpt", str(enc_ckpt), "--ft-epochs", "1", "--no-rank-metrics"]
+    with monkeypatch.context() as m:
+        m.setattr(tr, "restore", counted("restore", tr.restore))
+        m.setattr(FgatModel, "encode_arrays", counted("encode", FgatModel.encode_arrays))
+        assert cli.main(base + ["--seeds", "1..3", "--out", str(tmp_path / "three.json"),
+                                "--mapping-out", str(tmp_path / "three-map.json")]) == 0
+    assert calls == {"restore": 1, "encode": 2}
+    # a shared preparation gives each seed the bytes of a run of its own
+    assert cli.main(base + ["--seed", "2", "--out", str(tmp_path / "one.json"),
+                            "--mapping-out", str(tmp_path / "one-map.json")]) == 0
+    three = json.loads((tmp_path / "three.json").read_text())
+    one = json.loads((tmp_path / "one.json").read_text())
+    assert three["runs"][1] == {"seed": 2, "val": one["val"], "test": one["test"]}
+    assert (tmp_path / "three-map.json").read_bytes() == (tmp_path / "one-map.json").read_bytes()
 
 
 def _meta_blob(meta: bytes) -> bytes:

@@ -7,6 +7,7 @@ from tgtransfer.numerics import tensor as T
 
 from helpers import (
     assert_grads_match_fd, edge_attention_composed, g_theta, sample_non_edges_loop, score_link,
+    segment_softmax,
 )
 
 
@@ -284,6 +285,28 @@ def test_edge_attention_matches_composed_ops(model, graph, phase):
     assert alpha.tobytes() == expect_alpha.tobytes()
     for got, expect in zip(grads, expect_grads):
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("phase", [1, 2, 3, 4])
+def test_edge_attention_scores_split_into_per_node_terms(model, phase):
+    # leaky_relu acts blockwise and edge weights are nonnegative, so an edge's
+    # logit is a target-node term plus a source-node term plus a_uv times a
+    # constant: static, GAT-style attention
+    tg = _attention_graphs()[0]
+    table = fg.phase_plan(tg)[phase - 1]
+    H, weights, _ = _attention_inputs(model, tg, phase, seed=20 + phase)
+    w1, w2, _, w3, w4 = (w.data for w in weights)
+    d, slope = w1.shape[1], model.config.slope
+
+    def act(x):
+        return np.where(x > 0.0, x, slope * x)
+
+    per_target = act(H.data[table.start : table.start + table.count] @ w1) @ w4[:d]
+    per_source = act(H.data @ w2) @ w4[d : 2 * d]
+    logits = per_target[table.seg] + per_source[table.edge_src] + table.edge_a[:, None] * (act(w3) @ w4[2 * d :])
+    _, alpha = fg._edge_attention(H, *weights, table, slope)
+    expect = segment_softmax(T.constant(logits), table.seg, table.count).data
+    np.testing.assert_allclose(alpha, expect, rtol=0, atol=1e-12)
 
 
 def test_edge_attention_grads_match_fd(model):

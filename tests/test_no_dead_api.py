@@ -18,12 +18,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tgtransfer"
 
-# Names that only code outside the library calls. Every name that the
-# README's Python API, the `tgtransfer` console script (`cli.main`) and
-# `benchmarks/` call is also used inside the library; `neighborhoods`, the
-# per-node view of a transformed graph, is read by the acceptance suite's
-# transformation invariants (criterion 3) only.
-ENTRY_POINTS = frozenset({"neighborhoods"})
+# Names that only code outside the library calls. `run_variant`, one seed's
+# run, is called by the README's Python API, `benchmarks/` and the acceptance
+# suite, while the CLI runs its seeds through `run_seeds`; every other name
+# that the README's Python API, the `tgtransfer` console script (`cli.main`)
+# and `benchmarks/` call is also used inside the library. `neighborhoods`,
+# the per-node view of a transformed graph, is read by the acceptance
+# suite's transformation invariants (criterion 3) only.
+ENTRY_POINTS = frozenset({"neighborhoods", "run_variant"})
 
 
 def _definitions_and_names(text):

@@ -98,6 +98,18 @@ def test_edge_features_parsed(tmp_path):
         tg.load_events(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_edge_features_rejected(tmp_path, bad):
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "user_id,item_id,timestamp,user_feature_ids,item_feature_ids,edge_features\n"
+        "u,i,1,f,g,0.5|1.5\n"
+        f"u,j,2,f,h,2.0|{bad}\n"
+    )
+    with pytest.raises(tg.IngestError, match=r"e\.csv:3: .*non-finite edge feature"):
+        tg.load_events(path)
+
+
 def make_graph(n_events=20, n_users=4, n_items=5, seed=0):
     rng = np.random.default_rng(seed)
     users = rng.integers(0, n_users, n_events)

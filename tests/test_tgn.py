@@ -7,7 +7,8 @@ from tgtransfer.numerics import Adam, tensor as T
 
 from helpers import (
     assert_grads_match_fd, compute_message, embed_padded, event_batch_of, node_static_features_loop,
-    predict_link, score_pairs_padded, temporal_attention_composed,
+    predict_link, score_pairs_padded, temporal_attention_composed, temporal_attention_recompute,
+    time_encoder_composed,
 )
 
 VOCAB = [f"tok{k}" for k in range(5)]
@@ -498,11 +499,12 @@ def test_embed_and_score_pairs_reject_mismatched_lengths(setup):
             model.score_pairs(ctx, mem, np.array([0, 1, 2]), items, np.full(3, 5.0), **hides)
 
 
-def _attention_inputs(model, layer, seed):
-    # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four
+def _attention_inputs(model, layer, seed, n_slots=None):
+    # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four;
+    # or `n_slots` slots spread over 300 queries
     rng = np.random.default_rng(seed)
-    row = np.array([0, 2, 2, 2, 3, 4, 4, 4, 4])
-    n, b, d, dt = len(row), 6, model.config.d_mem, model.config.d_time
+    row = np.array([0, 2, 2, 2, 3, 4, 4, 4, 4]) if n_slots is None else np.sort(rng.integers(0, 300, n_slots))
+    n, b, d, dt = len(row), 6 if n_slots is None else 300, model.config.d_mem, model.config.d_time
     q = T.Tensor(rng.normal(size=(b, d)), requires_grad=True)
     h_nbr = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
     phi = T.Tensor(rng.normal(size=(n, dt)), requires_grad=True)
@@ -531,6 +533,78 @@ def test_temporal_attention_matches_composed_ops(rng, layer):
     assert np.array_equal(alpha[[0, 4]], np.ones((2, model.config.n_heads)))
     for got, expect in zip(grads, expect_grads):
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def _grads_bytes(tensors):
+    return [t.grad.tobytes() for t in tensors]
+
+
+# (layer, edge_dim, n_slots, split_columns); `n_slots` set means the default
+# TgnConfig widths over that many slots: products of these shapes round
+# differently when they are split into per-block products
+SAME_BYTES_CASES = [(layer, edge_dim, None, split) for layer in (1, 2) for edge_dim in (0, 3)
+                    for split in (False, True)] + [(1, 3, 60, False), (1, 3, 2000, False)]
+
+
+@pytest.mark.parametrize("layer, edge_dim, n_slots, split_columns", SAME_BYTES_CASES)
+def test_temporal_attention_same_bytes_as_recompute(monkeypatch, layer, edge_dim, n_slots, split_columns):
+    config = small_config(n_layers=2) if n_slots is None else tgn.TgnConfig()
+    model = tgn.TgnModel(config, VOCAB, edge_dim, np.random.default_rng(layer))
+    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, layer, 10 * layer + edge_dim, n_slots)
+    if split_columns:  # sums over `row` take column blocks of 3, 3 and 2 columns
+        monkeypatch.setattr(T, "_INDEX_CELLS", 3 * len(row))
+    out_w = np.random.default_rng(11).normal(size=(b, model.config.d_mem))
+    checked = [q, h_nbr, phi, *weights]
+    runs = []
+    for op in (tgn._temporal_attention, temporal_attention_recompute):
+        for t in checked:
+            t.grad = None
+        context, alpha = op(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        T.backward(T.tensor_sum(context * T.constant(out_w)))
+        runs.append([context.data.tobytes(), alpha.tobytes(), *_grads_bytes(checked)])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_time_encoder_same_bytes_as_composed_ops(rng, shape):
+    model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
+    model.pset["time.phase"].data = rng.normal(size=model.config.d_time)
+    dt = rng.uniform(0, 500, size=shape)
+    out_w = rng.normal(size=shape + (model.config.d_time,))
+    params = [model.pset["time.freq"], model.pset["time.phase"]]
+    runs = []
+    for encode in (model.time_enc.__call__, lambda pset, x: time_encoder_composed(model.time_enc, pset, x)):
+        for t in params:
+            t.grad = None
+        phi = encode(model.pset, dt)
+        T.backward(T.tensor_sum(phi * T.constant(out_w)))
+        runs.append([phi.data.tobytes(), *_grads_bytes(params)])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("config", [dict(n_layers=1), dict(n_layers=2), dict(d_mem=32, d_time=16, d_feat=32)])
+def test_training_step_same_bytes_as_recompute_and_composed_encoder(monkeypatch, config):
+    g = make_graph(n_events=80, seed=4, edge_dim=3)
+    model = tgn.TgnModel(small_config(**config), VOCAB, 3, np.random.default_rng(2))
+    ctx = model.bind_graph(g)
+    rng = np.random.default_rng(6)
+    mem = T.constant(rng.normal(size=(g.num_nodes, model.config.d_mem)))
+    b = 40  # early queries have no history; the rest have one to k real slots
+    users, items = rng.integers(0, g.num_users, b), g.num_users + rng.integers(0, g.num_items, b)
+    ts = np.sort(rng.uniform(0.0, float(g.times[-1]) + 1.0, b))
+    hide_u, hide_i = rng.random(b) < 0.3, rng.random(b) < 0.3
+    labels = rng.integers(0, 2, b)
+
+    def step():
+        model.pset.zero_grads()
+        probs = model.score_pairs(ctx, mem, users, items, ts, hide_users=hide_u, hide_items=hide_i)
+        T.backward(T.bce_loss(probs, labels), params=model.pset.tensors())
+        return [probs.data.tobytes(), *_grads_bytes(model.pset.tensors())]
+
+    fused = step()
+    monkeypatch.setattr(tgn, "_temporal_attention", temporal_attention_recompute)
+    monkeypatch.setattr(type(model.time_enc), "__call__", time_encoder_composed)
+    assert step() == fused
 
 
 def test_temporal_attention_grads_match_fd(rng):
