@@ -17,25 +17,23 @@ Each phase applies the same attention block with its own weights: per edge
 Nodes without neighbors in a phase still update through MLP([w5 h_u, 0]).
 
 The edge part of a phase is one autodiff op with a hand-written backward,
-`_edge_attention`. It projects, then gathers: `w1`, `w2`, `w6` and the
-activation act once per node row and the results are gathered per edge. The
-activation acts blockwise and edge weights are nonnegative, so the score
-splits into per-node terms (static, GAT-style attention, not GATv2's):
+`_edge_attention`. The activation acts blockwise and building a table checks
+that edge weights are nonnegative, so the score splits into per-node terms
+(static, GAT-style attention, not GATv2's) that the op forms once per row:
 `act(w1 h_u) @ w4[:d] + act(w2 h_v) @ w4[d:2d] + a_uv * (act(w3) @ w4[2d:])`.
-The op still scores the per-edge `(E, 3d)` product, which fixes its bytes;
-the `w3 * a_uv` block, the score, the softmax and the weighted sum stay per
-edge.
+A table also holds the sum plans the op runs, shared by every layer, forward
+and backward, and freed with the table.
 
 Training is masked link prediction over a pool of transformed graphs: each
 epoch samples one graph, hides half of its interaction pairs, re-encodes the
 remainder, and scores hidden pairs against equally many non-edges with a
 dot-product sigmoid decoder. Masking leaves the feature attachments alone, so
-the tables of phases 1 and 4 are built once per pool graph.
+the tables of phases 1 and 4 are built once per pool graph and those of
+phases 2 and 3 once per epoch, from the kept pairs.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -46,7 +44,7 @@ from .numerics.checkpoint import config_from, read_blob, require, write_blob
 from .numerics.nn import Mlp
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
-from .transform import StaticGraph, TransformedGraph
+from .transform import TransformedGraph
 
 UNKNOWN_ROW = 0  # embedding row for feature tokens outside the training vocab
 
@@ -70,47 +68,69 @@ class PhaseTable(NamedTuple):
     edge_src: np.ndarray
     edge_a: np.ndarray
     seg: np.ndarray  # edge -> target position, edges sorted by (tgt, src)
+    src_rows: slice  # the id range that holds every source node
+    src_pos: np.ndarray  # edge -> source position in src_rows
+    seg_starts: np.ndarray  # first edge of each target that has edges
+    seg_repeats: np.ndarray  # and its number of edges
+    seg_sums: tuple  # `_index_plan`s over seg at widths 1 and dim
+    src_sums: tuple  # `_index_plan`s over src_pos at widths 1 and dim
 
 
-def _sorted_table(start, count, tgt, src, a) -> PhaseTable:
+def _phase_table(start, count, tgt, src, a, dim) -> PhaseTable:
+    """The table of edges already sorted by (tgt, src), with the sum plans of
+    `_edge_attention` at embedding width `dim`."""
+    seg = tgt - start
+    lo, hi = (int(src.min()), int(src.max()) + 1) if len(src) else (0, 0)
+    src_pos = src - lo
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))  # seg ascends from 0 or more
+    sums = [(T._index_plan(idx, n, 1), T._index_plan(idx, n, dim)) for idx, n in ((seg, count), (src_pos, hi - lo))]
+    return PhaseTable(start, count, tgt, src, a, seg, slice(lo, hi), src_pos, starts,
+                      np.diff(starts, append=len(seg)), *sums)
+
+
+def _sorted_table(start, count, tgt, src, a, dim) -> PhaseTable:
     tgt = np.asarray(tgt, dtype=np.int64)
     src = np.asarray(src, dtype=np.int64)
     a = np.asarray(a, dtype=np.float64)
+    if not np.all(np.isfinite(a) & (a >= 0.0)):
+        raise ValueError("phase edge weights must be finite and nonnegative")
     order = np.lexsort((src, tgt))
-    tgt, src, a = tgt[order], src[order], a[order]
-    return PhaseTable(start, count, tgt, src, a, tgt - start)
+    return _phase_table(start, count, tgt[order], src[order], a[order], dim)
 
 
-def phase_plan(tg: TransformedGraph) -> list[PhaseTable]:
+def phase_plan(tg: TransformedGraph, dim: int) -> list[PhaseTable]:
     """Edge tables for the four phases of one layer, in schedule order."""
-    p1, p4 = _feature_tables(tg)
-    return [p1, *_interaction_tables(tg), p4]
+    s = tg.static
+    p1, p4 = _feature_tables(tg, dim)
+    return [p1, *_interaction_tables(s.pair_users, s.pair_items, s.pair_counts, s.num_users, s.num_items, dim), p4]
 
 
-def _feature_tables(tg: TransformedGraph) -> tuple[PhaseTable, PhaseTable]:
+def _feature_tables(tg: TransformedGraph, dim: int) -> tuple[PhaseTable, PhaseTable]:
     """Tables of phases 1 and 4, which read only the feature attachments."""
     g_count = tg.num_graph_nodes
     feat_global = tg.feature_global(tg.feat_edge_feat)
 
     # phase 1: every graph node aggregates its feature nodes, weight 1/|F_u|
     a1 = 1.0 / tg.node_features.lengths[tg.feat_edge_node]
-    p1 = _sorted_table(0, g_count, tg.feat_edge_node, feat_global, a1)
+    p1 = _sorted_table(0, g_count, tg.feat_edge_node, feat_global, a1, dim)
 
     # phase 4: feature nodes aggregate attached graph nodes, weight 1/deg
     a4 = 1.0 / tg.feature_nodes.lengths[tg.feat_edge_feat]
-    p4 = _sorted_table(g_count, tg.num_features, feat_global, tg.feat_edge_node, a4)
+    p4 = _sorted_table(g_count, tg.num_features, feat_global, tg.feat_edge_node, a4, dim)
     return p1, p4
 
 
-def _interaction_tables(tg: TransformedGraph) -> tuple[PhaseTable, PhaseTable]:
-    """Tables of phases 2 and 3: interaction-fraction edges, split by
-    aggregating side."""
-    u_count, g_count = tg.num_users, tg.num_graph_nodes
-    es, ed, ew = tg.static.edge_src, tg.static.edge_dst, tg.static.edge_weight
-    user_side = es < u_count
-    p2 = _sorted_table(0, u_count, es[user_side], ed[user_side], ew[user_side])
-    item_side = ~user_side
-    p3 = _sorted_table(u_count, g_count - u_count, es[item_side], ed[item_side], ew[item_side])
+def _interaction_tables(users, items, counts, n_users, n_items, dim) -> tuple[PhaseTable, PhaseTable]:
+    """Tables of phases 2 and 3 over (user, item) pairs in (user, item) order:
+    each side aggregates the other, weighted by its interaction fractions."""
+    cnt = counts.astype(np.float64)
+    item_g = items + n_users
+    # integer counts, so the totals are exact in any summation order
+    a2 = cnt / np.bincount(users, weights=cnt, minlength=n_users)[users]
+    p2 = _phase_table(0, n_users, users, item_g, a2, dim)
+    by_item = np.argsort(items, kind="stable")  # (item, user) order
+    a3 = cnt[by_item] / np.bincount(items, weights=cnt, minlength=n_items)[items[by_item]]
+    p3 = _phase_table(n_users, n_items, item_g[by_item], users[by_item], a3, dim)
     return p2, p3
 
 
@@ -118,67 +138,57 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
     """The attention context of one phase with at least one edge, as one op.
 
     Returns the (count, d) context as a `Tensor` with op name
-    "edge_attention", and the (E, 1) `alpha` array. Products and activations
-    are formed per node row, then gathered per edge: a matrix product row has
-    the same bytes whatever rows share the product, unless exactly one of two
-    products has a single row (one edge, or one target or source row under
-    several edges), which numpy multiplies through its matrix-vector kernel.
+    "edge_attention", and the (E, 1) `alpha` array. Products, activations and
+    scores are formed per node row: an edge's logit is its target's score
+    `act(p_t) @ w4[:d]` plus its source's `act(p_s) @ w4[d:2d]` plus
+    `a_uv * (act(w3) @ w4[2d:])`, exact as the table's weights are `>= 0`.
+    Every sum over edges runs through the table's plans.
 
-    Backward: past the softmax rule `alpha * (g - segsum(alpha * g))`, an
-    edge's score gradient reaches `w1 h_u` and `w2 h_v` through the slopes of
-    its target's and source's rows, so it is summed per node row first. Edge
-    weights are nonnegative, so `a_uv * w3` takes the slopes of `w3`.
+    Backward: past the softmax rule `alpha * (g - segsum(alpha * g))`, the
+    score gradient `g` is summed per target and per source row, which reach
+    `p_t` and `p_s` through their slopes and give the `w4` gradient
+    `[act(p_t).T @ segsum(g), act(p_s).T @ srcsum(g), act(w3) * (a @ g)]`.
     """
-    seg, src, count = table.seg, table.edge_src, table.count
+    seg, src, count = table.seg, table.src_pos, table.count
+    (seg_sum1, seg_sum), (src_sum1, src_sum) = table.seg_sums, table.src_sums
     d = w1.shape[1]
-    lo, hi = int(src.min()), int(src.max()) + 1
-    src = src - lo
-    H_t, H_s = H.data[table.start : table.start + count], H.data[lo:hi]
+    H_t, H_s = H.data[table.start : table.start + count], H.data[table.src_rows]
 
     def activate(x):
-        z = slope * x
-        if 0.0 <= slope <= 1.0:
-            np.maximum(x, z, out=z)  # the selected one of x and slope*x is the larger
-        else:
-            z = np.where(x > 0.0, x, z)
-        return z
+        return np.where(x > 0.0, x, slope * x)
 
     def slopes(x):
         return np.where(x > 0.0, 1.0, slope)
 
+    w4_t, w4_s, w4_a = w4.data[:d], w4.data[d : 2 * d], w4.data[2 * d :]
     p_t, p_s = T._matmul(H_t, w1.data), T._matmul(H_s, w2.data)
-    z = np.concatenate(
-        [
-            activate(p_t).take(seg, axis=0),
-            activate(p_s).take(src, axis=0),
-            activate(table.edge_a[:, None] * w3.data),
-        ],
-        axis=1,
-    )
-    logits = T._matmul(z, w4.data)
-    e = np.exp(logits - T._segment_max_rows(logits, seg))
-    alpha = e / T._index_add(seg, e, count).take(seg, axis=0)
+    z_t, z_s, z_a = activate(p_t), activate(p_s), activate(w3.data)
+    logits = (z_t @ w4_t).take(seg, axis=0) + (z_s @ w4_s).take(src, axis=0) + table.edge_a[:, None] * (z_a @ w4_a)
+    top = np.maximum.reduceat(logits, table.seg_starts, axis=0)
+    e = np.exp(logits - np.repeat(top, table.seg_repeats, axis=0))
+    alpha = e / seg_sum1(e).take(seg, axis=0)
     v = T._matmul(H_s, w6.data).take(src, axis=0)
-    context = T._index_add(seg, v * alpha, count)
+    context = seg_sum(v * alpha)
 
     def backward(g):
         g_edge = g.take(seg, axis=0)
         g_alpha = np.sum(g_edge * v, axis=1, keepdims=True)
-        g_logits = alpha * (g_alpha - T._index_add(seg, alpha * g_alpha, count).take(seg, axis=0))
-        w4_t, w4_s, w4_a = w4.data[:d, 0], w4.data[d : 2 * d, 0], w4.data[2 * d :, 0]
-        g_t = T._index_add(seg, g_logits, count) * w4_t * slopes(p_t)
-        g_s2 = T._index_add(src, g_logits, hi - lo) * w4_s * slopes(p_s)
-        g_s6 = T._index_add(src, g_edge * alpha, hi - lo)
+        g_logits = alpha * (g_alpha - seg_sum1(alpha * g_alpha).take(seg, axis=0))
+        g_lt, g_ls = seg_sum1(g_logits), src_sum1(g_logits)
+        g_la = table.edge_a @ g_logits[:, 0]
+        g_t = g_lt * w4_t[:, 0] * slopes(p_t)
+        g_s2 = g_ls * w4_s[:, 0] * slopes(p_s)
+        g_s6 = src_sum(g_edge * alpha)
         g_H = np.zeros_like(H.data)
         g_H[table.start : table.start + count] = g_t @ w1.data.T
-        g_H[lo:hi] += g_s2 @ w2.data.T + g_s6 @ w6.data.T
+        g_H[table.src_rows] += g_s2 @ w2.data.T + g_s6 @ w6.data.T
         return (
             g_H,
             H_t.T @ g_t,
             H_s.T @ g_s2,
             H_s.T @ g_s6,
-            w4_a * slopes(w3.data) * (table.edge_a @ g_logits[:, 0]),
-            z.T @ g_logits,
+            w4_a[:, 0] * slopes(w3.data) * g_la,
+            np.concatenate([z_t.T @ g_lt, z_s.T @ g_ls, z_a[:, None] * g_la]),
         )
 
     out = T.Tensor(context, _parents=(H, w1, w2, w6, w3, w4), _backward=backward, _op="edge_attention")
@@ -242,7 +252,7 @@ class FgatModel:
 
     def encode(self, tg: TransformedGraph, trace=None) -> T.Tensor:
         """Embeddings for all transformed-graph nodes after n_layers rounds."""
-        return self._encode(tg, phase_plan(tg), trace)
+        return self._encode(tg, phase_plan(tg, self.config.dim), trace)
 
     def _encode(self, tg: TransformedGraph, plan: list[PhaseTable], trace=None) -> T.Tensor:
         rows = self.token_rows(tg.feature_vocab)
@@ -269,20 +279,6 @@ def graph_fingerprint(tg: TransformedGraph) -> tuple:
         s.pair_counts.tobytes(),
         tuple(tg.feature_vocab),
     )
-
-
-def _masked_static(tg: TransformedGraph, keep_idx: np.ndarray) -> TransformedGraph:
-    """`tg` restricted to the interaction pairs `keep_idx`.
-
-    Feature attachments do not depend on the pairs, so the result shares
-    them with `tg` instead of rebuilding them."""
-    s = tg.static
-    visible = copy.copy(tg)
-    visible.static = StaticGraph(
-        s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx],
-        s.num_users, s.num_items,
-    )
-    return visible
 
 
 # rejection sampling is kept while it needs at most this many draws per
@@ -351,23 +347,27 @@ def train_fgat(
             raise ValueError("pool graph has fewer than 2 interaction pairs")
 
     # masking hides pairs only, so phases 1 and 4 keep their tables
-    feature_tables = [_feature_tables(tg) for tg in pool]
+    d = model.config.dim
+    feature_tables = [_feature_tables(tg, d) for tg in pool]
     opt = Adam(lr=model.config.lr)
     losses: list[float] = []
     for _ in range(epochs):
         k = int(rng.integers(0, len(pool)))
         tg = pool[k]
-        n_pairs = tg.static.num_pairs
+        s = tg.static
+        n_pairs = s.num_pairs
         n_mask = max(1, int(round(n_pairs * model.config.mask_fraction)))
         n_mask = min(n_mask, n_pairs - 1)  # always keep at least one pair
         perm = rng.permutation(n_pairs)
         mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
-        visible = _masked_static(tg, keep_idx)
         p1, p4 = feature_tables[k]
+        p2, p3 = _interaction_tables(
+            s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
+        )
 
-        H = model._encode(visible, [p1, *_interaction_tables(visible), p4])
-        pos_u = tg.static.pair_users[mask_idx]
-        pos_i = tg.static.pair_items[mask_idx] + tg.num_users
+        H = model._encode(tg, [p1, p2, p3, p4])
+        pos_u = s.pair_users[mask_idx]
+        pos_i = s.pair_items[mask_idx] + tg.num_users
         neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)
         neg_i = neg_i + tg.num_users
 

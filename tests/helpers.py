@@ -1,12 +1,16 @@
 """Shared test utilities: finite-difference gradient oracle and reference
 implementations that the vectorised library code must reproduce exactly."""
 
+import copy
+
 import numpy as np
 
+from tgtransfer import fgat
 from tgtransfer.numerics import backward
 from tgtransfer.numerics import tensor as T
 from tgtransfer.numerics.nn import Mlp
 from tgtransfer.temporal_graph import EventBatch
+from tgtransfer.transform import StaticGraph
 
 
 def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4):
@@ -214,6 +218,31 @@ def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
     alpha = segment_softmax(logits, table.seg, table.count)
     weighted = T.matmul(h_v, w6) * alpha
     return T.segment_sum(weighted, table.seg, table.count), alpha.data
+
+
+def masked_static(tg, keep_idx):
+    """`tg` restricted to the interaction pairs `keep_idx` through a rebuilt
+    `StaticGraph`; the feature attachments are shared with `tg`."""
+    s = tg.static
+    visible = copy.copy(tg)
+    visible.static = StaticGraph(
+        s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx],
+        s.num_users, s.num_items,
+    )
+    return visible
+
+
+def static_interaction_tables(tg, dim):
+    """Tables of phases 2 and 3 split off `tg.static`'s directed edge list by
+    aggregating side and sorted by `fgat._sorted_table`: the reference for
+    `fgat._interaction_tables`, which builds them from the pairs."""
+    u_count, g_count = tg.num_users, tg.num_graph_nodes
+    es, ed, ew = tg.static.edge_src, tg.static.edge_dst, tg.static.edge_weight
+    user_side = es < u_count
+    p2 = fgat._sorted_table(0, u_count, es[user_side], ed[user_side], ew[user_side], dim)
+    item_side = ~user_side
+    p3 = fgat._sorted_table(u_count, g_count - u_count, es[item_side], ed[item_side], ew[item_side], dim)
+    return p2, p3
 
 
 def score_link(h_u, h_v):

@@ -110,6 +110,7 @@ def _check_g_theta_blocks(rng, n):
             rng.integers(0, count, n_edges),
             rng.integers(0, n_nodes, n_edges),
             rng.uniform(0.1, 1.0, n_edges),
+            d,
         )
         phase = 1 + k % 4
         prefix = f"layer1.phase{phase}"

@@ -6,8 +6,8 @@ from tgtransfer import transform as tf
 from tgtransfer.numerics import tensor as T
 
 from helpers import (
-    assert_grads_match_fd, edge_attention_composed, g_theta, sample_non_edges_loop, score_link,
-    segment_softmax,
+    assert_grads_match_fd, edge_attention_composed, g_theta, masked_static, sample_non_edges_loop,
+    score_link, segment_softmax, static_interaction_tables,
 )
 
 
@@ -113,7 +113,7 @@ def test_phase_output_matches_per_node_block(rng, model):
     with T.no_grad():
         H_final = model.encode(tg, trace=trace)
     states = [s["before"] for s in trace] + [H_final.data]
-    plan = fg.phase_plan(tg)
+    plan = fg.phase_plan(tg, model.config.dim)
     for step_idx in (0, 1, 2, 3, 5):  # phases of layer 1 plus one of layer 2
         step = trace[step_idx]
         before, after = states[step_idx], states[step_idx + 1]
@@ -264,14 +264,14 @@ def _attention_inputs(model, tg, phase, seed):
     rng = np.random.default_rng(seed)
     H = T.parameter(rng.normal(size=(tg.num_nodes, model.config.dim)))
     weights = [model.pset[f"layer1.phase{phase}.{w}"] for w in WEIGHTS]
-    return H, weights, rng.normal(size=(fg.phase_plan(tg)[phase - 1].count, model.config.dim))
+    return H, weights, rng.normal(size=(fg.phase_plan(tg, model.config.dim)[phase - 1].count, model.config.dim))
 
 
 @pytest.mark.parametrize("graph", [0, 1])
 @pytest.mark.parametrize("phase", [1, 2, 3, 4])
 def test_edge_attention_matches_composed_ops(model, graph, phase):
     tg = _attention_graphs()[graph]
-    table = fg.phase_plan(tg)[phase - 1]
+    table = fg.phase_plan(tg, model.config.dim)[phase - 1]
     H, weights, out_w = _attention_inputs(model, tg, phase, seed=10 * graph + phase)
     runs = []
     for op in (fg._edge_attention, edge_attention_composed):
@@ -281,8 +281,9 @@ def test_edge_attention_matches_composed_ops(model, graph, phase):
         T.backward(T.tensor_sum(context * T.constant(out_w)))
         runs.append((context.data, alpha, [t.grad.copy() for t in [H, *weights]]))
     (context, alpha, grads), (expect_context, expect_alpha, expect_grads) = runs
-    assert context.tobytes() == expect_context.tobytes()
-    assert alpha.tobytes() == expect_alpha.tobytes()
+    # per-node scores round differently from the per-edge (E, 3d) product
+    np.testing.assert_allclose(context, expect_context, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, expect_alpha, rtol=0, atol=1e-12)
     for got, expect in zip(grads, expect_grads):
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
@@ -293,7 +294,7 @@ def test_edge_attention_scores_split_into_per_node_terms(model, phase):
     # logit is a target-node term plus a source-node term plus a_uv times a
     # constant: static, GAT-style attention
     tg = _attention_graphs()[0]
-    table = fg.phase_plan(tg)[phase - 1]
+    table = fg.phase_plan(tg, model.config.dim)[phase - 1]
     H, weights, _ = _attention_inputs(model, tg, phase, seed=20 + phase)
     w1, w2, _, w3, w4 = (w.data for w in weights)
     d, slope = w1.shape[1], model.config.slope
@@ -311,7 +312,7 @@ def test_edge_attention_scores_split_into_per_node_terms(model, phase):
 
 def test_edge_attention_grads_match_fd(model):
     tg = _attention_graphs()[0]
-    table = fg.phase_plan(tg)[1]
+    table = fg.phase_plan(tg, model.config.dim)[1]
     H, weights, out_w = _attention_inputs(model, tg, 2, seed=3)
 
     def loss():
@@ -323,11 +324,87 @@ def test_edge_attention_grads_match_fd(model):
 
 def test_edge_attention_names_itself_on_nan(model):
     tg = _attention_graphs()[0]
-    table = fg.phase_plan(tg)[1]
+    table = fg.phase_plan(tg, model.config.dim)[1]
     H, weights, _ = _attention_inputs(model, tg, 2, seed=5)
     H.data[table.edge_src[0]] = np.nan
     with pytest.raises(T.NonFiniteError, match="edge_attention"):
         fg._edge_attention(H, *weights, table, model.config.slope)
+
+
+@pytest.mark.parametrize("bad", [-0.7, np.nan, np.inf])
+def test_sorted_table_rejects_bad_edge_weights(bad):
+    # the per-node score split and the w3 gradient hold for a_uv >= 0 only
+    with pytest.raises(ValueError, match="edge weights"):
+        fg._sorted_table(0, 2, [0, 0, 1], [3, 4, 5], [0.5, bad, 0.3], 4)
+
+
+def _assert_same_table(got, expect, dim, rng):
+    for name, a, b in zip(fg.PhaseTable._fields, got, expect):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        elif isinstance(a, tuple):  # sum plans: the same sums of the same values
+            for plan_a, plan_b, width in zip(a, b, (1, dim)):
+                values = rng.normal(size=(len(got.seg), width))
+                assert plan_a(values).tobytes() == plan_b(values).tobytes(), name
+        else:
+            assert a == b, name
+
+
+def test_pair_built_tables_match_static_graph_route(rng):
+    """Phases 2 and 3 built from pairs are byte for byte the tables split off
+    a (masked) `StaticGraph`: on a full graph, a masked one, and graphs with
+    isolated nodes and with a single pair."""
+    dim = 3
+    full = make_tg(rng, n_users=6, n_items=5, n_events=40)
+    for tg in (full, *_attention_graphs()):
+        for got, expect in zip(fg.phase_plan(tg, dim)[1:3], static_interaction_tables(tg, dim)):
+            _assert_same_table(got, expect, dim, rng)
+    s = full.static
+    keep = np.sort(rng.permutation(s.num_pairs)[: s.num_pairs // 2])
+    got = fg._interaction_tables(
+        s.pair_users[keep], s.pair_items[keep], s.pair_counts[keep], s.num_users, s.num_items, dim
+    )
+    for got_table, expect in zip(got, static_interaction_tables(masked_static(full, keep), dim)):
+        _assert_same_table(got_table, expect, dim, rng)
+
+
+def test_train_fgat_builds_each_tables_plans_once(monkeypatch, rng):
+    """Phases 1 and 4 build their sum plans once per pool graph and phases 2
+    and 3 once per epoch; the attention op, forward and backward, builds
+    none."""
+    pool = [make_tg(rng, n_users=6, n_items=5, n_events=40) for _ in range(3)]
+    model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=2), [f"tok{k}" for k in range(4)], rng)
+    real_plan, real_table, real_op = T._index_plan, fg._phase_table, fg._edge_attention
+    entered, plans, where = {"table": 0, "op": 0}, {"table": 0, "op": 0, None: 0}, [None]
+
+    def within(place, fn):
+        def run(*args):
+            entered[place] += 1
+            where[0] = place
+            try:
+                return fn(*args)
+            finally:
+                where[0] = None
+        return run
+
+    def plan(*args):
+        plans[where[0]] += 1
+        return real_plan(*args)
+
+    def op(*args):
+        out, alpha = within("op", real_op)(*args)
+        out._backward = within("op", out._backward)
+        return out, alpha
+
+    monkeypatch.setattr(T, "_index_plan", plan)
+    monkeypatch.setattr(fg, "_phase_table", within("table", real_table))
+    monkeypatch.setattr(fg, "_edge_attention", op)
+    epochs = 4
+    fg.train_fgat(model, pool, epochs, np.random.default_rng(2))
+    assert entered["table"] == 2 * len(pool) + 2 * epochs
+    assert plans["table"] == 4 * entered["table"]  # over seg and over sources, at widths 1 and dim
+    assert entered["op"] == 2 * 8 * epochs  # forward and backward of 2 layers x 4 phases
+    assert plans["op"] == 0
 
 
 def test_score_link_values():
