@@ -5,7 +5,8 @@ paths, a resolved-config snapshot is written next to them, and all
 randomness flows from the --seed flag. A JSON file passed via --config
 supplies per-command defaults that explicit flags override.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O error.
+Exit codes: 0 success, 1 validation failure or a non-finite value in training,
+2 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import synthdata as sd
 from . import tgn
 from . import transfer as tr
 from .eval_metrics import summarize
-from .numerics import Adam, CheckpointError
+from .numerics import Adam, CheckpointError, NonFiniteError
 from .temporal_graph import IngestError, TemporalGraph, chronological_split, load_events
 from .transform import build_static, load_transformed, save_transformed, transform_graph
 
@@ -474,7 +475,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as err:
         return int(err.code or 0)
-    except (IngestError, CheckpointError, ValueError, RuntimeError) as err:
+    except (IngestError, CheckpointError, ValueError, RuntimeError, NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

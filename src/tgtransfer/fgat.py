@@ -16,20 +16,23 @@ Each phase applies the same attention block with its own weights: per edge
 
 Nodes without neighbors in a phase still update through MLP([w5 h_u, 0]).
 
-The edge part of a phase is one autodiff op with a hand-written backward,
-`_edge_attention`. The activation acts blockwise and building a table checks
-that edge weights are nonnegative, so the score splits into per-node terms
-(static, GAT-style attention, not GATv2's) that the op forms once per row:
+A phase is one autodiff op with a hand-written backward, `phase_update`:
+self projection, edge attention, MLP and row write. Its edge part,
+`_edge_attention`, relies on the activation acting blockwise and on a table
+check that edge weights are nonnegative, so the score splits into per-node
+terms (static, GAT-style attention, not GATv2's) formed once per row:
 `act(w1 h_u) @ w4[:d] + act(w2 h_v) @ w4[d:2d] + a_uv * (act(w3) @ w4[2d:])`.
-A table also holds the sum plans the op runs, shared by every layer, forward
-and backward, and freed with the table.
+A table also holds the sum plans the op runs, shared by every layer and
+freed with the table; one built without a tape omits the backward's plans.
 
 Training is masked link prediction over a pool of transformed graphs: each
 epoch samples one graph, hides half of its interaction pairs, re-encodes the
 remainder, and scores hidden pairs against equally many non-edges with a
-dot-product sigmoid decoder. Masking leaves the feature attachments alone, so
-the tables of phases 1 and 4 are built once per pool graph and those of
-phases 2 and 3 once per epoch, from the kept pairs.
+dot-product sigmoid decoder. The loss reads graph-node rows only, so training,
+like `encode_arrays`, stops after the last layer's phase 3, the last phase to
+write them; `encode` runs every phase. Masking leaves the feature attachments
+alone, so the tables of phases 1 and 4 are built once per pool graph and
+those of phases 2 and 3 once per epoch, from the kept pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import config_from, read_blob, require, write_blob
+from .numerics.checkpoint import check_fields, config_from, read_blob, require, write_blob
 from .numerics.nn import Mlp
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
@@ -56,6 +59,11 @@ class FgatConfig:
     lr: float = 0.005
     mask_fraction: float = 0.5
     slope: float = 0.2
+
+    def __post_init__(self):
+        check_fields(self, "count", "dim", "n_layers")
+        check_fields(self, "rate", "lr")
+        check_fields(self, "share", "mask_fraction")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -73,17 +81,18 @@ class PhaseTable(NamedTuple):
     seg_starts: np.ndarray  # first edge of each target that has edges
     seg_repeats: np.ndarray  # and its number of edges
     seg_sums: tuple  # `_index_plan`s over seg at widths 1 and dim
-    src_sums: tuple  # `_index_plan`s over src_pos at widths 1 and dim
+    src_sums: tuple  # `_index_plan`s over src_pos at widths 1 and dim; backward only
 
 
 def _phase_table(start, count, tgt, src, a, dim) -> PhaseTable:
     """The table of edges already sorted by (tgt, src), with the sum plans of
-    `_edge_attention` at embedding width `dim`."""
+    `_edge_attention` at width `dim`; without a tape, the forward's only."""
     seg = tgt - start
     lo, hi = (int(src.min()), int(src.max()) + 1) if len(src) else (0, 0)
     src_pos = src - lo
     starts = np.flatnonzero(np.diff(seg, prepend=-1))  # seg ascends from 0 or more
-    sums = [(T._index_plan(idx, n, 1), T._index_plan(idx, n, dim)) for idx, n in ((seg, count), (src_pos, hi - lo))]
+    sums = [(T._index_plan(idx, n, 1), T._index_plan(idx, n, dim)) if T._grad_enabled or idx is seg else ()
+            for idx, n in ((seg, count), (src_pos, hi - lo))]
     return PhaseTable(start, count, tgt, src, a, seg, slice(lo, hi), src_pos, starts,
                       np.diff(starts, append=len(seg)), *sums)
 
@@ -135,11 +144,11 @@ def _interaction_tables(users, items, counts, n_users, n_items, dim) -> tuple[Ph
 
 
 def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
-    """The attention context of one phase with at least one edge, as one op.
+    """The (count, d) attention context of a phase with edges, the (E, 1)
+    `alpha` array, and the map from the context's gradient to those of the
+    target rows, source rows, w1, w2, w6, w3 and w4, on arrays.
 
-    Returns the (count, d) context as a `Tensor` with op name
-    "edge_attention", and the (E, 1) `alpha` array. Products, activations and
-    scores are formed per node row: an edge's logit is its target's score
+    Products, activations and scores are formed per node row: an edge's logit is its target's score
     `act(p_t) @ w4[:d]` plus its source's `act(p_s) @ w4[d:2d]` plus
     `a_uv * (act(w3) @ w4[2d:])`, exact as the table's weights are `>= 0`.
     Every sum over edges runs through the table's plans.
@@ -150,9 +159,9 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
     `[act(p_t).T @ segsum(g), act(p_s).T @ srcsum(g), act(w3) * (a @ g)]`.
     """
     seg, src, count = table.seg, table.src_pos, table.count
-    (seg_sum1, seg_sum), (src_sum1, src_sum) = table.seg_sums, table.src_sums
+    seg_sum1, seg_sum = table.seg_sums
     d = w1.shape[1]
-    H_t, H_s = H.data[table.start : table.start + count], H.data[table.src_rows]
+    H_t, H_s = H[table.start : table.start + count], H[table.src_rows]
 
     def activate(x):
         return np.where(x > 0.0, x, slope * x)
@@ -160,18 +169,18 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
     def slopes(x):
         return np.where(x > 0.0, 1.0, slope)
 
-    w4_t, w4_s, w4_a = w4.data[:d], w4.data[d : 2 * d], w4.data[2 * d :]
-    p_t, p_s = T._matmul(H_t, w1.data), T._matmul(H_s, w2.data)
-    z_t, z_s, z_a = activate(p_t), activate(p_s), activate(w3.data)
+    w4_t, w4_s, w4_a = w4[:d], w4[d : 2 * d], w4[2 * d :]
+    p_t, p_s = T._matmul(H_t, w1), T._matmul(H_s, w2)
+    z_t, z_s, z_a = activate(p_t), activate(p_s), activate(w3)
     logits = (z_t @ w4_t).take(seg, axis=0) + (z_s @ w4_s).take(src, axis=0) + table.edge_a[:, None] * (z_a @ w4_a)
     top = np.maximum.reduceat(logits, table.seg_starts, axis=0)
     e = np.exp(logits - np.repeat(top, table.seg_repeats, axis=0))
     alpha = e / seg_sum1(e).take(seg, axis=0)
-    v = T._matmul(H_s, w6.data).take(src, axis=0)
+    v = T._matmul(H_s, w6).take(src, axis=0)
     context = seg_sum(v * alpha)
 
     def backward(g):
-        g_edge = g.take(seg, axis=0)
+        (src_sum1, src_sum), g_edge = table.src_sums, g.take(seg, axis=0)
         g_alpha = np.sum(g_edge * v, axis=1, keepdims=True)
         g_logits = alpha * (g_alpha - seg_sum1(alpha * g_alpha).take(seg, axis=0))
         g_lt, g_ls = seg_sum1(g_logits), src_sum1(g_logits)
@@ -179,20 +188,55 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
         g_t = g_lt * w4_t[:, 0] * slopes(p_t)
         g_s2 = g_ls * w4_s[:, 0] * slopes(p_s)
         g_s6 = src_sum(g_edge * alpha)
-        g_H = np.zeros_like(H.data)
-        g_H[table.start : table.start + count] = g_t @ w1.data.T
-        g_H[table.src_rows] += g_s2 @ w2.data.T + g_s6 @ w6.data.T
-        return (
-            g_H,
-            H_t.T @ g_t,
-            H_s.T @ g_s2,
-            H_s.T @ g_s6,
-            w4_a[:, 0] * slopes(w3.data) * g_la,
-            np.concatenate([z_t.T @ g_lt, z_s.T @ g_ls, z_a[:, None] * g_la]),
-        )
+        return (g_t @ w1.T, g_s2 @ w2.T + g_s6 @ w6.T, H_t.T @ g_t, H_s.T @ g_s2, H_s.T @ g_s6,
+                w4_a[:, 0] * slopes(w3) * g_la, np.concatenate([z_t.T @ g_lt, z_s.T @ g_ls, z_a[:, None] * g_la]))
 
-    out = T.Tensor(context, _parents=(H, w1, w2, w6, w3, w4), _backward=backward, _op="edge_attention")
-    return out, alpha
+    return context, alpha, backward
+
+
+def phase_update(H: T.Tensor, params: tuple, table: PhaseTable, slope: float):
+    """One phase as one op: the copy of `H` whose target rows are
+    `MLP([H_t @ w5, context])`, and the (E, 1) `alpha` array (None without
+    edges, where the context is 0). `params`: w5, the MLP's W0, b0, W1, b1
+    and, with edges, w1, w2, w6, w3, w4. It runs the numpy steps of the
+    composed `gather`, `matmul`, `concat`, `linear`, `leaky_relu` and
+    `scatter_rows` ops in order, so values and gradients keep their bytes
+    (up to the sign of zeros); H's gradient is built in one array."""
+    rows = slice(table.start, table.start + table.count)
+    w5, m_w0, m_b0, m_w1, m_b1 = (p.data for p in params[:5])
+    H_t = H.data[rows]
+    if len(params) > 5:
+        if T._grad_enabled and not table.src_sums:
+            raise ValueError("a phase table built without a tape cannot run backward")
+        context, alpha, attention_backward = _edge_attention(H.data, *(p.data for p in params[5:]), table, slope)
+    else:
+        context, alpha = np.zeros((table.count, w5.shape[1])), None
+    x = np.concatenate([T._matmul(H_t, w5), context], axis=1)
+    pre = T._matmul(x, m_w0)
+    pre += m_b0
+    hidden, hidden_backward = T._leaky_relu(pre, 0.2)  # `Mlp`'s slope
+    out = H.data.copy()
+    out[rows] = T._matmul(hidden, m_w1)
+    out[rows] += m_b1
+
+    def backward(g):
+        g_rows = g[rows]
+        g_pre = hidden_backward(T._matmul(g_rows, m_w1.T))
+        g_x = T._matmul(g_pre, m_w0.T)
+        g_self, g_context = np.ascontiguousarray(g_x[:, : w5.shape[1]]), np.ascontiguousarray(g_x[:, w5.shape[1] :])
+        g_H = g.copy()
+        grads = [g_H, T._matmul(H_t.T, g_self), T._matmul(x.T, g_pre), g_pre.sum(axis=0),
+                 T._matmul(hidden.T, g_rows), g_rows.sum(axis=0)]
+        if alpha is None:
+            g_H[rows] = T._matmul(g_self, w5.T)
+            return grads
+        g_t, g_s, *attention_grads = attention_backward(g_context)
+        g_H[rows] = g_t
+        g_H[table.src_rows] += g_s
+        g_H[rows] += T._matmul(g_self, w5.T)
+        return grads + attention_grads
+
+    return T.Tensor(out, _parents=(H, *params), _backward=backward, _op="phase_update"), alpha
 
 
 class FgatModel:
@@ -204,11 +248,7 @@ class FgatModel:
         self._token_row = {tok: k + 1 for k, tok in enumerate(self.feature_vocab)}
         self.pset = ParameterSet()
         d = config.dim
-        self.pset.add(
-            "feat.table",
-            xavier_uniform(rng, d, d, (len(self.feature_vocab) + 1, d)),
-        )
-        self._mlps: dict[tuple[int, int], Mlp] = {}
+        self.pset.add("feat.table", xavier_uniform(rng, d, d, (len(self.feature_vocab) + 1, d)))
         for layer in range(1, config.n_layers + 1):
             for phase in range(1, 5):
                 p = f"layer{layer}.phase{phase}"
@@ -216,57 +256,42 @@ class FgatModel:
                     self.pset.add(f"{p}.{w}", xavier_uniform(rng, d, d, (d, d)))
                 self.pset.add(f"{p}.w3", xavier_uniform(rng, 1, d, (d,)))
                 self.pset.add(f"{p}.w4", xavier_uniform(rng, 3 * d, 1, (3 * d, 1)))
-                mlp = Mlp(f"{p}.mlp", [2 * d, d, d])
-                mlp.init_params(self.pset, rng)
-                self._mlps[(layer, phase)] = mlp
+                Mlp(f"{p}.mlp", [2 * d, d, d]).init_params(self.pset, rng)
 
     def token_rows(self, tokens: list[str]) -> np.ndarray:
         """Embedding rows for tokens; unseen tokens share the unknown row."""
         return np.array([self._token_row.get(t, UNKNOWN_ROW) for t in tokens], dtype=np.int64)
 
-    def _phase_update(self, H: T.Tensor, table: PhaseTable, layer: int, phase: int, trace=None) -> T.Tensor:
-        pset = self.pset
-        p = f"layer{layer}.phase{phase}"
-        tgt_nodes = slice(table.start, table.start + table.count)
-        self_proj = T.matmul(T.gather(H, tgt_nodes), pset[f"{p}.w5"])
-        if len(table.edge_tgt):
-            context, alpha = _edge_attention(
-                H, *(pset[f"{p}.{w}"] for w in ("w1", "w2", "w6", "w3", "w4")), table, self.config.slope
-            )
-        else:
-            alpha = None
-            context = T.constant(np.zeros((table.count, self.config.dim)))
-        out = self._mlps[(layer, phase)](pset, T.concat([self_proj, context], axis=1))
-        if trace is not None:
-            trace.append(
-                {
-                    "layer": layer,
-                    "phase": phase,
-                    "before": H.data.copy(),
-                    "alpha": None if alpha is None else alpha[:, 0].copy(),
-                    "seg": table.seg,
-                    "targets": np.arange(table.start, table.start + table.count),
-                }
-            )
-        return T.scatter_rows(H, tgt_nodes, out)
+    def _phase_params(self, layer: int, phase: int, edges: bool) -> tuple:
+        """The `phase_update` parameters of one phase, with attention weights if `edges`."""
+        attention = ("w1", "w2", "w6", "w3", "w4") if edges else ()
+        names = ("w5", "mlp.l0.w", "mlp.l0.b", "mlp.l1.w", "mlp.l1.b", *attention)
+        return tuple(self.pset[f"layer{layer}.phase{phase}.{name}"] for name in names)
 
     def encode(self, tg: TransformedGraph, trace=None) -> T.Tensor:
         """Embeddings for all transformed-graph nodes after n_layers rounds."""
         return self._encode(tg, phase_plan(tg, self.config.dim), trace)
 
-    def _encode(self, tg: TransformedGraph, plan: list[PhaseTable], trace=None) -> T.Tensor:
-        rows = self.token_rows(tg.feature_vocab)
-        feat_h = T.gather(self.pset["feat.table"], rows)
-        zeros = T.constant(np.zeros((tg.num_graph_nodes, self.config.dim)))
-        H = T.concat([zeros, feat_h], axis=0)
-        for layer in range(1, self.config.n_layers + 1):
-            for phase in range(1, 5):
-                H = self._phase_update(H, plan[phase - 1], layer, phase, trace)
+    def _encode(self, tg: TransformedGraph, plan: list[PhaseTable], trace=None, graph_rows=False) -> T.Tensor:
+        """The schedule's phases over `plan`; `graph_rows` ends it before the
+        last layer's phase 4, which writes feature rows only."""
+        feat_h = T.gather(self.pset["feat.table"], self.token_rows(tg.feature_vocab))
+        H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, self.config.dim))), feat_h], axis=0)
+        schedule = [(layer, phase) for layer in range(1, self.config.n_layers + 1) for phase in range(1, 5)]
+        for layer, phase in schedule[:-1] if graph_rows else schedule:
+            table = plan[phase - 1]
+            params = self._phase_params(layer, phase, len(table.edge_tgt) > 0)
+            before, (H, alpha) = H.data, phase_update(H, params, table, self.config.slope)
+            if trace is not None:
+                trace.append({"layer": layer, "phase": phase, "before": before.copy(), "seg": table.seg,
+                              "alpha": None if alpha is None else alpha[:, 0].copy(),
+                              "targets": np.arange(table.start, table.start + table.count)})
         return H
 
     def encode_arrays(self, tg: TransformedGraph) -> np.ndarray:
+        """The graph-node rows of `encode`, tape-free."""
         with T.no_grad():
-            return self.encode(tg).data
+            return self._encode(tg, phase_plan(tg, self.config.dim), graph_rows=True).data[: tg.num_graph_nodes]
 
 
 def graph_fingerprint(tg: TransformedGraph) -> tuple:
@@ -365,7 +390,7 @@ def train_fgat(
             s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
         )
 
-        H = model._encode(tg, [p1, p2, p3, p4])
+        H = model._encode(tg, [p1, p2, p3, p4], graph_rows=True)
         pos_u = s.pair_users[mask_idx]
         pos_i = s.pair_items[mask_idx] + tg.num_users
         neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)

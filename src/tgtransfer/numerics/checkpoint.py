@@ -1,4 +1,4 @@
-"""On-disk checkpoint blobs.
+"""On-disk checkpoint blobs, and the field checks of config dataclasses.
 
 Layout: one line of canonical JSON (sorted keys, no whitespace) describing the
 schema version, free-form metadata, and an ordered array manifest; then a
@@ -10,6 +10,8 @@ twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import fields
 from pathlib import Path
 
@@ -107,10 +109,35 @@ def require(record, *keys: str) -> list:
 
 def config_from(cls, config):
     """`cls(**config)` for a checkpoint's config dataclass `cls`;
-    CheckpointError when `config` is not an object or has a key `cls` lacks."""
+    CheckpointError when `config` is not an object, has a key `cls` lacks or
+    holds a value `cls` rejects."""
     if not isinstance(config, dict):
         raise CheckpointError(f"checkpoint config is not an object: {config!r}")
     unknown = sorted(set(config) - {f.name for f in fields(cls)})
     if unknown:
         raise CheckpointError(f"unknown checkpoint config keys: {', '.join(unknown)}")
-    return cls(**config)
+    try:
+        return cls(**config)
+    except ValueError as err:
+        raise CheckpointError(f"bad checkpoint config: {err}") from err
+
+
+_RULES = {  # kind: (test, what a value of that kind must be)
+    "count": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1, "a positive integer"),
+    "size": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0, "an integer >= 0"),
+    "rate": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v < math.inf, "finite and >= 0"),
+    "nonnegative": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v, ">= 0"),
+    "share": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v < 1.0, "in [0, 1)"),
+    "unit": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0, "in [0, 1]"),
+    "scale": (lambda v: isinstance(v, numbers.Real) and 0.0 < v <= 1.0, "in (0, 1]"),
+}
+
+
+def check_fields(config, kind: str, *names: str) -> None:
+    """ValueError naming the first field of `names` in the config dataclass
+    `config` whose value is not of `kind` (see `_RULES`); None passes."""
+    test, what = _RULES[kind]
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not test(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")

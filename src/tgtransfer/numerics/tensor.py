@@ -237,14 +237,20 @@ def cos(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data > 0.0
+    out_data, backward = _leaky_relu(a.data, slope)
+    return Tensor(out_data, _parents=(a,), _backward=lambda g: (backward(g),), _op="leaky_relu")
+
+
+def _leaky_relu(x: np.ndarray, slope: float):
+    """`leaky_relu`'s values and its map from their gradient to `x`'s."""
+    mask = x > 0.0
     if 0.0 <= slope <= 1.0:
         # the larger of x and slope*x is the selected one; unlike np.where
         # this takes no data-dependent branch per element
-        out_data = slope * a.data
-        np.maximum(a.data, out_data, out=out_data)
+        out = slope * x
+        np.maximum(x, out, out=out)
     else:
-        out_data = np.where(mask, a.data, slope * a.data)
+        out = np.where(mask, x, slope * x)
 
     def backward(g):
         if slope + (1.0 - slope) == 1.0:
@@ -253,10 +259,10 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
             scale = mask * (1.0 - slope)
             scale += slope
             scale *= g
-            return (scale,)
-        return (g * np.where(mask, 1.0, slope),)
+            return scale
+        return g * np.where(mask, 1.0, slope)
 
-    return Tensor(out_data, _parents=(a,), _backward=backward, _op="leaky_relu")
+    return out, backward
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:

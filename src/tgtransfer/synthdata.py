@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numerics.checkpoint import check_fields
 from .temporal_graph import TemporalGraph
 
 
@@ -45,35 +46,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "n_feature_tokens": self.n_feature_tokens,
-            "n_communities": self.n_communities,
-            "n_events": self.n_events,
-            "features_per_node": self.features_per_node,
-        }
-        for name, value in counts.items():
-            if int(value) < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 <= self.signature_strength <= 1.0:
-            raise ValueError(f"signature_strength must be in [0, 1], got {self.signature_strength}")
-        if self.user_signature_strength is not None and not 0.0 <= self.user_signature_strength <= 1.0:
-            raise ValueError(
-                f"user_signature_strength must be in [0, 1], got {self.user_signature_strength}"
-            )
-        if not 0.0 <= self.item_churn < 1.0:
-            raise ValueError(f"item_churn must be in [0, 1), got {self.item_churn}")
-        if not 0.0 <= self.edge_signal <= 1.0:
-            raise ValueError(f"edge_signal must be in [0, 1], got {self.edge_signal}")
-        if np.isnan(self.sharpness) or self.sharpness < 0:
-            raise ValueError(f"sharpness must be >= 0, got {self.sharpness}")
-        if not 0.0 < self.target_scale <= 1.0:
-            raise ValueError(f"target_scale must be in (0, 1], got {self.target_scale}")
-        if self.target_event_scale is not None and not 0.0 < self.target_event_scale <= 1.0:
-            raise ValueError(
-                f"target_event_scale must be in (0, 1], got {self.target_event_scale}"
-            )
+        check_fields(self, "count", "n_users", "n_items", "n_feature_tokens", "n_communities", "n_events",
+                     "features_per_node")
+        check_fields(self, "unit", "signature_strength", "user_signature_strength", "edge_signal")
+        check_fields(self, "share", "item_churn")
+        check_fields(self, "nonnegative", "sharpness")
+        check_fields(self, "scale", "target_scale", "target_event_scale")
         if self.n_communities > min(self.n_users, self.n_items):
             raise ValueError("more communities than users or items")
         if self.features_per_node > self.n_feature_tokens // self.n_communities:

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import CheckpointError, config_from, read_blob, require, write_blob
+from .numerics.checkpoint import CheckpointError, check_fields, config_from, read_blob, require, write_blob
 from .numerics.nn import GruCell, Linear, Mlp, TimeEncoder
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
@@ -66,6 +66,14 @@ class TgnConfig:
     batch_size: int = 200
     lr: float = 0.001
     context_dropout: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self, "count", "d_mem", "d_time", "d_feat", "n_heads", "k_neighbors", "batch_size")
+        check_fields(self, "size", "n_layers")
+        check_fields(self, "rate", "lr")
+        check_fields(self, "share", "context_dropout")
+        if self.d_mem % self.n_heads:
+            raise ValueError("d_mem must be divisible by n_heads")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -205,8 +213,6 @@ class TgnModel:
     """Parameters and forward passes; graph-independent given a vocabulary."""
 
     def __init__(self, config: TgnConfig, feature_vocab: list[str], edge_dim: int, rng: np.random.Generator):
-        if config.d_mem % config.n_heads:
-            raise ValueError("d_mem must be divisible by n_heads")
         self.config = config
         self.edge_dim = int(edge_dim)
         self.feature_vocab = list(feature_vocab)

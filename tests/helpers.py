@@ -158,7 +158,7 @@ def predict_link(model, ctx, state, user, item_global, t):
 
 def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
     """Single-target FGAT attention block, the per-node reference for
-    `FgatModel._phase_update`; `neighbors` is [(node_id, h_v, a_uv)].
+    `fgat.phase_update`; `neighbors` is [(node_id, h_v, a_uv)].
 
     Neighbors are aggregated in ascending node-id order, matching the sorted
     edge tables of the vectorized path, so permuting the input list cannot
@@ -198,9 +198,10 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
 
 
 def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
-    """Composed-op reference for `fgat._edge_attention`: gather `h_u` and
-    `h_v` per edge, project them per edge, and score, normalise and sum with
-    one autodiff op per step. Returns the context and the `alpha` array."""
+    """Composed-op reference for `edge_attention_per_node`, the attention of
+    `fgat.phase_update`: gather `h_u` and `h_v` per edge, project them per
+    edge, and score, normalise and sum with one autodiff op per step.
+    Returns the context and the `alpha` array."""
     h_u = T.gather(H, table.edge_tgt)
     h_v = T.gather(H, table.edge_src)
     msg = T.leaky_relu(
@@ -218,6 +219,160 @@ def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
     alpha = segment_softmax(logits, table.seg, table.count)
     weighted = T.matmul(h_v, w6) * alpha
     return T.segment_sum(weighted, table.seg, table.count), alpha.data
+
+
+def edge_attention_per_node(H, w1, w2, w6, w3, w4, table, slope):
+    """The attention context of one phase as one autodiff op, with per-node
+    scores as in `fgat._edge_attention`: the edge part of the composed phase
+    that `phase_update_composed` runs. Returns the context `Tensor` and the
+    (E, 1) `alpha` array."""
+    seg, src, count = table.seg, table.src_pos, table.count
+    seg_sum1, seg_sum = table.seg_sums
+    d = w1.shape[1]
+    H_t, H_s = H.data[table.start : table.start + count], H.data[table.src_rows]
+
+    def activate(x):
+        return np.where(x > 0.0, x, slope * x)
+
+    def slopes(x):
+        return np.where(x > 0.0, 1.0, slope)
+
+    w4_t, w4_s, w4_a = w4.data[:d], w4.data[d : 2 * d], w4.data[2 * d :]
+    p_t, p_s = T._matmul(H_t, w1.data), T._matmul(H_s, w2.data)
+    z_t, z_s, z_a = activate(p_t), activate(p_s), activate(w3.data)
+    logits = (z_t @ w4_t).take(seg, axis=0) + (z_s @ w4_s).take(src, axis=0) + table.edge_a[:, None] * (z_a @ w4_a)
+    top = np.maximum.reduceat(logits, table.seg_starts, axis=0)
+    e = np.exp(logits - np.repeat(top, table.seg_repeats, axis=0))
+    alpha = e / seg_sum1(e).take(seg, axis=0)
+    v = T._matmul(H_s, w6.data).take(src, axis=0)
+    context = seg_sum(v * alpha)
+
+    def backward(g):
+        (src_sum1, src_sum), g_edge = table.src_sums, g.take(seg, axis=0)
+        g_alpha = np.sum(g_edge * v, axis=1, keepdims=True)
+        g_logits = alpha * (g_alpha - seg_sum1(alpha * g_alpha).take(seg, axis=0))
+        g_lt, g_ls = seg_sum1(g_logits), src_sum1(g_logits)
+        g_la = table.edge_a @ g_logits[:, 0]
+        g_t = g_lt * w4_t[:, 0] * slopes(p_t)
+        g_s2 = g_ls * w4_s[:, 0] * slopes(p_s)
+        g_s6 = src_sum(g_edge * alpha)
+        g_H = np.zeros_like(H.data)
+        g_H[table.start : table.start + count] = g_t @ w1.data.T
+        g_H[table.src_rows] += g_s2 @ w2.data.T + g_s6 @ w6.data.T
+        return (
+            g_H,
+            H_t.T @ g_t,
+            H_s.T @ g_s2,
+            H_s.T @ g_s6,
+            w4_a[:, 0] * slopes(w3.data) * g_la,
+            np.concatenate([z_t.T @ g_lt, z_s.T @ g_ls, z_a[:, None] * g_la]),
+        )
+
+    out = T.Tensor(context, _parents=(H, w1, w2, w6, w3, w4), _backward=backward, _op="edge_attention")
+    return out, alpha
+
+
+def phase_update_composed(H, params, table, slope, attention=edge_attention_per_node):
+    """Composed-op reference for `fgat.phase_update`, same arguments and
+    results: gather the targets, project them, run `attention` (an op like
+    `edge_attention_per_node`), concat, the two-layer MLP as `linear`,
+    `leaky_relu` and `linear` ops, and write the rows with `scatter_rows`."""
+    w5, m_w0, m_b0, m_w1, m_b1 = params[:5]
+    rows = slice(table.start, table.start + table.count)
+    self_proj = T.matmul(T.gather(H, rows), w5)
+    if len(params) > 5:
+        context, alpha = attention(H, *params[5:], table, slope)
+    else:
+        alpha = None
+        context = T.constant(np.zeros((table.count, w5.shape[1])))
+    hidden = T.leaky_relu(T.linear(T.concat([self_proj, context], axis=1), m_w0, m_b0))
+    return T.scatter_rows(H, rows, T.linear(hidden, m_w1, m_b1)), alpha
+
+
+def encode_composed(model, tg, plan=None):
+    """Every phase of `model`'s schedule over `tg` through
+    `phase_update_composed`: the reference for `FgatModel.encode`, and with
+    its graph-node rows for `encode_arrays`."""
+    plan = fgat.phase_plan(tg, model.config.dim) if plan is None else plan
+    feat_h = T.gather(model.pset["feat.table"], model.token_rows(tg.feature_vocab))
+    H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, model.config.dim))), feat_h], axis=0)
+    for layer in range(1, model.config.n_layers + 1):
+        for phase in range(1, 5):
+            table = plan[phase - 1]
+            params = model._phase_params(layer, phase, len(table.edge_tgt) > 0)
+            H, _ = phase_update_composed(H, params, table, model.config.slope)
+    return H
+
+
+class AdamLoop:
+    """Adam one parameter at a time, each moment its own array: the
+    reference for the flat one-pass `numerics.optim.Adam`."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = float(lr), float(beta1), float(beta2), float(eps)
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, pset):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for name, p in pset.items():
+            g = p.grad
+            m = self.m.setdefault(name, np.zeros_like(p.data))
+            v = self.v.setdefault(name, np.zeros_like(p.data))
+            tmp = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = np.divide(m, bias1)
+            step *= self.lr
+            step /= tmp
+            p.data = np.subtract(p.data, step, out=step)
+
+
+def train_fgat_composed(model, pool, epochs, rng):
+    """`fgat.train_fgat` over the full schedule through `encode_composed`,
+    stepped by `AdamLoop`; returns the per-epoch losses and leaves the last
+    epoch's gradients on the parameters."""
+    d = model.config.dim
+    feature_tables = [fgat._feature_tables(tg, d) for tg in pool]
+    opt = AdamLoop(lr=model.config.lr)
+    losses = []
+    for _ in range(epochs):
+        k = int(rng.integers(0, len(pool)))
+        tg = pool[k]
+        s = tg.static
+        n_pairs = s.num_pairs
+        n_mask = max(1, int(round(n_pairs * model.config.mask_fraction)))
+        n_mask = min(n_mask, n_pairs - 1)
+        perm = rng.permutation(n_pairs)
+        mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
+        p1, p4 = feature_tables[k]
+        p2, p3 = fgat._interaction_tables(
+            s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
+        )
+        H = encode_composed(model, tg, [p1, p2, p3, p4])
+        pos_u = s.pair_users[mask_idx]
+        pos_i = s.pair_items[mask_idx] + tg.num_users
+        neg_u, neg_i = fgat._sample_non_edges(tg, n_mask, rng)
+        neg_i = neg_i + tg.num_users
+        hu = T.gather(H, np.concatenate([pos_u, neg_u]))
+        hv = T.gather(H, np.concatenate([pos_i, neg_i]))
+        probs = T.sigmoid(T.tensor_sum(hu * hv, axis=1))
+        loss = T.bce_loss(probs, np.concatenate([np.ones(n_mask), np.zeros(n_mask)]))
+        model.pset.zero_grads()
+        T.backward(loss, params=model.pset.tensors())
+        opt.step(model.pset)
+        losses.append(float(loss.data))
+    return losses
 
 
 def masked_static(tg, keep_idx):

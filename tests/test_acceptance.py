@@ -118,7 +118,8 @@ def _check_g_theta_blocks(rng, n):
         w = rng.normal(size=(n_nodes, d))
 
         def loss():
-            return N.tensor_mean(model._phase_update(H, table, 1, phase) * N.constant(w))
+            out, _ = fg.phase_update(H, model._phase_params(1, phase, True), table, model.config.slope)
+            return N.tensor_mean(out * N.constant(w))
 
         checked = [H] + [model.pset[f"{prefix}.w{j}"] for j in range(1, 7)]
         checked.append(model.pset[f"{prefix}.mlp.l0.w"])

@@ -189,6 +189,47 @@ def test_train_fgat_forbid_rejects_pool_member(trained, tmp_path, capsys):
     assert "forbidden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, says", [
+    ("train-fgat", "--dim", "0", "dim must be a positive integer, got 0"),
+    ("train-fgat", "--layers", "0", "n_layers must be a positive integer, got 0"),
+    ("train-fgat", "--lr", "nan", "lr must be finite and >= 0, got nan"),
+    ("train-fgat", "--lr", "-1", "lr must be finite and >= 0, got -1.0"),
+    ("train-tgn", "--d-mem", "0", "d_mem must be a positive integer, got 0"),
+    ("train-tgn", "--d-feat", "0", "d_feat must be a positive integer, got 0"),
+    ("train-tgn", "--heads", "0", "n_heads must be a positive integer, got 0"),
+    ("train-tgn", "--k-neighbors", "0", "k_neighbors must be a positive integer, got 0"),
+    ("train-tgn", "--layers", "-1", "n_layers must be an integer >= 0, got -1"),
+    ("train-tgn", "--lr", "nan", "lr must be finite and >= 0, got nan"),
+    ("train-tgn", "--lr", "-1", "lr must be finite and >= 0, got -1.0"),
+    ("train-tgn", "--context-dropout", "-0.5", "context_dropout must be in [0, 1), got -0.5"),
+])
+def test_bad_model_config_is_one_error_line(trained, tmp_path, capsys, command, flag, value, says):
+    """A config field out of range stops the command before training, as one
+    `error:` line that names the field."""
+    pool = Path(str(trained[1])).parent / "pool"
+    source = ["--pool", str(pool)] if command == "train-fgat" else ["--graph", str(trained[2])]
+    out = tmp_path / "model.ckpt"
+    rc = cli.main([command, *source, "--epochs", "1", "--out", str(out), flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {says}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-fgat", "train-tgn"])
+def test_diverging_training_is_an_error_line(trained, tmp_path, capsys, command):
+    """A learning rate that drives the parameters to overflow ends the
+    command with an `error:` line naming the op, not a traceback."""
+    pool = Path(str(trained[1])).parent / "pool"
+    source = ["--pool", str(pool)] if command == "train-fgat" else ["--graph", str(trained[2]), *TGN_FAST]
+    out = tmp_path / "model.ckpt"
+    with np.errstate(all="ignore"):
+        rc = cli.main([command, *source, "--epochs", "5", "--out", str(out), "--lr", "1e300"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite values produced by op '")
+    assert not out.exists()
+
+
 # -- transfer ---------------------------------------------------------------------
 
 
@@ -302,8 +343,11 @@ FGAT_META = b'"feature_vocab":[],"kind":"fgat-checkpoint"'
     ("restore", _meta_blob(b'"config":[8],' + TGN_META), "config is not an object"),
     ("load_fgat", _meta_blob(b'"config":{"bogus":1,"dim":8},' + FGAT_META), "unknown checkpoint config keys: bogus"),
     ("load_fgat", _meta_blob(b'"config":"dim=8",' + FGAT_META), "config is not an object"),
+    ("restore", _meta_blob(b'"config":{"k_neighbors":0},' + TGN_META), "config: k_neighbors must be a positive"),
+    ("load_fgat", _meta_blob(b'"config":{"dim":"8"},' + FGAT_META), "config: dim must be a positive integer, got '8'"),
 ], ids=["no-arrays", "list", "entry-without-shape", "meta-without-config",
-        "tgn-unknown-config-key", "tgn-config-not-object", "fgat-unknown-config-key", "fgat-config-not-object"])
+        "tgn-unknown-config-key", "tgn-config-not-object", "fgat-unknown-config-key", "fgat-config-not-object",
+        "tgn-invalid-config", "fgat-invalid-config"])
 def test_transfer_reports_malformed_checkpoint(trained, tmp_path, capsys, loader, header, says):
     src_ckpt, _, target = trained
     ckpt = tmp_path / "bad.ckpt"

@@ -6,8 +6,9 @@ from tgtransfer import transform as tf
 from tgtransfer.numerics import tensor as T
 
 from helpers import (
-    assert_grads_match_fd, edge_attention_composed, g_theta, masked_static, sample_non_edges_loop,
-    score_link, segment_softmax, static_interaction_tables,
+    assert_grads_match_fd, edge_attention_composed, encode_composed, g_theta, masked_static,
+    phase_update_composed, sample_non_edges_loop, score_link, segment_softmax, static_interaction_tables,
+    train_fgat_composed,
 )
 
 
@@ -241,9 +242,6 @@ def test_layer_gradients_match_fd(rng):
     assert_grads_match_fd(loss, checked, rng, n_coords=3, tol=1e-4)
 
 
-WEIGHTS = ("w1", "w2", "w6", "w3", "w4")
-
-
 def _attention_graphs():
     # users 0 and 4, item 3, user 0's feature row and token 3 have no
     # neighbours in their phases; item 0 is the source of three user edges
@@ -260,32 +258,76 @@ def _attention_graphs():
     return isolated, single
 
 
-def _attention_inputs(model, tg, phase, seed):
+def _overlapping_table(dim):
+    """Targets 0-2 whose sources 1-4 overlap them; target 1 has no edges."""
+    return fg._sorted_table(0, 3, [0, 0, 2, 2, 2], [1, 4, 2, 3, 0], [0.5, 0.2, 1.0, 0.3, 0.7], dim)
+
+
+def _update_inputs(model, tg, table, phase, seed):
+    """A random H to update, the phase's parameters, moved off their start
+    so that the biases are not zero, and output weights."""
     rng = np.random.default_rng(seed)
     H = T.parameter(rng.normal(size=(tg.num_nodes, model.config.dim)))
-    weights = [model.pset[f"layer1.phase{phase}.{w}"] for w in WEIGHTS]
-    return H, weights, rng.normal(size=(fg.phase_plan(tg, model.config.dim)[phase - 1].count, model.config.dim))
+    params = model._phase_params(1, phase, len(table.edge_tgt) > 0)
+    for p in params:
+        p.data = p.data + 0.1 * rng.normal(size=p.shape)
+    return H, params, rng.normal(size=H.shape)
+
+
+def _update_runs(model, tg, table, phase, seed, ops):
+    """Output, alpha and the gradients of H and every parameter, per op."""
+    H, params, out_w = _update_inputs(model, tg, table, phase, seed)
+    runs = []
+    for op in ops:
+        for t in [H, *params]:
+            t.grad = None
+        out, alpha = op(H, params, table, model.config.slope)
+        T.backward(T.tensor_sum(out * T.constant(out_w)))
+        runs.append((out.data, alpha, [t.grad.copy() for t in [H, *params]]))
+    return runs
 
 
 @pytest.mark.parametrize("graph", [0, 1])
 @pytest.mark.parametrize("phase", [1, 2, 3, 4])
 def test_edge_attention_matches_composed_ops(model, graph, phase):
+    """`phase_update` against the composed phase whose attention runs one
+    op per step over per-edge rows (`edge_attention_composed`)."""
     tg = _attention_graphs()[graph]
     table = fg.phase_plan(tg, model.config.dim)[phase - 1]
-    H, weights, out_w = _attention_inputs(model, tg, phase, seed=10 * graph + phase)
-    runs = []
-    for op in (fg._edge_attention, edge_attention_composed):
-        for t in [H, *weights]:
-            t.grad = None
-        context, alpha = op(H, *weights, table, model.config.slope)
-        T.backward(T.tensor_sum(context * T.constant(out_w)))
-        runs.append((context.data, alpha, [t.grad.copy() for t in [H, *weights]]))
-    (context, alpha, grads), (expect_context, expect_alpha, expect_grads) = runs
+
+    def composed(*args):
+        return phase_update_composed(*args, attention=edge_attention_composed)
+
+    (out, alpha, grads), (expect, expect_alpha, expect_grads) = _update_runs(
+        model, tg, table, phase, 10 * graph + phase, (fg.phase_update, composed)
+    )
     # per-node scores round differently from the per-edge (E, 3d) product
-    np.testing.assert_allclose(context, expect_context, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(alpha, expect_alpha, rtol=0, atol=1e-12)
-    for got, expect in zip(grads, expect_grads):
-        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+    if alpha is not None:
+        np.testing.assert_allclose(alpha, expect_alpha, rtol=0, atol=1e-12)
+    for got, want in zip(grads, expect_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph", [0, 1, "overlap"])
+@pytest.mark.parametrize("phase", [1, 2, 3, 4])
+def test_phase_update_keeps_the_composed_phase_bytes(model, graph, phase):
+    """The one-op phase gives the composed phase's output and alpha byte for
+    byte and its gradients exactly (up to the sign of zeros), on phases
+    with and without edges and on sources that overlap the targets."""
+    if graph == "overlap":
+        tg, table = _attention_graphs()[0], _overlapping_table(model.config.dim)
+    else:
+        tg = _attention_graphs()[graph]
+        table = fg.phase_plan(tg, model.config.dim)[phase - 1]
+    (out, alpha, grads), (expect, expect_alpha, expect_grads) = _update_runs(
+        model, tg, table, phase, 30 + phase, (fg.phase_update, phase_update_composed)
+    )
+    assert out.tobytes() == expect.tobytes()
+    assert (alpha is None) == (expect_alpha is None) == (len(table.edge_tgt) == 0)
+    assert alpha is None or alpha.tobytes() == expect_alpha.tobytes()
+    for got, want in zip(grads, expect_grads):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("phase", [1, 2, 3, 4])
@@ -295,8 +337,8 @@ def test_edge_attention_scores_split_into_per_node_terms(model, phase):
     # constant: static, GAT-style attention
     tg = _attention_graphs()[0]
     table = fg.phase_plan(tg, model.config.dim)[phase - 1]
-    H, weights, _ = _attention_inputs(model, tg, phase, seed=20 + phase)
-    w1, w2, _, w3, w4 = (w.data for w in weights)
+    H, params, _ = _update_inputs(model, tg, table, phase, seed=20 + phase)
+    w1, w2, _, w3, w4 = (w.data for w in params[5:])
     d, slope = w1.shape[1], model.config.slope
 
     def act(x):
@@ -305,30 +347,36 @@ def test_edge_attention_scores_split_into_per_node_terms(model, phase):
     per_target = act(H.data[table.start : table.start + table.count] @ w1) @ w4[:d]
     per_source = act(H.data @ w2) @ w4[d : 2 * d]
     logits = per_target[table.seg] + per_source[table.edge_src] + table.edge_a[:, None] * (act(w3) @ w4[2 * d :])
-    _, alpha = fg._edge_attention(H, *weights, table, slope)
+    _, alpha = fg.phase_update(H, params, table, slope)
     expect = segment_softmax(T.constant(logits), table.seg, table.count).data
     np.testing.assert_allclose(alpha, expect, rtol=0, atol=1e-12)
 
 
-def test_edge_attention_grads_match_fd(model):
-    tg = _attention_graphs()[0]
-    table = fg.phase_plan(tg, model.config.dim)[1]
-    H, weights, out_w = _attention_inputs(model, tg, 2, seed=3)
+def _assert_update_grads_match_fd(model, table):
+    H, params, out_w = _update_inputs(model, _attention_graphs()[0], table, 2, seed=3)
 
     def loss():
-        context, _ = fg._edge_attention(H, *weights, table, model.config.slope)
-        return T.tensor_mean(context * T.constant(out_w))
+        out, _ = fg.phase_update(H, params, table, model.config.slope)
+        return T.tensor_mean(out * T.constant(out_w))
 
-    assert_grads_match_fd(loss, [H, *weights], np.random.default_rng(4))
+    assert_grads_match_fd(loss, [H, *params], np.random.default_rng(4))
+
+
+def test_edge_attention_grads_match_fd(model):
+    _assert_update_grads_match_fd(model, fg.phase_plan(_attention_graphs()[0], model.config.dim)[1])
+
+
+def test_phase_update_grads_match_fd_on_overlapping_sources(model):
+    _assert_update_grads_match_fd(model, _overlapping_table(model.config.dim))
 
 
 def test_edge_attention_names_itself_on_nan(model):
     tg = _attention_graphs()[0]
     table = fg.phase_plan(tg, model.config.dim)[1]
-    H, weights, _ = _attention_inputs(model, tg, 2, seed=5)
+    H, params, _ = _update_inputs(model, tg, table, 2, seed=5)
     H.data[table.edge_src[0]] = np.nan
-    with pytest.raises(T.NonFiniteError, match="edge_attention"):
-        fg._edge_attention(H, *weights, table, model.config.slope)
+    with pytest.raises(T.NonFiniteError, match="phase_update"):
+        fg.phase_update(H, params, table, model.config.slope)
 
 
 @pytest.mark.parametrize("bad", [-0.7, np.nan, np.inf])
@@ -370,11 +418,10 @@ def test_pair_built_tables_match_static_graph_route(rng):
 
 def test_train_fgat_builds_each_tables_plans_once(monkeypatch, rng):
     """Phases 1 and 4 build their sum plans once per pool graph and phases 2
-    and 3 once per epoch; the attention op, forward and backward, builds
-    none."""
+    and 3 once per epoch; the phase op, forward and backward, builds none.
+    Each epoch runs every phase but the last layer's phase 4."""
     pool = [make_tg(rng, n_users=6, n_items=5, n_events=40) for _ in range(3)]
-    model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=2), [f"tok{k}" for k in range(4)], rng)
-    real_plan, real_table, real_op = T._index_plan, fg._phase_table, fg._edge_attention
+    real_plan, real_table, real_op = T._index_plan, fg._phase_table, fg.phase_update
     entered, plans, where = {"table": 0, "op": 0}, {"table": 0, "op": 0, None: 0}, [None]
 
     def within(place, fn):
@@ -398,13 +445,78 @@ def test_train_fgat_builds_each_tables_plans_once(monkeypatch, rng):
 
     monkeypatch.setattr(T, "_index_plan", plan)
     monkeypatch.setattr(fg, "_phase_table", within("table", real_table))
-    monkeypatch.setattr(fg, "_edge_attention", op)
+    monkeypatch.setattr(fg, "phase_update", op)
     epochs = 4
-    fg.train_fgat(model, pool, epochs, np.random.default_rng(2))
-    assert entered["table"] == 2 * len(pool) + 2 * epochs
-    assert plans["table"] == 4 * entered["table"]  # over seg and over sources, at widths 1 and dim
-    assert entered["op"] == 2 * 8 * epochs  # forward and backward of 2 layers x 4 phases
-    assert plans["op"] == 0
+    for n_layers in (1, 2):
+        entered.update(table=0, op=0)
+        plans.update(table=0, op=0)
+        model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers), [f"tok{k}" for k in range(4)], rng)
+        fg.train_fgat(model, pool, epochs, np.random.default_rng(2))
+        assert entered["table"] == 2 * len(pool) + 2 * epochs
+        assert plans["table"] == 4 * entered["table"]  # over seg and over sources, at widths 1 and dim
+        assert entered["op"] == 2 * (4 * n_layers - 1) * epochs  # forward and backward of each phase run
+        assert plans["op"] == 0
+
+
+def test_tape_free_tables_build_only_the_forward_plans(monkeypatch, rng):
+    """Two sum plans per table without a tape (over seg), four with one."""
+    tg = make_tg(rng)
+    count = [0]
+    real_plan = T._index_plan
+
+    def plan(*args):
+        count[0] += 1
+        return real_plan(*args)
+
+    monkeypatch.setattr(T, "_index_plan", plan)
+    with T.no_grad():
+        tables = fg.phase_plan(tg, 8)
+    assert count[0] == 2 * 4 and all(t.src_sums == () for t in tables)
+    fg.phase_plan(tg, 8)
+    assert count[0] == 2 * 4 + 4 * 4
+    model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=1), [f"tok{k}" for k in range(4)], rng)
+    H, params, _ = _update_inputs(model, tg, tables[1], 2, seed=0)
+    with pytest.raises(ValueError, match="without a tape"):
+        fg.phase_update(H, params, tables[1], model.config.slope)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_full_schedule_gives_the_last_phase_4_zero_gradient(rng, n_layers):
+    """The premise of ending training at the last layer's phase 3: under the
+    full schedule, the loss gives that layer's phase-4 parameters exactly
+    zero gradient (phase 4 writes feature rows, which the loss never reads)."""
+    vocab = [f"tok{k}" for k in range(6)]
+    pool = [make_tg(rng, n_users=8, n_items=6, vocab_size=6, n_events=60) for _ in range(3)]
+    model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers), vocab, np.random.default_rng(1))
+    for seed in range(3):
+        train_fgat_composed(model, pool, 1, np.random.default_rng(seed))
+        last = [t for name, t in model.pset.items() if name.startswith(f"layer{n_layers}.phase4.")]
+        assert len(last) == 10 and all(not t.grad.any() for t in last)
+        assert model.pset[f"layer{n_layers}.phase3.w5"].grad.any()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_train_fgat_keeps_the_composed_full_schedule_bytes(rng, n_layers):
+    """Losses and parameters byte for byte as the composed phases over every
+    phase of the schedule, stepped by a per-parameter Adam."""
+    vocab = [f"tok{k}" for k in range(6)]
+    pool = [make_tg(rng, n_users=8, n_items=6, vocab_size=6, n_events=60) for _ in range(3)]
+    models = [fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers, lr=0.02), vocab, np.random.default_rng(6))
+              for _ in range(2)]
+    got = fg.train_fgat(models[0], pool, 8, np.random.default_rng(7))
+    expect = train_fgat_composed(models[1], pool, 8, np.random.default_rng(7))
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
+    for (name, a), (_, b) in zip(models[0].pset.items(), models[1].pset.items()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_encode_arrays_are_the_graph_rows_of_every_phase(rng, model):
+    tg = make_tg(rng, n_users=6, n_items=5, n_events=40)
+    with T.no_grad():
+        expect = encode_composed(model, tg).data[: tg.num_graph_nodes]
+    got = model.encode_arrays(tg)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+    assert model.encode(tg).data.tobytes() == encode_composed(model, tg).data.tobytes()
 
 
 def test_score_link_values():

@@ -4,7 +4,7 @@ import pytest
 import tgtransfer.numerics as N
 from tgtransfer.numerics import tensor as T
 
-from helpers import assert_grads_match_fd, div, segment_softmax, softmax
+from helpers import AdamLoop, assert_grads_match_fd, div, segment_softmax, softmax
 
 
 @pytest.fixture
@@ -596,6 +596,37 @@ def test_adam_bytes_match_the_update_expression(rng):
         assert state[f"m.{name}"].tobytes() == m[name].tobytes()
         assert state[f"v.{name}"].tobytes() == v[name].tobytes()
     assert state["__step__"][0] == 20.0
+
+
+def test_adam_bytes_match_a_per_parameter_loop_across_load_state(rng):
+    """The flat one-pass update equals a per-parameter loop byte for byte,
+    also when the run moves to a new optimizer through `load_state`
+    midway, and on a parameter whose gradient is zero (of either sign)."""
+    shapes = {"b": (5,), "a": (3, 4), "z": (2, 2), "c": (1, 1)}
+    psets = [N.ParameterSet(), N.ParameterSet()]
+    for name, shape in shapes.items():
+        value = rng.normal(size=shape)
+        for pset in psets:
+            pset.add(name, value.copy())
+    opt, ref = N.Adam(lr=0.01), AdamLoop(lr=0.01)
+    for t in range(1, 13):
+        for name, shape in shapes.items():
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+            if name == "z":
+                g = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            for pset in psets:
+                pset[name].grad = g.copy()
+        if t == 6:
+            opt = N.Adam(lr=0.01)
+            opt.load_state(state)
+        opt.step(psets[0])
+        ref.step(psets[1])
+        state = opt.state_arrays()
+    for name, p in psets[0].items():
+        assert p.data.tobytes() == psets[1][name].data.tobytes(), name
+        assert state[f"m.{name}"].tobytes() == ref.m[name].tobytes(), name
+        assert state[f"v.{name}"].tobytes() == ref.v[name].tobytes(), name
+    assert state["__step__"][0] == 12.0
 
 
 def test_adam_state_snapshot_is_not_updated_by_later_steps():
