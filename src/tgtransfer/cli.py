@@ -104,6 +104,27 @@ def _add_tgn_flags(sub) -> None:
                      help="training-time chance to hide a node's neighbor context")
 
 
+def _add_run_flags(sub, own: dict, transfer: bool = False) -> None:
+    """The flags `transfer` and `sweep` share, in help order, with the
+    command's `own` flags (flag -> add_argument keywords) after the
+    checkpoints; only `transfer` documents --seeds and takes --mapping-out."""
+    sub.add_argument("--src-ckpt")
+    sub.add_argument("--fgat-ckpt")
+    for flag, kw in own.items():
+        sub.add_argument(flag, **kw)
+    sub.add_argument("--ft-epochs", type=int, default=5)
+    sub.add_argument("--nt-epochs", type=int, default=30)
+    sub.add_argument("--ft-lr", type=float, default=None,
+                     help="fine-tuning learning rate for wt/mintt (defaults to --lr)")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seeds", help="'1..5' or '1,3,9'; overrides --seed" if transfer else None)
+    sub.add_argument("--out", required=True)
+    if transfer:
+        sub.add_argument("--mapping-out", help="write the memory mapping JSON here")
+    sub.add_argument("--no-rank-metrics", action="store_true")
+    _add_tgn_flags(sub)
+
+
 def _write_loss_csv(path, losses) -> None:
     lines = ["epoch,loss"] + [f"{e},{v!r}" for e, v in enumerate(losses, start=1)]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -396,36 +417,11 @@ def build_parser():
 
     p = sub("transfer", cmd_transfer, help="run one variant on a target events CSV")
     p.add_argument("--variant", required=True, choices=tr.VARIANTS)
-    p.add_argument("--src-ckpt")
-    p.add_argument("--fgat-ckpt")
-    p.add_argument("--target", required=True)
-    p.add_argument("--split", default="0.1,0.45,0.45")
-    p.add_argument("--ft-epochs", type=int, default=5)
-    p.add_argument("--nt-epochs", type=int, default=30)
-    p.add_argument("--ft-lr", type=float, default=None,
-                   help="fine-tuning learning rate for wt/mintt (defaults to --lr)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", help="'1..5' or '1,3,9'; overrides --seed")
-    p.add_argument("--out", required=True)
-    p.add_argument("--mapping-out", help="write the memory mapping JSON here")
-    p.add_argument("--no-rank-metrics", action="store_true")
-    _add_tgn_flags(p)
+    _add_run_flags(p, {"--target": {"required": True}, "--split": {"default": "0.1,0.45,0.45"}}, transfer=True)
 
     p = sub("sweep", cmd_sweep, help="scarcity grid with fixed 20%%/30%% val/test windows")
     p.add_argument("--target", required=True)
-    p.add_argument("--src-ckpt")
-    p.add_argument("--fgat-ckpt")
-    p.add_argument("--fractions", default="0.5,0.3,0.1")
-    p.add_argument("--variants", default="nt,wt,mintt")
-    p.add_argument("--ft-epochs", type=int, default=5)
-    p.add_argument("--nt-epochs", type=int, default=30)
-    p.add_argument("--ft-lr", type=float, default=None,
-                   help="fine-tuning learning rate for wt/mintt (defaults to --lr)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds")
-    p.add_argument("--out", required=True)
-    p.add_argument("--no-rank-metrics", action="store_true")
-    _add_tgn_flags(p)
+    _add_run_flags(p, {"--fractions": {"default": "0.5,0.3,0.1"}, "--variants": {"default": "nt,wt,mintt"}})
 
     p = sub("plot", cmd_plot, help="sweep CSV -> AP-vs-fraction curve CSV")
     p.add_argument("--sweep", required=True)

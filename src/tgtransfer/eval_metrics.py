@@ -120,20 +120,15 @@ def summarize(values) -> tuple[float, float]:
 
 
 def _catalog_scores(model: TgnModel, ctx: GraphContext, mem, users, ts) -> np.ndarray:
-    """(B, num_items) probabilities of every item for each (user, t) query.
-
-    Items and users are embedded in one call, so they share one neighbor
-    lookup and one static feature table.
+    """(B, num_items) probabilities of every item for each (user, t) query:
+    one `score_pairs` call on every (user, catalog item) pair, whose one
+    `embed` call folds the repeated user queries and shares one neighbor
+    lookup and one static feature table between users and items.
     """
     n_items = ctx.graph.num_items
-    b = len(users)
-    items_g = np.tile(np.arange(n_items, dtype=np.int64) + ctx.graph.num_users, b)
-    nodes = np.concatenate([items_g, users])
-    h = model.embed(ctx, mem, nodes, np.concatenate([np.repeat(ts, n_items), ts]))
-    pairs = b * n_items
-    h_users_rep = T.gather(h, pairs + np.repeat(np.arange(b), n_items))
-    logits = model.decoder(model.pset, T.concat([h_users_rep, T.gather(h, slice(0, pairs))], axis=1))
-    return T.sigmoid(logits).data.reshape(b, n_items)
+    items_g = np.tile(np.arange(n_items, dtype=np.int64) + ctx.graph.num_users, len(users))
+    probs = model.score_pairs(ctx, mem, np.repeat(users, n_items), items_g, np.repeat(ts, n_items))
+    return probs.data.reshape(len(users), n_items)
 
 
 def evaluate(

@@ -22,17 +22,20 @@ self projection, edge attention, MLP and row write. Its edge part,
 check that edge weights are nonnegative, so the score splits into per-node
 terms (static, GAT-style attention, not GATv2's) formed once per row:
 `act(w1 h_u) @ w4[:d] + act(w2 h_v) @ w4[d:2d] + a_uv * (act(w3) @ w4[2d:])`.
-A table also holds the sum plans the op runs, shared by every layer and
-freed with the table; one built without a tape omits the backward's plans.
+Its activation and segment softmax, with their backward rules, are the
+`numerics.tensor` ones the MLPs and TGN's attention use. A table also holds
+the sum plans the op runs, shared by every layer and freed with the table;
+one built without a tape omits the backward's plans.
 
 Training is masked link prediction over a pool of transformed graphs: each
 epoch samples one graph, hides half of its interaction pairs, re-encodes the
 remainder, and scores hidden pairs against equally many non-edges with a
-dot-product sigmoid decoder. The loss reads graph-node rows only, so training,
-like `encode_arrays`, stops after the last layer's phase 3, the last phase to
-write them; `encode` runs every phase. Masking leaves the feature attachments
-alone, so the tables of phases 1 and 4 are built once per pool graph and
-those of phases 2 and 3 once per epoch, from the kept pairs.
+dot-product sigmoid decoder. The loss reads graph-node rows only, so training
+and `encode_arrays` call `encode` with `graph_rows`, which stops after the
+last layer's phase 3, the last phase to write them; by default `encode` runs
+every phase. Masking leaves the feature attachments alone, so the tables of
+phases 1 and 4 are built once per pool graph and those of phases 2 and 3 once
+per epoch, from the kept pairs.
 """
 
 from __future__ import annotations
@@ -78,8 +81,6 @@ class PhaseTable(NamedTuple):
     seg: np.ndarray  # edge -> target position, edges sorted by (tgt, src)
     src_rows: slice  # the id range that holds every source node
     src_pos: np.ndarray  # edge -> source position in src_rows
-    seg_starts: np.ndarray  # first edge of each target that has edges
-    seg_repeats: np.ndarray  # and its number of edges
     seg_sums: tuple  # `_index_plan`s over seg at widths 1 and dim
     src_sums: tuple  # `_index_plan`s over src_pos at widths 1 and dim; backward only
 
@@ -90,11 +91,9 @@ def _phase_table(start, count, tgt, src, a, dim) -> PhaseTable:
     seg = tgt - start
     lo, hi = (int(src.min()), int(src.max()) + 1) if len(src) else (0, 0)
     src_pos = src - lo
-    starts = np.flatnonzero(np.diff(seg, prepend=-1))  # seg ascends from 0 or more
     sums = [(T._index_plan(idx, n, 1), T._index_plan(idx, n, dim)) if T._grad_enabled or idx is seg else ()
             for idx, n in ((seg, count), (src_pos, hi - lo))]
-    return PhaseTable(start, count, tgt, src, a, seg, slice(lo, hi), src_pos, starts,
-                      np.diff(starts, append=len(seg)), *sums)
+    return PhaseTable(start, count, tgt, src, a, seg, slice(lo, hi), src_pos, *sums)
 
 
 def _sorted_table(start, count, tgt, src, a, dim) -> PhaseTable:
@@ -153,43 +152,32 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
     `a_uv * (act(w3) @ w4[2d:])`, exact as the table's weights are `>= 0`.
     Every sum over edges runs through the table's plans.
 
-    Backward: past the softmax rule `alpha * (g - segsum(alpha * g))`, the
-    score gradient `g` is summed per target and per source row, which reach
-    `p_t` and `p_s` through their slopes and give the `w4` gradient
+    Backward: past the segment softmax's rule, the score gradient `g` is
+    summed per target and per source row, which reach `p_t` and `p_s` through
+    the activation's backward and give the `w4` gradient
     `[act(p_t).T @ segsum(g), act(p_s).T @ srcsum(g), act(w3) * (a @ g)]`.
     """
     seg, src, count = table.seg, table.src_pos, table.count
     seg_sum1, seg_sum = table.seg_sums
     d = w1.shape[1]
     H_t, H_s = H[table.start : table.start + count], H[table.src_rows]
-
-    def activate(x):
-        return np.where(x > 0.0, x, slope * x)
-
-    def slopes(x):
-        return np.where(x > 0.0, 1.0, slope)
-
     w4_t, w4_s, w4_a = w4[:d], w4[d : 2 * d], w4[2 * d :]
     p_t, p_s = T._matmul(H_t, w1), T._matmul(H_s, w2)
-    z_t, z_s, z_a = activate(p_t), activate(p_s), activate(w3)
+    (z_t, act_t), (z_s, act_s), (z_a, act_a) = (T._leaky_relu(x, slope) for x in (p_t, p_s, w3))
     logits = (z_t @ w4_t).take(seg, axis=0) + (z_s @ w4_s).take(src, axis=0) + table.edge_a[:, None] * (z_a @ w4_a)
-    top = np.maximum.reduceat(logits, table.seg_starts, axis=0)
-    e = np.exp(logits - np.repeat(top, table.seg_repeats, axis=0))
-    alpha = e / seg_sum1(e).take(seg, axis=0)
+    alpha, softmax_backward = T._segment_softmax(logits, seg, seg_sum1)
     v = T._matmul(H_s, w6).take(src, axis=0)
     context = seg_sum(v * alpha)
 
     def backward(g):
         (src_sum1, src_sum), g_edge = table.src_sums, g.take(seg, axis=0)
-        g_alpha = np.sum(g_edge * v, axis=1, keepdims=True)
-        g_logits = alpha * (g_alpha - seg_sum1(alpha * g_alpha).take(seg, axis=0))
+        g_logits = softmax_backward(np.sum(g_edge * v, axis=1, keepdims=True))
         g_lt, g_ls = seg_sum1(g_logits), src_sum1(g_logits)
         g_la = table.edge_a @ g_logits[:, 0]
-        g_t = g_lt * w4_t[:, 0] * slopes(p_t)
-        g_s2 = g_ls * w4_s[:, 0] * slopes(p_s)
+        g_t, g_s2 = act_t(g_lt * w4_t[:, 0]), act_s(g_ls * w4_s[:, 0])
         g_s6 = src_sum(g_edge * alpha)
         return (g_t @ w1.T, g_s2 @ w2.T + g_s6 @ w6.T, H_t.T @ g_t, H_s.T @ g_s2, H_s.T @ g_s6,
-                w4_a[:, 0] * slopes(w3) * g_la, np.concatenate([z_t.T @ g_lt, z_s.T @ g_ls, z_a[:, None] * g_la]))
+                act_a(w4_a[:, 0]) * g_la, np.concatenate([z_t.T @ g_lt, z_s.T @ g_ls, z_a[:, None] * g_la]))
 
     return context, alpha, backward
 
@@ -268,13 +256,13 @@ class FgatModel:
         names = ("w5", "mlp.l0.w", "mlp.l0.b", "mlp.l1.w", "mlp.l1.b", *attention)
         return tuple(self.pset[f"layer{layer}.phase{phase}.{name}"] for name in names)
 
-    def encode(self, tg: TransformedGraph, trace=None) -> T.Tensor:
-        """Embeddings for all transformed-graph nodes after n_layers rounds."""
-        return self._encode(tg, phase_plan(tg, self.config.dim), trace)
-
-    def _encode(self, tg: TransformedGraph, plan: list[PhaseTable], trace=None, graph_rows=False) -> T.Tensor:
-        """The schedule's phases over `plan`; `graph_rows` ends it before the
-        last layer's phase 4, which writes feature rows only."""
+    def encode(self, tg: TransformedGraph, trace=None, plan: list[PhaseTable] | None = None,
+               graph_rows=False) -> T.Tensor:
+        """Embeddings for all transformed-graph nodes after n_layers rounds of
+        the schedule's phases over `plan` (by default `phase_plan(tg, dim)`);
+        `graph_rows` ends it before the last layer's phase 4, which writes
+        feature rows only."""
+        plan = phase_plan(tg, self.config.dim) if plan is None else plan
         feat_h = T.gather(self.pset["feat.table"], self.token_rows(tg.feature_vocab))
         H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, self.config.dim))), feat_h], axis=0)
         schedule = [(layer, phase) for layer in range(1, self.config.n_layers + 1) for phase in range(1, 5)]
@@ -291,7 +279,7 @@ class FgatModel:
     def encode_arrays(self, tg: TransformedGraph) -> np.ndarray:
         """The graph-node rows of `encode`, tape-free."""
         with T.no_grad():
-            return self._encode(tg, phase_plan(tg, self.config.dim), graph_rows=True).data[: tg.num_graph_nodes]
+            return self.encode(tg, graph_rows=True).data[: tg.num_graph_nodes]
 
 
 def graph_fingerprint(tg: TransformedGraph) -> tuple:
@@ -390,7 +378,7 @@ def train_fgat(
             s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
         )
 
-        H = model._encode(tg, [p1, p2, p3, p4], graph_rows=True)
+        H = model.encode(tg, plan=[p1, p2, p3, p4], graph_rows=True)
         pos_u = s.pair_users[mask_idx]
         pos_i = s.pair_items[mask_idx] + tg.num_users
         neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)

@@ -126,6 +126,7 @@ _RULES = {  # kind: (test, what a value of that kind must be)
     "count": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1, "a positive integer"),
     "size": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0, "an integer >= 0"),
     "rate": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v < math.inf, "finite and >= 0"),
+    "positive": (lambda v: isinstance(v, numbers.Real) and 0.0 < v < math.inf, "finite and > 0"),
     "nonnegative": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v, ">= 0"),
     "share": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v < 1.0, "in [0, 1)"),
     "unit": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0, "in [0, 1]"),

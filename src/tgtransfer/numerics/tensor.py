@@ -116,9 +116,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -209,15 +206,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="tanh")
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        return (g * out_data,)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward, _op="exp")
-
-
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
@@ -225,15 +213,6 @@ def log(a: Tensor) -> Tensor:
         return (g / a.data,)
 
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="log")
-
-
-def cos(a: Tensor) -> Tensor:
-    out_data = np.cos(a.data)
-
-    def backward(g):
-        return (-g * np.sin(a.data),)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward, _op="cos")
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -278,26 +257,11 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # -- linear algebra / shape ---------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out_data = _matmul(a.data, b.data)
-
-    def backward(g):
-        ga = _matmul(g, b.data.T) if a.requires_grad else None
-        gb = _matmul(a.data.T, g) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward, _op="matmul")
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` for a 2-D `x` and a 1-D bias `b`, as one op.
 
-    Bytes equal `add(matmul(x, w), b)`, forward and backward, with one tape
-    node and no intermediate product kept.
+    Bytes equal a product op followed by `add`, forward and backward, with
+    one tape node and no intermediate product kept.
     """
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"linear expects (n, {w.shape[0]}) input, got {x.shape}")
@@ -472,6 +436,23 @@ def _segment_max_rows(values: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(step > 0)  # a boolean scan is several times faster
     top = np.maximum.reduceat(values, starts, axis=0)
     return np.repeat(top, np.diff(starts, append=len(seg_ids)), axis=0)
+
+
+def _segment_softmax(logits: np.ndarray, seg_ids: np.ndarray, seg_sum):
+    """Softmax of `logits`' rows within each segment of the sorted `seg_ids`,
+    per column, and the map from its gradient to `logits`'.
+
+    `seg_sum` sums arrays shaped like `logits` per segment, as an
+    `_index_plan` over `seg_ids` does. Each segment's max is subtracted as a
+    constant; the backward rule is `alpha * (g - seg_sum(alpha * g)[seg_ids])`.
+    """
+    e = np.exp(logits - _segment_max_rows(logits, seg_ids))
+    alpha = e / seg_sum(e).take(seg_ids, axis=0)
+
+    def backward(g):
+        return alpha * (g - seg_sum(alpha * g).take(seg_ids, axis=0))
+
+    return alpha, backward
 
 
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:

@@ -24,8 +24,9 @@ pass. With a tape or a trace a call is one block.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
 backward, `_temporal_attention`: the tape keeps its concatenated input, keys,
-values, attention weights and one plan of its sums over query rows, so the
-backward reuses the forward instead of recomputing it.
+values, attention weights and its two plans of sums over query rows, so the
+backward reuses the forward instead of recomputing it. Its segment softmax is
+the one FGAT attention uses, `numerics.tensor._segment_softmax`.
 
 Training defers each batch's memory write until just before the next batch is
 scored (values are unchanged by the delay: no optimizer step intervenes), so
@@ -158,8 +159,8 @@ def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     composed ops: concat, key and value projections, per-slot query dot
     products, a segment softmax and a segment sum.
 
-    Backward reuses the forward's `kv_in`, keys, values, `alpha` and plan of
-    sums over `row`, and applies the softmax rule `alpha * (g - segsum(alpha * g))`.
+    Backward reuses the forward's `kv_in`, keys, values, `alpha` and plans of
+    sums over `row`, one per width, and the softmax's backward rule.
     Its input gradient is one product over all of `kv_in`'s columns: products
     per input block round differently at some shapes (OpenBLAS 0.3.31, x86-64).
     """
@@ -167,7 +168,7 @@ def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     kv_in = np.concatenate([h_nbr.data, phi.data, x_uv], axis=1)
-    per_row = T._index_plan(row, b, d)
+    per_row, per_head = T._index_plan(row, b, d), T._index_plan(row, b, heads)
 
     def project(w, bias):
         out = T._matmul(kv_in, w.data)
@@ -178,16 +179,13 @@ def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * kk).sum(axis=2) * scale
     if not T._grad_enabled:
         kk = None  # no backward will read the keys: free them before the values
-    e = np.exp(scores - T._segment_max_rows(scores, row))
-    alpha = e / T._index_add(row, e, b).take(row, axis=0)
+    alpha, softmax_backward = T._segment_softmax(scores, row, per_head)
     vv = project(wv, bv)
     context = per_row((alpha[:, :, None] * vv).reshape(n, d))
 
     def backward(g):
         g_edge = g.take(row, axis=0).reshape(n, heads, dh)
-        g_alpha = np.sum(g_edge * vv, axis=2)
-        g_scores = alpha * (g_alpha - T._index_add(row, alpha * g_alpha, b).take(row, axis=0))
-        g_scores = (g_scores * scale)[:, :, None]
+        g_scores = (softmax_backward(np.sum(g_edge * vv, axis=2)) * scale)[:, :, None]
         g_q = per_row((g_scores * kk).reshape(n, d))
         g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
         g_v = (g_edge * alpha[:, :, None]).reshape(n, d)

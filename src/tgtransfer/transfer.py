@@ -26,6 +26,7 @@ import numpy as np
 from .eval_metrics import MetricsReport, evaluate
 from .fgat import load_fgat
 from .numerics import Adam
+from .numerics.checkpoint import check_fields
 from .temporal_graph import TemporalGraph, batch_iter, chronological_split
 from .tgn import MemoryState, TgnConfig, TgnModel, restore, train, update_memory
 from .transform import transform_graph
@@ -100,20 +101,15 @@ def map_memory(
     return mapping, state
 
 
-def transfer_weights(src: TgnModel, into: TgnModel | None = None) -> TgnModel:
-    """Deep-copy the source parameters into a fresh (or given) model.
+def transfer_weights(src: TgnModel) -> TgnModel:
+    """Deep-copy the source parameters into a fresh model.
 
     The copy shares nothing with the source, so fine-tuning it cannot alter
     the source model or its checkpoint. Optimizer state never transfers.
     """
-    if into is None:
-        into = TgnModel(src.config, src.feature_vocab, src.edge_dim, np.random.default_rng(0))
-    src_shapes = {n: t.data.shape for n, t in src.pset.items()}
-    into_shapes = {n: t.data.shape for n, t in into.pset.items()}
-    if src_shapes != into_shapes:
-        raise ValueError("architecture mismatch between source and target models")
-    into.pset.load_arrays(src.pset.state_arrays())
-    return into
+    model = TgnModel(src.config, src.feature_vocab, src.edge_dim, np.random.default_rng(0))
+    model.pset.load_arrays(src.pset.state_arrays())
+    return model
 
 
 @dataclass(frozen=True)
@@ -127,10 +123,8 @@ class TransferConfig:
     tgn: TgnConfig = field(default_factory=TgnConfig)
 
     def __post_init__(self):
-        if self.nt_epochs < 0 or self.ft_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.ft_lr is not None and self.ft_lr <= 0:
-            raise ValueError("ft_lr must be positive")
+        check_fields(self, "size", "nt_epochs", "ft_epochs")
+        check_fields(self, "positive", "ft_lr")
 
 
 class VariantSetup(NamedTuple):

@@ -167,7 +167,7 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
     d = len(h_u)
     with T.no_grad():
         hu = T.constant(np.asarray(h_u)[None, :])
-        self_proj = T.matmul(hu, pset[f"{prefix}.w5"])
+        self_proj = matmul(hu, pset[f"{prefix}.w5"])
         if neighbors:
             ordered = sorted(neighbors, key=lambda nb: nb[0])
             hv = T.constant(np.stack([np.asarray(nb[1]) for nb in ordered]))
@@ -176,21 +176,21 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
             msg = T.leaky_relu(
                 T.concat(
                     [
-                        T.matmul(hu_rep, pset[f"{prefix}.w1"]),
-                        T.matmul(hv, pset[f"{prefix}.w2"]),
+                        matmul(hu_rep, pset[f"{prefix}.w1"]),
+                        matmul(hv, pset[f"{prefix}.w2"]),
                         T.constant(a[:, None]) * pset[f"{prefix}.w3"],
                     ],
                     axis=1,
                 ),
                 slope=slope,
             )
-            logits = T.matmul(msg, pset[f"{prefix}.w4"])
+            logits = matmul(msg, pset[f"{prefix}.w4"])
             seg = np.zeros(len(ordered), dtype=np.int64)
             shifted = logits - T.constant(np.full((len(ordered), 1), logits.data.max()))
-            e = T.exp(shifted)
+            e = exp(shifted)
             denom = T.segment_sum(e, seg, 1)
             alpha = div(e, T.gather(denom, seg))
-            context = T.segment_sum(T.matmul(hv, pset[f"{prefix}.w6"]) * alpha, seg, 1)
+            context = T.segment_sum(matmul(hv, pset[f"{prefix}.w6"]) * alpha, seg, 1)
         else:
             context = T.constant(np.zeros((1, d)))
         mlp = Mlp(f"{prefix}.mlp", [2 * d, d, d])
@@ -207,17 +207,17 @@ def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
     msg = T.leaky_relu(
         T.concat(
             [
-                T.matmul(h_u, w1),
-                T.matmul(h_v, w2),
+                matmul(h_u, w1),
+                matmul(h_v, w2),
                 T.constant(table.edge_a[:, None]) * w3,
             ],
             axis=1,
         ),
         slope=slope,
     )
-    logits = T.matmul(msg, w4)
+    logits = matmul(msg, w4)
     alpha = segment_softmax(logits, table.seg, table.count)
-    weighted = T.matmul(h_v, w6) * alpha
+    weighted = matmul(h_v, w6) * alpha
     return T.segment_sum(weighted, table.seg, table.count), alpha.data
 
 
@@ -241,8 +241,7 @@ def edge_attention_per_node(H, w1, w2, w6, w3, w4, table, slope):
     p_t, p_s = T._matmul(H_t, w1.data), T._matmul(H_s, w2.data)
     z_t, z_s, z_a = activate(p_t), activate(p_s), activate(w3.data)
     logits = (z_t @ w4_t).take(seg, axis=0) + (z_s @ w4_s).take(src, axis=0) + table.edge_a[:, None] * (z_a @ w4_a)
-    top = np.maximum.reduceat(logits, table.seg_starts, axis=0)
-    e = np.exp(logits - np.repeat(top, table.seg_repeats, axis=0))
+    e = np.exp(logits - T._segment_max_rows(logits, seg))
     alpha = e / seg_sum1(e).take(seg, axis=0)
     v = T._matmul(H_s, w6.data).take(src, axis=0)
     context = seg_sum(v * alpha)
@@ -279,7 +278,7 @@ def phase_update_composed(H, params, table, slope, attention=edge_attention_per_
     `leaky_relu` and `linear` ops, and write the rows with `scatter_rows`."""
     w5, m_w0, m_b0, m_w1, m_b1 = params[:5]
     rows = slice(table.start, table.start + table.count)
-    self_proj = T.matmul(T.gather(H, rows), w5)
+    self_proj = matmul(T.gather(H, rows), w5)
     if len(params) > 5:
         context, alpha = attention(H, *params[5:], table, slope)
     else:
@@ -475,6 +474,33 @@ def score_pairs_padded(model, ctx, mem, users, items, ts, hide_users=None, hide_
     return T.sigmoid(logits.reshape((len(users),)))
 
 
+def matmul(a, b):
+    """`a @ b` for 2-D tensors as one autodiff op; the composed-op oracles
+    project with it, and `numerics.tensor.linear` must match it plus `add`."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+
+    def backward(g):
+        ga = T._matmul(g, b.data.T) if a.requires_grad else None
+        gb = T._matmul(a.data.T, g) if b.requires_grad else None
+        return ga, gb
+
+    return T.Tensor(T._matmul(a.data, b.data), _parents=(a, b), _backward=backward, _op="matmul")
+
+
+def exp(a):
+    """Elementwise `exp` as one autodiff op, for the composed softmaxes."""
+    out_data = np.exp(a.data)
+    return T.Tensor(out_data, _parents=(a,), _backward=lambda g: (g * out_data,), _op="exp")
+
+
+def cos(a):
+    """Elementwise `cos` as one autodiff op, for the composed time encoder."""
+    return T.Tensor(np.cos(a.data), _parents=(a,), _backward=lambda g: (-g * np.sin(a.data),), _op="cos")
+
+
 def div(a, b):
     """Elementwise `a / b` with broadcasting as one autodiff op; the
     composed-op oracles normalise with it."""
@@ -492,7 +518,7 @@ def segment_softmax(a, seg_ids, num_segments):
     composed ops; `seg_ids` must be sorted. Each segment's max is subtracted
     as a constant, and the sums add rows in order, as `segment_sum` does."""
     seg_ids = np.asarray(seg_ids, dtype=np.int64)
-    e = T.exp(a - T.constant(T._segment_max_rows(a.data, seg_ids)))
+    e = exp(a - T.constant(T._segment_max_rows(a.data, seg_ids)))
     return div(e, T.gather(T.segment_sum(e, seg_ids, num_segments), seg_ids))
 
 
@@ -503,8 +529,8 @@ def temporal_attention_composed(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, hea
     n, d = len(row), q.shape[1]
     dh = d // heads
     kv_in = T.concat([h_nbr, phi, T.constant(x_uv)], axis=1)
-    kk = T.matmul(kv_in, wk) + bk
-    vv = (T.matmul(kv_in, wv) + bv).reshape((n, heads, dh))
+    kk = matmul(kv_in, wk) + bk
+    vv = (matmul(kv_in, wv) + bv).reshape((n, heads, dh))
     scores = T.tensor_sum((T.gather(q, row) * kk).reshape((n, heads, dh)), axis=2) * (1.0 / np.sqrt(dh))
     alpha = segment_softmax(scores, row, b)
     context = T.segment_sum((alpha.reshape((n, heads, 1)) * vv).reshape((n, d)), row, b)
@@ -562,7 +588,7 @@ def time_encoder_composed(encoder, pset, dt):
     """`TimeEncoder.__call__` as composed `mul`, `add` and `cos` ops, the
     reference the one-op encoder must match byte for byte."""
     dt_t = T.constant(np.asarray(dt, dtype=np.float64)[..., None])
-    return T.cos(dt_t * pset[f"{encoder.prefix}.freq"] + pset[f"{encoder.prefix}.phase"])
+    return cos(dt_t * pset[f"{encoder.prefix}.freq"] + pset[f"{encoder.prefix}.phase"])
 
 
 def event_batch_of(g, start, end):

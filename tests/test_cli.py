@@ -215,6 +215,16 @@ def test_bad_model_config_is_one_error_line(trained, tmp_path, capsys, command, 
     assert not out.exists()
 
 
+def test_non_finite_ft_lr_is_one_error_line(trained, tmp_path, capsys):
+    src_ckpt, _, target = trained
+    out = tmp_path / "wt.json"
+    rc = cli.main(["transfer", "--variant", "wt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+                   "--ft-epochs", "1", "--out", str(out), "--ft-lr", "nan"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: ft_lr must be finite and > 0, got nan"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train-fgat", "train-tgn"])
 def test_diverging_training_is_an_error_line(trained, tmp_path, capsys, command):
     """A learning rate that drives the parameters to overflow ends the

@@ -519,6 +519,21 @@ def test_encode_arrays_are_the_graph_rows_of_every_phase(rng, model):
     assert model.encode(tg).data.tobytes() == encode_composed(model, tg).data.tobytes()
 
 
+def test_encode_arrays_and_training_run_through_encode(rng, model, monkeypatch):
+    """Both reach the schedule through the public `encode`, with `graph_rows`."""
+    calls, real = [], fg.FgatModel.encode
+
+    def encode(self, tg, *args, **kwargs):
+        calls.append(kwargs.get("graph_rows"))
+        return real(self, tg, *args, **kwargs)
+
+    monkeypatch.setattr(fg.FgatModel, "encode", encode)
+    tg = make_tg(rng, n_users=6, n_items=5, n_events=40)
+    model.encode_arrays(tg)
+    fg.train_fgat(model, [tg], 2, np.random.default_rng(0))
+    assert calls == [True, True, True]
+
+
 def test_score_link_values():
     assert score_link(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
     h = np.array([1.0, 1.0, 1.0])

@@ -2,11 +2,12 @@
 referenced by library code outside its own definition.
 
 A reference is a NAME token in `src/tgtransfer` that lies outside the
-definition's own lines and outside import statements. Strings and comments
-are not NAME tokens, so a name that only a docstring or `__all__` mentions,
-or that a module only imports, does not count. Names are matched by
-spelling, not resolved, so one use of a name keeps every definition of it.
-Dunder methods are exempt. `ENTRY_POINTS` lists the names that only code
+definition's own lines and outside import statements, and that does not
+directly follow `np.`: `np.exp` names numpy's function, not a library
+`exp`. Strings and comments are not NAME tokens, so a name that only a
+docstring or `__all__` mentions, or that a module only imports, does not
+count. Names are matched by spelling, not resolved, so one use of a name
+keeps every definition of it. Dunder methods are exempt. `ENTRY_POINTS` lists the names that only code
 outside the library calls: the README's Python API, the `tgtransfer`
 command's entry point, `benchmarks/` and the acceptance suite.
 """
@@ -30,7 +31,8 @@ ENTRY_POINTS = frozenset({"neighborhoods", "run_variant"})
 
 def _definitions_and_names(text):
     """([(name, first line, last line)] of every def and class, [(NAME token,
-    line)] outside import statements) of one module's source."""
+    line)] outside import statements and not after `np.`) of one module's
+    source."""
     tree = ast.parse(text)
     defs = [
         (node.name, node.lineno, node.end_lineno)
@@ -43,10 +45,12 @@ def _definitions_and_names(text):
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for line in range(node.lineno, node.end_lineno + 1)
     }
+    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
     names = [
         (tok.string, tok.start[0])
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        for i, tok in enumerate(tokens)
         if tok.type == tokenize.NAME and tok.start[0] not in imports
+        and [t.string for t in tokens[max(i - 2, 0) : i]] != ["np", "."]
     ]
     return defs, names
 
@@ -94,3 +98,11 @@ def test_guard_ignores_strings_comments_imports_and_own_body(tmp_path):
     (pkg / "b.py").write_text("from .a import Box, recursive, used\n\nVALUE = used() + len(Box())\n")
     assert dead_definitions(pkg, frozenset({"open"})) == ["pkg/a.py:5 recursive"]
     assert dead_definitions(pkg, frozenset()) == ["pkg/a.py:5 recursive", "pkg/a.py:13 open"]
+
+
+def test_guard_ignores_numpy_attributes(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("def exp(x):\n    return x\n\ndef cos(x):\n    return x\n")
+    (pkg / "b.py").write_text("import numpy as np\n\nVALUE = np.exp(1.0) + cos(np.cos(0.0))\n")
+    assert dead_definitions(pkg, frozenset()) == ["pkg/a.py:1 exp"]

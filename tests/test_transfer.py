@@ -104,16 +104,6 @@ def test_transfer_weights_deep_copy():
     assert np.array_equal(src.pset["gru.wz"].data, before)
 
 
-def test_transfer_weights_architecture_mismatch():
-    src = small_tgn(["a", "b"])
-    other = tgn.TgnModel(
-        tgn.TgnConfig(d_mem=16, d_time=4, d_feat=8, k_neighbors=4), ["a", "b"], 0,
-        np.random.default_rng(0),
-    )
-    with pytest.raises(ValueError, match="architecture"):
-        tr.transfer_weights(src, into=other)
-
-
 # -- end-to-end variants ---------------------------------------------------------------
 
 
@@ -268,6 +258,12 @@ def test_transfer_config_validation():
         tr.TransferConfig(ft_lr=0.0)
     with pytest.raises(ValueError):
         tr.TransferConfig(ft_lr=-0.01)
+
+
+@pytest.mark.parametrize("ft_lr", [float("nan"), float("inf")])
+def test_transfer_config_rejects_non_finite_ft_lr(ft_lr):
+    with pytest.raises(ValueError, match="ft_lr must be finite and > 0"):
+        tr.TransferConfig(ft_lr=ft_lr)
 
 
 def test_ft_lr_changes_fine_tuning_but_not_nt(pipeline):
