@@ -238,8 +238,8 @@ def _summary(key: str, reports) -> tuple[dict, dict, list[str]]:
 
 def _seed_runs(args, seeds, variant: str, g: TemporalGraph, splits, key: str):
     """`run_seeds` of `variant` on the (train, val, test) `splits` of `g`,
-    from the flags `transfer` and `sweep` share; yields (result, CSV row) as
-    each run ends."""
+    from the flags `transfer` and `sweep` share: an iterator of (result, CSV
+    row) as each run ends. The config is checked before this returns."""
     cfg = tr.TransferConfig(
         nt_epochs=args.nt_epochs,
         ft_epochs=args.ft_epochs,
@@ -250,8 +250,7 @@ def _seed_runs(args, seeds, variant: str, g: TemporalGraph, splits, key: str):
     src_ckpt = args.src_ckpt if variant != "nt" else None
     fgat_ckpt = args.fgat_ckpt if variant == "mintt" else None
     runs = tr.run_seeds(variant, g, cfg, seeds, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt, splits=splits)
-    for seed, result in zip(seeds, runs):
-        yield result, _metric_row(key, seed, result.test_report.to_dict())
+    return ((result, _metric_row(key, seed, result.test_report.to_dict())) for seed, result in zip(seeds, runs))
 
 
 def cmd_transfer(args) -> int:
@@ -262,9 +261,10 @@ def cmd_transfer(args) -> int:
     # only transfer takes --split; sweep scores the fixed windows of sweep_splits
     splits = chronological_split(g, _split_triple(args.split))
     pair = _pair_label(args)
+    seed_runs = _seed_runs(args, seeds, args.variant, g, splits, f"{args.variant},{pair}")
     runs = []
     print(CSV_HEADER)
-    for result, row in _seed_runs(args, seeds, args.variant, g, splits, f"{args.variant},{pair}"):
+    for result, row in seed_runs:
         runs.append(result)
         print(row)
         if args.mapping_out and result.mapping is not None:

@@ -15,6 +15,9 @@ Each phase applies the same attention block with its own weights: per edge
     h_u' = MLP([w5 h_u, sum_v alpha w6 h_v])
 
 Nodes without neighbors in a phase still update through MLP([w5 h_u, 0]).
+The phase tables are the one place that weights and sorts a transformed
+graph's edges: a_uv is u's interaction fraction with v in phases 2 and 3,
+1/|F_u| in phase 1 and 1/deg(f) in phase 4.
 
 A phase is one autodiff op with a hand-written backward, `phase_update`:
 self projection, edge attention, MLP and row write. Its edge part,
@@ -123,7 +126,7 @@ def _feature_tables(tg: TransformedGraph, dim: int) -> tuple[PhaseTable, PhaseTa
     p1 = _sorted_table(0, g_count, tg.feat_edge_node, feat_global, a1, dim)
 
     # phase 4: feature nodes aggregate attached graph nodes, weight 1/deg
-    a4 = 1.0 / tg.feature_nodes.lengths[tg.feat_edge_feat]
+    a4 = 1.0 / np.bincount(tg.feat_edge_feat, minlength=tg.num_features)[tg.feat_edge_feat]
     p4 = _sorted_table(g_count, tg.num_features, feat_global, tg.feat_edge_node, a4, dim)
     return p1, p4
 

@@ -81,12 +81,11 @@ class TgnConfig:
 
 
 class MemoryState:
-    """Per-node memory, last-update times, and the pending raw messages."""
+    """Per-node memory and last-update times."""
 
-    def __init__(self, memory: np.ndarray, last_update: np.ndarray, pending: EventBatch | None = None):
+    def __init__(self, memory: np.ndarray, last_update: np.ndarray):
         self.memory = np.asarray(memory, dtype=np.float64)
         self.last_update = np.asarray(last_update, dtype=np.float64)
-        self.pending = pending
         if self.memory.ndim != 2 or len(self.memory) != len(self.last_update):
             raise ValueError("memory and last_update sizes disagree")
 
@@ -99,7 +98,7 @@ class MemoryState:
         return len(self.memory)
 
     def copy(self) -> "MemoryState":
-        return MemoryState(self.memory.copy(), self.last_update.copy(), self.pending)
+        return MemoryState(self.memory.copy(), self.last_update.copy())
 
 
 class GraphContext(NamedTuple):
@@ -424,14 +423,6 @@ def update_memory(model: TgnModel, state: MemoryState, batch: EventBatch, num_us
     return out
 
 
-def flush_pending(model: TgnModel, ctx: GraphContext, state: MemoryState) -> MemoryState:
-    """Apply any deferred batch with current parameters; returns a new state."""
-    if state.pending is None:
-        return state.copy()
-    # update_memory writes into copies of the arrays; the result has nothing pending
-    return update_memory(model, MemoryState(state.memory, state.last_update), state.pending, ctx.graph.num_users)
-
-
 def train_epoch(
     model: TgnModel,
     ctx: GraphContext,
@@ -443,19 +434,22 @@ def train_epoch(
     """One pass over the training events; returns (end state, mean loss).
 
     The epoch starts from a copy of `init_state` (zeros for fresh training,
-    or a transferred memory) and leaves `init_state` untouched.
+    or a transferred memory) and leaves `init_state` untouched. Each batch's
+    memory update runs in the next batch's forward; the last batch's runs at
+    the end, with the trained parameters.
     """
     if train_graph.num_events == 0:
         raise ValueError("empty training graph")
     num_users = ctx.graph.num_users
     state = init_state.copy()
     losses = []
+    pending = None
     for batch in batch_iter(train_graph, model.config.batch_size):
         model.pset.zero_grads()
         mem = T.constant(state.memory)
         applied = None
-        if state.pending is not None:
-            nodes, rows, new_last = model.batch_updates(mem, state.last_update, state.pending, num_users)
+        if pending is not None:
+            nodes, rows, new_last = model.batch_updates(mem, state.last_update, pending, num_users)
             mem = T.scatter_rows(mem, nodes, rows)
             applied = (nodes, rows, new_last)
 
@@ -479,10 +473,9 @@ def train_epoch(
             nodes, rows, new_last = applied
             state.memory[nodes] = rows.data
             state.last_update[nodes] = new_last
-        state.pending = batch
+        pending = batch
         losses.append(float(loss.data))
-    state = flush_pending(model, ctx, state)
-    return state, float(np.mean(losses))
+    return update_memory(model, state, pending, num_users), float(np.mean(losses))
 
 
 def train(
@@ -528,8 +521,6 @@ def snapshot(
     (user, item, count) `train_pairs` of its training split, stored at
     array names prefixed "graph." in the `transform` blob format, so the
     raw event log is not needed."""
-    if state.pending is not None:
-        raise ValueError("flush pending memory updates before snapshotting")
     arrays = dict(model.pset.state_arrays())
     arrays["memory.values"] = state.memory
     arrays["memory.last_update"] = state.last_update

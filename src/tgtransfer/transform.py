@@ -1,18 +1,18 @@
 """Attribute-decoupled static transformation of a temporal interaction graph.
 
-The transformation forgets timestamps and edge features. What remains is a
-directed interaction-frequency graph over the original bipartite nodes, plus
-one virtual node per categorical feature token, attached to every graph node
-carrying that token. Feature-node identity is the vocab token string, so two
-graphs sharing a vocabulary share feature nodes.
+The transformation forgets timestamps and edge features. What remains is the
+multiset of (user, item) interaction pairs over the original bipartite nodes,
+plus one virtual node per categorical feature token, attached to every graph
+node carrying that token. Feature-node identity is the vocab token string, so
+two graphs sharing a vocabulary share feature nodes. This module holds the
+pairs, the attachments and their on-disk format; `fgat.phase_plan` turns
+them into the weighted edge lists (interaction fractions, 1/|F_u|, 1/deg).
 
 Node id layout inside a transformed graph with U users, I items, F features:
 users [0, U), items [U, U+I), feature nodes [U+I, U+I+F).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +21,10 @@ from .temporal_graph import Csr, TemporalGraph
 
 
 class StaticGraph:
-    """Directed frequency-weighted interaction graph over global node ids.
-
-    Built from the multiset of (user, item) interaction pairs; each pair with
-    count c yields u->item and item->u edges, and every node's outgoing
-    weights are its interaction fractions (they sum to 1 for any node with at
-    least one interaction).
-    """
+    """The multiset of (user, item) interaction pairs: distinct pairs in
+    (user, item) order with their positive event counts. Users are global
+    nodes [0, U) and items [U, U+I); `fgat.phase_plan` weights each pair's
+    two directed edges by its interaction fractions."""
 
     def __init__(self, pair_users, pair_items, pair_counts, num_users, num_items):
         self.pair_users = np.asarray(pair_users, dtype=np.int64)
@@ -39,28 +36,11 @@ class StaticGraph:
             raise ValueError("pair arrays disagree in length")
         if len(self.pair_counts) and self.pair_counts.min() < 1:
             raise ValueError("pair counts must be positive")
-        # canonical pair order pins adjacency layout across rebuilds
+        # canonical pair order pins the phase tables' layout across rebuilds
         order = np.lexsort((self.pair_items, self.pair_users))
         self.pair_users = self.pair_users[order]
         self.pair_items = self.pair_items[order]
         self.pair_counts = self.pair_counts[order]
-        self._build_adjacency()
-
-    def _build_adjacency(self) -> None:
-        # directed edge list: one u->v entry per ordered pair with >=1 event
-        item_g = self.pair_items + self.num_users
-        src = np.concatenate([self.pair_users, item_g])
-        dst = np.concatenate([item_g, self.pair_users])
-        cnt = np.concatenate([self.pair_counts, self.pair_counts]).astype(np.float64)
-        # integer counts, so the totals are exact in any summation order
-        totals = np.bincount(src, weights=cnt, minlength=self.num_nodes)
-        weight = cnt / totals[src]
-
-        order = np.lexsort((dst, src))
-        self.edge_src = src[order]
-        self.edge_weight = weight[order]
-        self._out = Csr.from_lengths(np.bincount(src, minlength=self.num_nodes), dst[order])
-        self.edge_dst = self._out.values
 
     @property
     def num_nodes(self) -> int:
@@ -69,11 +49,6 @@ class StaticGraph:
     @property
     def num_pairs(self) -> int:
         return len(self.pair_users)
-
-    def out_neighbors(self, node: int):
-        """(neighbor global ids, interaction fractions) for `node`."""
-        lo, hi = self._out.bounds(node)
-        return self.edge_dst[lo:hi], self.edge_weight[lo:hi]
 
 
 def build_static(g: TemporalGraph) -> StaticGraph:
@@ -84,15 +59,9 @@ def build_static(g: TemporalGraph) -> StaticGraph:
     return StaticGraph(uniq // g.num_items, uniq % g.num_items, counts, g.num_users, g.num_items)
 
 
-class Neighborhood(NamedTuple):
-    graph_ids: np.ndarray
-    graph_weights: np.ndarray
-    feature_ids: np.ndarray
-    feature_weights: np.ndarray
-
-
 class TransformedGraph:
-    """Static graph plus virtual feature nodes and their attachment edges."""
+    """Interaction pairs plus virtual feature nodes and their attachment
+    edges, node-major."""
 
     def __init__(self, static: StaticGraph, user_features, item_features, feature_vocab):
         self.static = static
@@ -106,16 +75,11 @@ class TransformedGraph:
         nodes = Csr.concat([self.user_features, self.item_features])
         if len(nodes.values) and (nodes.values.min() < 0 or nodes.values.max() >= self.num_features):
             raise ValueError("feature id outside vocabulary")
-        # attachment edges (node, feature), sorted by node then feature, and
-        # per-node and per-feature views of them
+        # attachment edges (node, feature), sorted by node then feature
         node_ids = nodes.segment_ids()
         self.node_features = Csr(nodes.offsets, nodes.values[np.lexsort((nodes.values, node_ids))])
         self.feat_edge_node = node_ids
         self.feat_edge_feat = self.node_features.values
-        by_feat = np.lexsort((node_ids, nodes.values))
-        self.feature_nodes = Csr.from_lengths(
-            np.bincount(nodes.values, minlength=self.num_features), node_ids[by_feat]
-        )
 
     @property
     def num_users(self) -> int:
@@ -144,27 +108,6 @@ class TransformedGraph:
 
 def build_transformed(static: StaticGraph, user_features, item_features, feature_vocab) -> TransformedGraph:
     return TransformedGraph(static, user_features, item_features, feature_vocab)
-
-
-def neighborhoods(tg: TransformedGraph, node: int) -> Neighborhood:
-    """Graph and feature neighbor lists of a transformed-graph node.
-
-    Graph nodes see their static out-neighbors weighted by interaction
-    fraction and their feature nodes weighted uniformly 1/|F_u|; a feature
-    node sees its attached graph nodes weighted uniformly. Weights always sum
-    to 1 over each non-empty list.
-    """
-    if not 0 <= node < tg.num_nodes:
-        raise KeyError(f"unknown node {node}")
-    if node < tg.num_graph_nodes:
-        g_ids, g_w = tg.static.out_neighbors(node)
-        feats = tg.node_features[node]
-        f_ids = tg.feature_global(feats)
-        f_w = np.full(len(feats), 1.0 / len(feats)) if len(feats) else np.zeros(0)
-        return Neighborhood(g_ids, g_w, f_ids, f_w)
-    attached = tg.feature_nodes[node - tg.num_graph_nodes]
-    w = np.full(len(attached), 1.0 / len(attached)) if len(attached) else np.zeros(0)
-    return Neighborhood(attached, w, np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def transform_graph(g: TemporalGraph) -> TransformedGraph:

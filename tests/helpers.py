@@ -387,16 +387,47 @@ def masked_static(tg, keep_idx):
 
 
 def static_interaction_tables(tg, dim):
-    """Tables of phases 2 and 3 split off `tg.static`'s directed edge list by
-    aggregating side and sorted by `fgat._sorted_table`: the reference for
-    `fgat._interaction_tables`, which builds them from the pairs."""
-    u_count, g_count = tg.num_users, tg.num_graph_nodes
-    es, ed, ew = tg.static.edge_src, tg.static.edge_dst, tg.static.edge_weight
-    user_side = es < u_count
-    p2 = fgat._sorted_table(0, u_count, es[user_side], ed[user_side], ew[user_side], dim)
-    item_side = ~user_side
-    p3 = fgat._sorted_table(u_count, g_count - u_count, es[item_side], ed[item_side], ew[item_side], dim)
-    return p2, p3
+    """Tables of phases 2 and 3 built edge by edge from `tg.static`'s pairs,
+    each weight a pair's count over its aggregating node's integer total, and
+    sorted by `fgat._sorted_table`: the reference for
+    `fgat._interaction_tables`, which builds them with numpy."""
+    s, u_count = tg.static, tg.num_users
+    pairs = list(zip(s.pair_users.tolist(), (s.pair_items + u_count).tolist(), s.pair_counts.tolist()))
+    totals = {}
+    for u, i, c in pairs:
+        totals[u] = totals.get(u, 0) + c
+        totals[i] = totals.get(i, 0) + c
+    user_side = [(u, i, c / totals[u]) for u, i, c in pairs]
+    item_side = [(i, u, c / totals[i]) for u, i, c in pairs]
+    return (
+        fgat._sorted_table(0, u_count, *_columns(user_side), dim),
+        fgat._sorted_table(u_count, tg.num_items, *_columns(item_side), dim),
+    )
+
+
+def feature_attachment_tables(tg, dim):
+    """Tables of phases 1 and 4 built edge by edge from the feature rows of
+    `tg.user_features` and `tg.item_features`: phase 1 in (node, feature)
+    order with weight 1/|F_u|, phase 4 in (feature, node) order with weight
+    1/deg. The reference for `fgat._feature_tables`."""
+    g_count = tg.num_graph_nodes
+    rows = [row.tolist() for row in (*tg.user_features, *tg.item_features)]
+    attach = sorted((node, g_count + f) for node, feats in enumerate(rows) for f in feats)
+    deg = {}
+    for _, f in attach:
+        deg[f] = deg.get(f, 0) + 1
+    p1 = [(node, f, 1 / len(rows[node])) for node, f in attach]
+    p4 = [(f, node, 1 / deg[f]) for f, node in sorted((f, node) for node, f in attach)]
+    return (
+        fgat._phase_table(0, g_count, *_columns(p1), dim),
+        fgat._phase_table(g_count, tg.num_features, *_columns(p4), dim),
+    )
+
+
+def _columns(edges):
+    """(tgt, src, weight) arrays of a list of (tgt, src, weight) edges."""
+    tgt, src, a = ([e[k] for e in edges] for k in range(3))
+    return np.array(tgt, dtype=np.int64), np.array(src, dtype=np.int64), np.array(a, dtype=np.float64)
 
 
 def score_link(h_u, h_v):

@@ -258,7 +258,7 @@ def test_criterion_2_metric_oracles():
 
 
 def test_criterion_3_transformation_correctness():
-    """On 50 random graphs the static weights are interaction fractions
+    """On 50 random graphs the encoder's interaction weights are fractions
     summing to 1 per active node, node and attachment sets match a
     brute-force construction, and the output carries no timestamps."""
     rng = np.random.default_rng(3003)
@@ -305,14 +305,18 @@ def test_criterion_3_transformation_correctness():
         for (u, i), c in pair_count.items():
             expect_edges[(u, n_users + i)] = c / totals[u]
             expect_edges[(n_users + i, u)] = c / totals[n_users + i]
-        got_edges = dict(
-            zip(zip(s.edge_src.tolist(), s.edge_dst.tolist()), s.edge_weight.tolist())
+        # the interaction fractions, as phases 2 and 3 of the encoder read them
+        plan = fg.phase_plan(tg2, 4)
+        edge_tgt, edge_src, edge_a = (
+            np.concatenate([getattr(t, name) for t in plan[1:3]])
+            for name in ("edge_tgt", "edge_src", "edge_a")
         )
+        got_edges = dict(zip(zip(edge_tgt.tolist(), edge_src.tolist()), edge_a.tolist()))
         assert set(got_edges) == set(expect_edges)
         assert all(abs(got_edges[k] - expect_edges[k]) < 1e-9 for k in expect_edges)
 
         sums = np.zeros(s.num_nodes)
-        np.add.at(sums, s.edge_src, s.edge_weight)
+        np.add.at(sums, edge_tgt, edge_a)
         active = np.array([totals[k] > 0 for k in range(s.num_nodes)])
         assert np.all(np.abs(sums[active] - 1.0) < 1e-9)
         assert np.all(sums[~active] == 0.0)
@@ -325,12 +329,13 @@ def test_criterion_3_transformation_correctness():
         got_attach = sorted(zip(tg2.feat_edge_node.tolist(), tg2.feat_edge_feat.tolist()))
         assert got_attach == expect_attach
 
-        for node in range(tg2.num_nodes):
-            nb = tf.neighborhoods(tg2, node)
-            if len(nb.graph_weights):
-                assert abs(nb.graph_weights.sum() - 1.0) < 1e-9
-            if len(nb.feature_weights):
-                assert abs(nb.feature_weights.sum() - 1.0) < 1e-9
+        # a graph node's feature weights (phase 1) and a feature node's graph
+        # weights (phase 4) sum to 1 over each non-empty list
+        for table in plan[::3]:
+            attach_sums = np.zeros(tg2.num_nodes)
+            np.add.at(attach_sums, table.edge_tgt, table.edge_a)
+            has_edges = np.isin(np.arange(tg2.num_nodes), table.edge_tgt)
+            assert np.all(np.abs(attach_sums[has_edges] - 1.0) < 1e-9)
 
         # redrawing every event time must leave the transform bitwise intact
         tg3 = build(np.sort(rng.uniform(5e6, 9e6, n_events)))
@@ -338,15 +343,15 @@ def test_criterion_3_transformation_correctness():
             (s.pair_users, tg3.static.pair_users),
             (s.pair_items, tg3.static.pair_items),
             (s.pair_counts, tg3.static.pair_counts),
-            (s.edge_src, tg3.static.edge_src),
-            (s.edge_dst, tg3.static.edge_dst),
-            (s.edge_weight, tg3.static.edge_weight),
             (tg2.feat_edge_node, tg3.feat_edge_node),
             (tg2.feat_edge_feat, tg3.feat_edge_feat),
         ):
             assert a.tobytes() == b.tobytes()
+        for t2, t3 in zip(plan, fg.phase_plan(tg3, 4)):
+            for a, b in ((t2.edge_tgt, t3.edge_tgt), (t2.edge_src, t3.edge_src), (t2.edge_a, t3.edge_a)):
+                assert a.tobytes() == b.tobytes()
         stamp_values = set(times.tolist())
-        for arr in (s.edge_weight, s.pair_counts, tg2.feat_edge_node, tg2.feat_edge_feat):
+        for arr in (edge_a, s.pair_counts, tg2.feat_edge_node, tg2.feat_edge_feat):
             assert not stamp_values & set(np.asarray(arr, dtype=float).tolist())
 
 

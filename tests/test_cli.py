@@ -225,6 +225,25 @@ def test_non_finite_ft_lr_is_one_error_line(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, says", [
+    ("--ft-lr", "nan", "ft_lr must be finite and > 0, got nan"),
+    ("--ft-epochs", "-1", "ft_epochs must be an integer >= 0, got -1"),
+    ("--d-mem", "0", "d_mem must be a positive integer, got 0"),
+])
+def test_rejected_transfer_config_writes_nothing_to_stdout(trained, tmp_path, capsys, flag, value, says):
+    """A rejected transfer config ends the command before any output: one
+    `error:` line on stderr and an empty stdout, without the CSV header."""
+    src_ckpt, _, target = trained
+    out = tmp_path / "wt.json"
+    rc = cli.main(["transfer", "--variant", "wt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+                   "--out", str(out), flag, value])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {says}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train-fgat", "train-tgn"])
 def test_diverging_training_is_an_error_line(trained, tmp_path, capsys, command):
     """A learning rate that drives the parameters to overflow ends the

@@ -6,9 +6,9 @@ from tgtransfer import transform as tf
 from tgtransfer.numerics import tensor as T
 
 from helpers import (
-    assert_grads_match_fd, edge_attention_composed, encode_composed, g_theta, masked_static,
-    phase_update_composed, sample_non_edges_loop, score_link, segment_softmax, static_interaction_tables,
-    train_fgat_composed,
+    assert_grads_match_fd, edge_attention_composed, encode_composed, feature_attachment_tables, g_theta,
+    masked_static, phase_update_composed, sample_non_edges_loop, score_link, segment_softmax,
+    static_interaction_tables, train_fgat_composed,
 )
 
 
@@ -399,9 +399,9 @@ def _assert_same_table(got, expect, dim, rng):
 
 
 def test_pair_built_tables_match_static_graph_route(rng):
-    """Phases 2 and 3 built from pairs are byte for byte the tables split off
-    a (masked) `StaticGraph`: on a full graph, a masked one, and graphs with
-    isolated nodes and with a single pair."""
+    """Phases 2 and 3 built from pairs are byte for byte the tables built
+    edge by edge from a (masked) `StaticGraph`'s pairs: on a full graph, a
+    masked one, and graphs with isolated nodes and with a single pair."""
     dim = 3
     full = make_tg(rng, n_users=6, n_items=5, n_events=40)
     for tg in (full, *_attention_graphs()):
@@ -414,6 +414,21 @@ def test_pair_built_tables_match_static_graph_route(rng):
     )
     for got_table, expect in zip(got, static_interaction_tables(masked_static(full, keep), dim)):
         _assert_same_table(got_table, expect, dim, rng)
+
+
+def test_feature_tables_match_attachment_oracle(rng):
+    """Phases 1 and 4 are byte for byte the tables built edge by edge from
+    the feature rows, node-major with weight 1/|F_u| and feature-major with
+    weight 1/deg: on random graphs, on feature rows given out of order, and
+    on a graph with a featureless node and an unattached token."""
+    dim = 3
+    shuffled = make_tg(rng, user_feats=[np.array([2, 0]), np.array([3]), np.array([1, 3, 0]), np.array([0])],
+                       item_feats=[np.array([3, 1]), np.array([0]), np.array([2, 1])])
+    graphs = [make_tg(rng, n_users=6, n_items=5, vocab_size=6, n_events=40) for _ in range(3)]
+    for tg in (*graphs, shuffled, *_attention_graphs()):
+        p1, _, _, p4 = fg.phase_plan(tg, dim)
+        for got, expect in zip((p1, p4), feature_attachment_tables(tg, dim)):
+            _assert_same_table(got, expect, dim, rng)
 
 
 def test_train_fgat_builds_each_tables_plans_once(monkeypatch, rng):

@@ -23,10 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tgtransfer"
 # run, is called by the README's Python API, `benchmarks/` and the acceptance
 # suite, while the CLI runs its seeds through `run_seeds`; every other name
 # that the README's Python API, the `tgtransfer` console script (`cli.main`)
-# and `benchmarks/` call is also used inside the library. `neighborhoods`,
-# the per-node view of a transformed graph, is read by the acceptance
-# suite's transformation invariants (criterion 3) only.
-ENTRY_POINTS = frozenset({"neighborhoods", "run_variant"})
+# and `benchmarks/` call is also used inside the library.
+ENTRY_POINTS = frozenset({"run_variant"})
 
 
 def _definitions_and_names(text):

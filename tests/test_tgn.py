@@ -738,7 +738,6 @@ def test_train_epoch_sets_last_update(rng):
     model = tgn.TgnModel(small_config(batch_size=10), VOCAB, 0, rng)
     ctx = model.bind_graph(g)
     state, _ = tgn.train(model, ctx, g, epochs=1, rng=np.random.default_rng(0))
-    assert state.pending is None
     touched = set(g.users.tolist()) | set((g.items + g.num_users).tolist())
     for node in range(g.num_nodes):
         if node in touched:
@@ -826,12 +825,3 @@ def test_snapshot_restore_roundtrip(tmp_path, rng):
     path2 = tmp_path / "tgn2.ckpt"
     tgn.snapshot(loaded.model, loaded.state, loaded.optimizer, path2, source_graph=g, train_pairs=static_pairs)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_snapshot_rejects_pending(tmp_path, rng):
-    g = make_graph(n_events=10)
-    model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
-    state = tgn.MemoryState.zeros(g.num_users + g.num_items, 8)
-    state.pending = event_batch_of(g, 0, 5)
-    with pytest.raises(ValueError, match="pending"):
-        tgn.snapshot(model, state, Adam(0.1), tmp_path / "x.ckpt")

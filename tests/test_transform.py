@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tgtransfer import fgat as fg
 from tgtransfer import transform as tf
 from tgtransfer.temporal_graph import TemporalGraph
 
@@ -20,19 +21,38 @@ def make_temporal(users, items, num_users, num_items, user_feats=None, item_feat
     )
 
 
+def weighted_neighbors(tg, node):
+    """(graph ids, graph weights, feature ids, feature weights) of `node`,
+    read off the `fgat.phase_plan` tables that aggregate it: phases 2 and 3
+    hold the interaction fractions, phase 1 a graph node's feature nodes and
+    phase 4 a feature node's graph nodes."""
+    p1, p2, p3, p4 = fg.phase_plan(tg, 2)
+
+    def into(table):
+        sel = table.edge_tgt == node
+        return table.edge_src[sel], table.edge_a[sel]
+
+    if node < tg.num_graph_nodes:
+        return (*into(p2 if node < tg.num_users else p3), *into(p1))
+    return (*into(p4), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+def edge_arrays(tg):
+    """Every phase table's (edge_tgt, edge_src, edge_a), in schedule order."""
+    return [arr for table in fg.phase_plan(tg, 2) for arr in (table.edge_tgt, table.edge_src, table.edge_a)]
+
+
 def test_static_frequency_weights():
     # u0 hits item0 three times and item1 twice
     g = make_temporal([0, 0, 0, 0, 0], [0, 0, 0, 1, 1], 1, 2)
-    s = tf.build_static(g)
-    ids, w = s.out_neighbors(0)
+    ids, w, _, _ = weighted_neighbors(tf.transform_graph(g), 0)
     assert list(ids) == [1, 2]  # item globals offset by num_users=1
     assert np.allclose(w, [0.6, 0.4])
 
 
 def test_static_single_interactor_gets_weight_one():
     g = make_temporal([0, 1], [0, 1], 2, 2)
-    s = tf.build_static(g)
-    ids, w = s.out_neighbors(2)  # item0, only u0 interacted
+    ids, w, _, _ = weighted_neighbors(tf.transform_graph(g), 2)  # item0, only u0 interacted
     assert list(ids) == [0] and np.allclose(w, [1.0])
 
 
@@ -41,12 +61,11 @@ def test_static_weights_sum_to_one_random_graph():
     n_users, n_items, n_events = 12, 9, 500
     users = rng.integers(0, n_users, n_events)
     items = rng.integers(0, n_items, n_events)
-    g = make_temporal(users, items, n_users, n_items)
-    s = tf.build_static(g)
+    tg = tf.transform_graph(make_temporal(users, items, n_users, n_items))
 
     # oracle: recount the interaction multiset directly
     for node in range(n_users + n_items):
-        ids, w = s.out_neighbors(node)
+        ids, w, _, _ = weighted_neighbors(tg, node)
         if node < n_users:
             mask = users == node
             partners = items[mask] + n_users
@@ -69,10 +88,9 @@ def test_static_weights_sum_to_one_random_graph():
 
 def test_static_asymmetric_weights():
     # u0: 1 of 2 interactions with item0; item0: its only interaction is u0
-    g = make_temporal([0, 0], [0, 1], 1, 2)
-    s = tf.build_static(g)
-    _, w_u = s.out_neighbors(0)
-    ids_i, w_i = s.out_neighbors(1)
+    tg = tf.transform_graph(make_temporal([0, 0], [0, 1], 1, 2))
+    _, w_u, _, _ = weighted_neighbors(tg, 0)
+    ids_i, w_i, _, _ = weighted_neighbors(tg, 1)
     assert np.allclose(sorted(w_u), [0.5, 0.5])
     assert list(ids_i) == [0] and w_i[0] == 1.0
 
@@ -89,7 +107,7 @@ def test_transformed_node_counts_and_partitions():
     assert tg.num_nodes == 7  # 2 users + 2 items + 3 features
     assert (tg.num_users, tg.num_graph_nodes) == (2, 4)
     assert tg.feature_global(0) == 4
-    assert [list(tg.feature_nodes[f]) for f in range(3)] == [[0], [1], [2]]
+    assert [list(weighted_neighbors(tg, tg.feature_global(f))[0]) for f in range(3)] == [[0], [1], [2]]
 
 
 def test_feature_edges_exact():
@@ -114,11 +132,11 @@ def test_neighborhoods_graph_node():
         vocab=vocab,
     )
     tg = tf.transform_graph(g)
-    nb = tf.neighborhoods(tg, 0)
-    got = dict(zip(nb.graph_ids.tolist(), nb.graph_weights.tolist()))
+    graph_ids, graph_weights, feature_ids, feature_weights = weighted_neighbors(tg, 0)
+    got = dict(zip(graph_ids.tolist(), graph_weights.tolist()))
     assert got == {1: pytest.approx(2 / 3), 2: pytest.approx(1 / 3)}
-    assert list(nb.feature_ids) == [tg.feature_global(0), tg.feature_global(1)]
-    assert np.allclose(nb.feature_weights, 0.5)
+    assert list(feature_ids) == [tg.feature_global(0), tg.feature_global(1)]
+    assert np.allclose(feature_weights, 0.5)
 
 
 def test_neighborhoods_feature_node_and_roundtrip():
@@ -133,17 +151,14 @@ def test_neighborhoods_feature_node_and_roundtrip():
     tg = tf.transform_graph(g)
     # oracle: brute-force scan of the edge list in both directions
     for f in range(4):
-        fb = tf.neighborhoods(tg, tg.feature_global(f))
+        graph_ids, graph_weights, feature_ids, _ = weighted_neighbors(tg, tg.feature_global(f))
         expect = {n for n, ff in zip(tg.feat_edge_node, tg.feat_edge_feat) if ff == f}
-        assert set(fb.graph_ids.tolist()) == expect
+        assert set(graph_ids.tolist()) == expect
         if expect:
-            assert abs(fb.graph_weights.sum() - 1.0) < 1e-12
-        assert len(fb.feature_ids) == 0
-        for v in fb.graph_ids:
-            vb = tf.neighborhoods(tg, int(v))
-            assert tg.feature_global(f) in vb.feature_ids
-    with pytest.raises(KeyError):
-        tf.neighborhoods(tg, tg.num_nodes)
+            assert abs(graph_weights.sum() - 1.0) < 1e-12
+        assert len(feature_ids) == 0
+        for v in graph_ids:
+            assert tg.feature_global(f) in weighted_neighbors(tg, int(v))[2]
 
 
 def test_bad_node_and_feature_ids_raise_key_error():
@@ -151,22 +166,17 @@ def test_bad_node_and_feature_ids_raise_key_error():
                       [np.array([1, 0]), np.array([], dtype=np.int64)], [np.array([1])] * 2, ["a", "b"])
     tg = tf.transform_graph(g)
     assert list(tg.node_features[0]) == [0, 1]  # ascending, whatever the input order
-    assert list(tg.feature_nodes[1]) == [0, 2, 3]
+    assert list(weighted_neighbors(tg, tg.feature_global(1))[0]) == [0, 2, 3]
     for bad in (-1, tg.num_graph_nodes):
         with pytest.raises(KeyError):
             tg.node_features[bad]
-        with pytest.raises(KeyError):
-            tg.static.out_neighbors(bad)
-    for bad in (-1, tg.num_features):
-        with pytest.raises(KeyError):
-            tg.feature_nodes[bad]
 
 
 def test_empty_feature_set_gives_no_feature_edges():
     g = make_temporal([0], [0], 1, 1, vocab=["x"])
     tg = tf.transform_graph(g)
-    nb = tf.neighborhoods(tg, 0)
-    assert len(nb.feature_ids) == 0 and len(nb.feature_weights) == 0
+    _, _, feature_ids, feature_weights = weighted_neighbors(tg, 0)
+    assert len(feature_ids) == 0 and len(feature_weights) == 0
 
 
 def test_transform_is_deterministic_and_timestamp_free():
@@ -175,12 +185,13 @@ def test_transform_is_deterministic_and_timestamp_free():
     items = rng.integers(0, 3, 30)
     a = tf.transform_graph(make_temporal(users, items, 4, 3))
     b = tf.transform_graph(make_temporal(users, items, 4, 3))
-    assert np.array_equal(a.static.edge_src, b.static.edge_src)
-    assert np.array_equal(a.static.edge_weight, b.static.edge_weight)
+    for x, y in zip(edge_arrays(a), edge_arrays(b)):
+        assert np.array_equal(x, y)
     # shuffling event order leaves the transformation unchanged
     perm = rng.permutation(30)
     c = tf.transform_graph(make_temporal(users[perm], items[perm], 4, 3))
-    assert np.array_equal(a.static.edge_weight, c.static.edge_weight)
+    for x, y in zip(edge_arrays(a), edge_arrays(c)):
+        assert np.array_equal(x, y)
     # no timestamp survives anywhere in the structure
     assert not any("time" in attr for attr in vars(a))
     assert not any("time" in attr for attr in vars(a.static))
@@ -213,7 +224,7 @@ def test_cache_roundtrip(tmp_path):
     tf.save_transformed(tg, path)
     tg2 = tf.load_transformed(path)
     assert tg2.num_nodes == tg.num_nodes
-    assert np.array_equal(tg2.static.edge_src, tg.static.edge_src)
-    assert np.array_equal(tg2.static.edge_weight, tg.static.edge_weight)
+    for x, y in zip(edge_arrays(tg2), edge_arrays(tg)):
+        assert np.array_equal(x, y)
     assert np.array_equal(tg2.feat_edge_node, tg.feat_edge_node)
     assert tg2.feature_vocab == tg.feature_vocab
