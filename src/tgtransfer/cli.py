@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import compress
 from pathlib import Path
@@ -36,11 +37,26 @@ METRICS = ("ap", "auc", "mrr", "recall_at_k")
 # -- shared helpers ------------------------------------------------------------------
 
 
+def _numeric_environment() -> dict:
+    """numpy's version, its BLAS and the BLAS thread settings: same-seed
+    outputs repeat byte for byte only under the same ones."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no dicts
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _write_config_snapshot(args, default_dir) -> None:
     run_dir = Path(args.run_dir) if args.run_dir else Path(default_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     skip = {"func", "command", "config", "run_dir"}
     resolved = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    resolved["numeric_environment"] = _numeric_environment()
     path = run_dir / f"{args.command}-config.json"
     path.write_text(json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
 
@@ -263,8 +279,9 @@ def cmd_transfer(args) -> int:
     pair = _pair_label(args)
     seed_runs = _seed_runs(args, seeds, args.variant, g, splits, f"{args.variant},{pair}")
     runs = []
-    print(CSV_HEADER)
     for result, row in seed_runs:
+        if not runs:  # with the first row: a run that fails before it prints nothing
+            print(CSV_HEADER)
         runs.append(result)
         print(row)
         if args.mapping_out and result.mapping is not None:

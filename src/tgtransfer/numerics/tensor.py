@@ -521,9 +521,12 @@ def backward(loss: Tensor, params=None) -> None:
         if g is None:
             continue
         if node._backward is None:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+            if node.grad is not None:
+                node.grad += g
+            elif g.shape != node.data.shape:
+                raise ValueError(f"gradient of shape {g.shape} for a leaf of shape {node.data.shape}")
+            else:
+                node.grad = g + 0.0  # a fresh array, and -0.0 becomes +0.0 as under a zero fill
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):

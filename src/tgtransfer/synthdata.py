@@ -122,20 +122,7 @@ def _sample_graph(
         comm[~own] = (comm[~own] + shift[~own]) % c
 
     times = np.sort(rng.uniform(0.0, float(n_events), size=n_events))
-    horizon = float(n_events)
-    # per community, an item_churn share of the items debuts on an evenly
-    # spaced grid instead of at t=0; debut rank follows round-robin rank,
-    # so items of community k sit at k, k+c, k+2c, ... in debut order
-    open_times = []
-    for k in range(c):
-        n_k = (n_items - k + c - 1) // c
-        m_k = int(np.floor(cfg.item_churn * n_k))
-        debut = horizon * np.arange(1, m_k + 1) / (m_k + 1)
-        open_times.append(np.concatenate([np.zeros(n_k - m_k), debut]))
-    n_open = np.array(
-        [np.searchsorted(open_times[k], t, side="right") for k, t in zip(comm, times)],
-        dtype=np.int64,
-    )
+    n_open = _open_counts(cfg, n_items, comm, times, float(n_events))
     slot = np.floor(rng.random(n_events) * n_open).astype(np.int64)
     items = comm + slot * c
 
@@ -161,6 +148,25 @@ def _sample_graph(
         item_features,
     )
     return graph, user_comm, item_comm
+
+
+def _open_counts(cfg: SynthConfig, n_items: int, comm: np.ndarray, times: np.ndarray, horizon: float) -> np.ndarray:
+    """How many items of each event's community `comm` are open at its time.
+
+    Per community, an item_churn share of the items debuts on an evenly
+    spaced grid over (0, horizon) instead of at t=0; debut rank follows
+    round-robin rank, so items of community k sit at k, k+c, k+2c, ... in
+    debut order.
+    """
+    c = cfg.n_communities
+    n_open = np.zeros(len(times), dtype=np.int64)
+    for k in range(c):
+        n_k = (n_items - k + c - 1) // c
+        m_k = int(np.floor(cfg.item_churn * n_k))
+        debut = horizon * np.arange(1, m_k + 1) / (m_k + 1)
+        at_k = comm == k
+        n_open[at_k] = np.searchsorted(np.concatenate([np.zeros(n_k - m_k), debut]), times[at_k], side="right")
+    return n_open
 
 
 def _analog_ids(n_target: int, n_source: int, n_communities: int) -> np.ndarray:

@@ -12,7 +12,8 @@ Every ragged per-node table is one `Csr`: a flat `values` array cut into rows
 by an `offsets` array, row r being values[offsets[r]:offsets[r + 1]]. That
 holds the feature ids of users and of items, the embedding rows a model binds
 to them, and the temporal adjacency, whose flat neighbor, time and ordinal
-arrays are sorted by (node, time) under one offsets array.
+arrays are sorted by (node, time) under one offsets array. A batch neighbor
+lookup answers in that layout too: flat arrays and one row length per query.
 """
 
 from __future__ import annotations
@@ -395,27 +396,21 @@ class NeighborIndex:
         return np.searchsorted(self._keys, query, side="left") - self.adjacency.offsets[nodes]
 
     def batch_neighbors(self, nodes: np.ndarray, ts: np.ndarray, k: int):
-        """Padded per-row neighbor tables for a batch of (node, time) queries.
+        """The k newest interactions before each (node, time) query, as CSR rows.
 
-        Returns (ids, times, ordinals, mask), each (B, k); mask is 1.0 on
-        real entries. Padding uses id 0, the query time, and ordinal 0, all
-        neutralized by the mask downstream.
+        Returns (ids, times, ordinals, count): flat arrays holding the rows
+        in query order, newest first within each row, and each row's length,
+        `count` = min(history_lengths, k).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         length = self.history_lengths(nodes, ts)
-        cut = self.adjacency.offsets[nodes] + length
         count = np.minimum(length, k)
-        back = np.arange(k)
-        real = back < count[:, None]
-        src = (cut[:, None] - 1 - back)[real]  # newest first along each row
-        ids = np.zeros((len(nodes), k), dtype=np.int64)
-        times = np.repeat(ts[:, None], k, axis=1)
-        ords = np.zeros((len(nodes), k), dtype=np.int64)
-        ids[real] = self.adjacency.values[src]
-        times[real] = self._times[src]
-        ords[real] = self._ords[src]
-        return ids, times, ords, real.astype(np.float64)
+        cut = self.adjacency.offsets[nodes] + length
+        starts = np.cumsum(count) - count
+        # slot j of query r sits at starts[r] + j and reads position cut[r] - 1 - j
+        src = np.repeat(cut - 1 + starts, count) - np.arange(count.sum())
+        return self.adjacency.values[src], self._times[src], self._ords[src], count
 
     def edge_features_for(self, ordinals: np.ndarray) -> np.ndarray:
         """Edge feature rows of the given event ordinals, one row each."""

@@ -8,9 +8,9 @@ messages read batch-start memories and the latest message per node wins.
 Node embeddings at time t start from projected static features plus current
 memory and pass through layers of multi-head dot-product attention over the
 k most recent strictly-earlier interactions, keyed on neighbor embedding,
-encoded time gap, and edge features. Attention runs over a node's real
-neighbor slots only: no padded slot is embedded, encoded or scored. A
-two-tower MLP decoder turns a pair of embeddings into a link probability.
+encoded time gap, and edge features. Attention runs over each query's CSR
+row of real neighbor slots only, never over a padded slot. A two-tower MLP
+decoder turns a pair of embeddings into a link probability.
 
 Each `embed` call embeds every distinct (node, t, hidden) query once and
 gathers the result back to the caller's rows; `score_pairs` embeds users and
@@ -332,17 +332,18 @@ class TgnModel:
             first, inverse = _distinct_queries(nodes, ts, None)
             h_self = T.gather(self._embed(ctx, h0, nodes[first], ts[first], layer - 1, trace, None,
                                           inverse[trace_rows]), inverse)
-        nbr_ids, nbr_times, nbr_ords, mask = ctx.index.batch_neighbors(nodes, ts, k)
-        if hide is not None:
-            mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
-        # real slots only; row-major order keeps each query's slots together
-        row, slot = np.nonzero(mask)
-        h_nbr = self._embed(ctx, h0, nbr_ids[row, slot], ts[row], layer - 1, trace, None)
-        dt = ts[row] - nbr_times[row, slot]
+        nbr_ids, nbr_times, nbr_ords, count = ctx.index.batch_neighbors(nodes, ts, k)
+        if hide is not None:  # hidden queries drop their slots
+            keep = np.repeat(hide == 0, count)
+            nbr_ids, nbr_times, nbr_ords = nbr_ids[keep], nbr_times[keep], nbr_ords[keep]
+            count = np.where(hide, 0, count)
+        row = np.repeat(np.arange(b), count)
+        h_nbr = self._embed(ctx, h0, nbr_ids, ts[row], layer - 1, trace, None)
+        dt = ts[row] - nbr_times
         if dt.size and dt.min() < -1e-12:
             raise ValueError("neighbor newer than query time")
         phi = self.time_enc(self.pset, dt)
-        x_uv = ctx.index.edge_features_for(nbr_ords[row, slot])
+        x_uv = ctx.index.edge_features_for(nbr_ords)
         # every query sees a zero gap to itself: encode it once, copy it per row
         phi_self = T.gather(self.time_enc(self.pset, np.zeros(1)), np.zeros(b, dtype=np.int64))
         q_in = T.concat([h_self, phi_self], axis=1)
@@ -354,11 +355,12 @@ class TgnModel:
             row, b, cfg.n_heads,
         )
         if trace is not None:
+            mask = np.arange(k) < count[:, None]
             dense = np.zeros((b, k, cfg.n_heads))
-            dense[row, slot] = alpha
-            trace.append({"layer": layer, "alpha": dense[trace_rows], "mask": mask[trace_rows].copy()})
+            dense[mask] = alpha
+            trace.append({"layer": layer, "alpha": dense[trace_rows], "mask": mask[trace_rows].astype(np.float64)})
         context = self.att_o[li](ps, context)
-        has_nbr = (mask.max(axis=1) > 0).astype(np.float64)
+        has_nbr = (count > 0).astype(np.float64)
         context = context * T.constant(has_nbr[:, None])
         return self.combine[li](ps, T.concat([h_self, context], axis=1))
 

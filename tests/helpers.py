@@ -90,6 +90,20 @@ def neighbors(index, node, t, k):
     return index.adjacency.values[sel][::-1], index._times[sel][::-1], index._ords[sel][::-1]
 
 
+def open_counts_loop(cfg, n_items, comm, times, horizon):
+    """Per-event reference for `synthdata._open_counts`: each community's
+    item opening times, then one `np.searchsorted` call per event."""
+    c = cfg.n_communities
+    open_times = []
+    for k in range(c):
+        n_k = (n_items - k + c - 1) // c
+        m_k = int(np.floor(cfg.item_churn * n_k))
+        debut = horizon * np.arange(1, m_k + 1) / (m_k + 1)
+        open_times.append(np.concatenate([np.zeros(n_k - m_k), debut]))
+    return np.array([np.searchsorted(open_times[k], t, side="right") for k, t in zip(comm, times)],
+                    dtype=np.int64)
+
+
 def sample_non_edges_loop(tg, n, rng):
     """Scalar reference for `fgat._sample_non_edges`: draw a user, then an
     item, with one `rng.integers` call each, and skip pairs present in `tg`
@@ -471,7 +485,14 @@ def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
     d, heads = cfg.d_mem, cfg.n_heads
     dh = d // heads
     h_self = embed_padded(model, ctx, mem, nodes, ts, layer=layer - 1)
-    nbr_ids, nbr_times, nbr_ords, mask = ctx.index.batch_neighbors(nodes, ts, k)
+    # (b, k) tables from the one-query reference; padded slots hold id 0,
+    # ordinal 0 and the query time, and the mask pushes them out
+    nbr_ids, nbr_ords = np.zeros((b, k), dtype=np.int64), np.zeros((b, k), dtype=np.int64)
+    nbr_times, mask = np.repeat(ts[:, None], k, axis=1), np.zeros((b, k))
+    for r in range(b):
+        ids_r, times_r, ords_r = neighbors(ctx.index, int(nodes[r]), float(ts[r]), k)
+        c = len(ids_r)
+        nbr_ids[r, :c], nbr_times[r, :c], nbr_ords[r, :c], mask[r, :c] = ids_r, times_r, ords_r, 1.0
     if hide is not None:
         mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
     flat_ids = nbr_ids.reshape(-1)

@@ -391,6 +391,27 @@ def test_transfer_reports_malformed_checkpoint(trained, tmp_path, capsys, loader
     assert err.startswith("error: ") and says in err
 
 
+@pytest.mark.parametrize("content, code", [
+    (None, 2),
+    (b'{"meta":{"kind":"tgn-checkpoint"},"schema":1}\n', 1),
+], ids=["missing", "malformed"])
+def test_unreadable_checkpoint_writes_nothing_to_stdout(trained, tmp_path, capsys, content, code):
+    """A source checkpoint that cannot be read ends `transfer` before any
+    output: one `error:` line on stderr and an empty stdout, without the CSV
+    header."""
+    _, _, target = trained
+    ckpt = tmp_path / "nope.ckpt"
+    if content is not None:
+        ckpt.write_bytes(content)
+    rc = cli.main(["transfer", "--variant", "wt", "--target", str(target), "--src-ckpt", str(ckpt),
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["transfer", "--variant", "nt", "--seeds", ","],
     ["transfer", "--variant", "nt", "--seeds", " , "],
@@ -570,3 +591,16 @@ def test_run_dir_flag_controls_snapshot_location(toy_csv, tmp_path):
     ])
     assert rc == 0
     assert (run_dir / "transform-config.json").exists()
+
+
+def test_config_snapshot_records_numeric_environment(toy_csv, tmp_path, monkeypatch):
+    """Same-seed bytes hold only at a fixed BLAS thread count, so the
+    snapshot records it with the numpy and BLAS versions."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    rc = cli.main(["transform", "--input", str(toy_csv), "--output", str(tmp_path / "t.cache")])
+    assert rc == 0
+    env = json.loads((tmp_path / "transform-config.json").read_text())["numeric_environment"]
+    assert env["numpy"] == np.__version__
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+    assert set(env["blas"]) == {"name", "version"}

@@ -432,6 +432,21 @@ def test_backward_zero_fills_unused_params():
     assert np.array_equal(used.grad, np.ones(2))
 
 
+def test_backward_binds_first_gradient_without_a_zero_fill(monkeypatch):
+    a = N.parameter(np.ones((2, 3)))
+    b = N.parameter(np.ones(3))
+    signs = np.array([[1.0, -0.0, 2.0], [-0.0, 3.0, 1.0]])
+    calls = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda *args, **kw: calls.append(1) or zeros_like(*args, **kw))
+    N.backward(N.tensor_sum(a * N.constant(signs) + b), params=[a, b])
+    assert calls == []
+    # a gradient of -0.0 is stored as +0.0, in a fresh writable array
+    assert np.array_equal(a.grad, signs) and not np.signbit(a.grad).any()
+    assert a.grad.flags.writeable and not np.shares_memory(a.grad, signs)
+    assert np.array_equal(b.grad, np.full(3, 2.0))
+
+
 # -- modules -------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import pytest
 from tgtransfer import synthdata as sd
 from tgtransfer import temporal_graph as tg
 
-from helpers import scarcity_subsample
+from helpers import open_counts_loop, scarcity_subsample
 
 
 SMALL = sd.SynthConfig(
@@ -213,6 +213,23 @@ def test_config_rejects_bad_new_dials():
         sd.SynthConfig(target_event_scale=0.0)
     with pytest.raises(ValueError):
         sd.SynthConfig(target_event_scale=1.2)
+
+
+@pytest.mark.parametrize("churn", [0.0, 0.5, 0.9])
+def test_open_counts_match_per_event_loop(churn):
+    cfg = sd.SynthConfig(**{**SMALL.__dict__, "item_churn": churn})
+    rng = np.random.default_rng(3)
+    horizon = 500.0
+    # random times, both ends of the horizon, and every debut time of
+    # communities of up to 6 items, where an item opens at its own debut
+    debuts = [horizon * np.arange(1, m + 1) / (m + 1) for m in range(1, 6)]
+    times = np.concatenate([rng.uniform(0.0, horizon, size=500), [0.0, horizon], *debuts])
+    comm = rng.integers(0, cfg.n_communities, size=len(times))
+    got = sd._open_counts(cfg, 23, comm, times, horizon)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, open_counts_loop(cfg, 23, comm, times, horizon))
+    if churn > 0.0:
+        assert got.min() < got.max()
 
 
 def test_edge_signal_zero_yields_no_edge_features():

@@ -187,11 +187,11 @@ def test_neighbor_queries_strict_and_newest_first():
         [np.array([], dtype=np.int64)] * 3,
     )
     idx = tg.NeighborIndex(g)
-    ids, ts, _, mask = idx.batch_neighbors(np.array([0, 0, 0]), np.array([3.0, 1.0, 99.0]), 3)
-    # item globals are offset by num_users=1
-    assert list(ids[0, :2]) == [2, 1] and list(ts[0, :2]) == [2.0, 1.0]
-    assert list(mask.sum(axis=1)) == [2, 0, 3]
-    assert list(ids[2]) == [3, 2, 1]
+    ids, ts, _, count = idx.batch_neighbors(np.array([0, 0, 0]), np.array([3.0, 1.0, 99.0]), 3)
+    # item globals are offset by num_users=1; rows follow each other, newest first
+    assert list(ids[:2]) == [2, 1] and list(ts[:2]) == [2.0, 1.0]
+    assert list(count) == [2, 0, 3]
+    assert list(ids[2:]) == [3, 2, 1]
 
 
 def test_neighbor_strictness_property():
@@ -201,8 +201,8 @@ def test_neighbor_strictness_property():
     for _ in range(50):
         node = int(rng.integers(0, g.num_nodes))
         t = float(rng.uniform(0, 120))
-        _, ts, _, mask = idx.batch_neighbors(np.array([node]), np.array([t]), 8)
-        ts = ts[0, : int(mask.sum())]
+        _, ts, _, count = idx.batch_neighbors(np.array([node]), np.array([t]), 8)
+        assert len(ts) == count[0]
         assert all(x < t for x in ts)
         assert np.array_equal(ts, np.sort(ts)[::-1])
 
@@ -211,28 +211,25 @@ def test_neighbor_index_is_bidirectional():
     g = make_graph(30, seed=5)
     idx = tg.NeighborIndex(g)
     u, i, t = int(g.users[4]), int(g.items[4]), float(g.times[4])
-    ids, _, _, mask = idx.batch_neighbors(np.array([u, g.num_users + i]), np.full(2, t + 1e-9), 100)
-    assert g.num_users + i in ids[0][mask[0] > 0]
-    assert u in ids[1][mask[1] > 0]
+    ids, _, _, count = idx.batch_neighbors(np.array([u, g.num_users + i]), np.full(2, t + 1e-9), 100)
+    assert g.num_users + i in ids[: count[0]]
+    assert u in ids[count[0] :]
 
 
 def assert_batch_matches_rows(idx, nodes, ts, k):
-    ids, times, ords, mask = idx.batch_neighbors(nodes, ts, k)
-    assert ids.shape == times.shape == ords.shape == mask.shape == (len(nodes), k)
-    assert (ids.dtype, times.dtype, ords.dtype, mask.dtype) == (np.int64, np.float64, np.int64, np.float64)
+    ids, times, ords, count = idx.batch_neighbors(nodes, ts, k)
+    assert count.shape == (len(nodes),) and ids.shape == times.shape == ords.shape == (count.sum(),)
+    assert (ids.dtype, times.dtype, ords.dtype, count.dtype) == (np.int64, np.float64, np.int64, np.int64)
+    ends = np.cumsum(count)
     for row in range(len(nodes)):
         single_ids, single_ts, single_ords = neighbors(idx, int(nodes[row]), float(ts[row]), k)
-        c = len(single_ids)
-        assert mask[row, :c].all() and not mask[row, c:].any()
-        assert np.array_equal(ids[row, :c], single_ids)
-        assert np.array_equal(times[row, :c], single_ts)
-        assert np.array_equal(ords[row, :c], single_ords)
-        # padded slots carry id 0, ordinal 0 and the query time, so dt is zero
-        assert not ids[row, c:].any() and not ords[row, c:].any()
-        assert np.array_equal(times[row, c:], np.full(k - c, ts[row]))
-    # the count-only query agrees with the tables' real slots
-    assert np.array_equal(np.minimum(idx.history_lengths(nodes, ts), k), mask.sum(axis=1))
-    return mask
+        sel = slice(ends[row] - count[row], ends[row])
+        assert np.array_equal(ids[sel], single_ids)
+        assert np.array_equal(times[sel], single_ts)
+        assert np.array_equal(ords[sel], single_ords)
+    # the count-only query agrees with the rows' lengths
+    assert np.array_equal(np.minimum(idx.history_lengths(nodes, ts), k), count)
+    return count
 
 
 def test_batch_neighbors_padding_and_mask():
@@ -240,8 +237,8 @@ def test_batch_neighbors_padding_and_mask():
     idx = tg.NeighborIndex(g)
     nodes = np.array([0, 1, g.num_users])
     ts = np.array([50.0, 0.0, 80.0])
-    mask = assert_batch_matches_rows(idx, nodes, ts, 6)
-    assert mask[1].sum() == 0  # t=0 has no history
+    count = assert_batch_matches_rows(idx, nodes, ts, 6)
+    assert count[1] == 0  # t=0 has no history
 
     # every node at every event time (neighbors must be strictly earlier),
     # just after it, and past the end; k from 0 to beyond any history
@@ -249,7 +246,7 @@ def test_batch_neighbors_padding_and_mask():
     ts = np.tile(np.concatenate([g.times, g.times + 1e-9, g.times + 100.0]), g.num_nodes)
     for k in (0, 1, 3, 50):
         assert_batch_matches_rows(idx, nodes, ts, k)
-    assert assert_batch_matches_rows(idx, nodes[:0], ts[:0], 4).shape == (0, 4)
+    assert assert_batch_matches_rows(idx, nodes[:0], ts[:0], 4).shape == (0,)
 
 
 def test_batch_neighbors_tied_times_and_empty_history():
@@ -269,11 +266,12 @@ def test_batch_neighbors_tied_times_and_empty_history():
     nodes = np.repeat(np.arange(g.num_nodes), 6)
     ts = np.tile([0.0, 1.0, 2.0, 2.5, 5.0, 6.0], g.num_nodes)
     for k in (1, 2, 8):
-        mask = assert_batch_matches_rows(idx, nodes, ts, k)
-        assert not mask[nodes == 1].any()
-    ids, times, ords, _ = idx.batch_neighbors(np.array([0, 3]), np.array([2.5, 2.5]), 4)
-    assert list(ids[0, :3]) == [5, 4, 3] and list(ords[0, :3]) == [2, 1, 0]
-    assert list(ids[1, :2]) == [2, 0] and list(times[1, :2]) == [2.0, 1.0]
+        count = assert_batch_matches_rows(idx, nodes, ts, k)
+        assert not count[nodes == 1].any()
+    ids, times, ords, count = idx.batch_neighbors(np.array([0, 3]), np.array([2.5, 2.5]), 4)
+    assert list(count) == [3, 2]
+    assert list(ids[:3]) == [5, 4, 3] and list(ords[:3]) == [2, 1, 0]
+    assert list(ids[3:]) == [2, 0] and list(times[3:]) == [2.0, 1.0]
 
     empty = tg.NeighborIndex(g.slice(0, 0))
     assert not assert_batch_matches_rows(empty, np.arange(6), np.full(6, 3.0), 2).any()
