@@ -2,9 +2,10 @@
 
 Positive scores come from the split's true events; an equal number of
 negatives pair each event's user with a random other item at the same time.
-Ranking metrics score each event's user against the full item catalog; a
-ranked run then reads its positive and negative scores off that catalog
-instead of scoring the pairs again, with the same bytes.
+Each batch scores its users against one (B, m) matrix of candidate items:
+the full item catalog when ranking metrics are on, else each event's true
+item and its negative. The positive and negative scores are read off that
+matrix, and ranking metrics rank the true item among the catalog.
 The true events update the memory after being scored, so later events are
 predicted with everything observed so far.
 
@@ -119,16 +120,17 @@ def summarize(values) -> tuple[float, float]:
 # -- protocol ---------------------------------------------------------------------
 
 
-def _catalog_scores(model: TgnModel, ctx: GraphContext, mem, users, ts) -> np.ndarray:
-    """(B, num_items) probabilities of every item for each (user, t) query:
-    one `score_pairs` call on every (user, catalog item) pair, whose one
-    `embed` call folds the repeated user queries and shares one neighbor
-    lookup and one static feature table between users and items.
+def _candidate_scores(model: TgnModel, ctx: GraphContext, mem, users, ts, items) -> np.ndarray:
+    """(B, m) probabilities of the candidate items `items` (B, m), local ids,
+    for each (user, t) query: one `score_pairs` call on every (user,
+    candidate) pair, whose one `embed` call folds the repeated user queries
+    and shares one neighbor lookup and one static feature table between
+    users and items.
     """
-    n_items = ctx.graph.num_items
-    items_g = np.tile(np.arange(n_items, dtype=np.int64) + ctx.graph.num_users, len(users))
-    probs = model.score_pairs(ctx, mem, np.repeat(users, n_items), items_g, np.repeat(ts, n_items))
-    return probs.data.reshape(len(users), n_items)
+    b, m = items.shape
+    items_g = items.ravel() + ctx.graph.num_users
+    probs = model.score_pairs(ctx, mem, np.repeat(users, m), items_g, np.repeat(ts, m))
+    return probs.data.reshape(b, m)
 
 
 def evaluate(
@@ -155,24 +157,19 @@ def evaluate(
     pos_scores, neg_scores, ranks = [], [], []
     item_ids = np.arange(ctx.graph.num_items)
     for batch in batch_iter(split, chunk):
+        negs = sample_negatives(batch.items, ctx.graph.num_items, rng)
+        rows = np.arange(len(batch.items))
+        if rank_metrics:  # the candidate in column j is item j
+            items = np.broadcast_to(item_ids, (len(rows), len(item_ids)))
+            pos_col, neg_col = batch.items, negs
+        else:
+            items, pos_col, neg_col = np.stack([batch.items, negs], axis=1), 0, 1
         with T.no_grad():
-            mem = T.constant(state.memory)
-            negs = sample_negatives(batch.items, ctx.graph.num_items, rng)
-            if rank_metrics:
-                # every pair query is a catalog query: read the pair scores off it
-                catalog = _catalog_scores(model, ctx, mem, batch.users, batch.times)
-                rows = np.arange(len(catalog))
-                pos_scores.append(catalog[rows, batch.items])
-                neg_scores.append(catalog[rows, negs])
-                ranks.extend(truth_rank(catalog, item_ids, batch.items))
-            else:
-                b = len(batch.users)
-                users2 = np.concatenate([batch.users, batch.users])
-                cands = np.concatenate([batch.items, negs]) + num_users
-                ts2 = np.concatenate([batch.times, batch.times])
-                probs = model.score_pairs(ctx, mem, users2, cands, ts2).data
-                pos_scores.append(probs[:b])
-                neg_scores.append(probs[b:])
+            scores = _candidate_scores(model, ctx, T.constant(state.memory), batch.users, batch.times, items)
+        pos_scores.append(scores[rows, pos_col])
+        neg_scores.append(scores[rows, neg_col])
+        if rank_metrics:
+            ranks.extend(truth_rank(scores, item_ids, batch.items))
         state = update_memory(model, state, batch, num_users)
     pos = np.concatenate(pos_scores)
     neg = np.concatenate(neg_scores)

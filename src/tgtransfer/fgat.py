@@ -70,6 +70,7 @@ class FgatConfig:
         check_fields(self, "count", "dim", "n_layers")
         check_fields(self, "rate", "lr")
         check_fields(self, "share", "mask_fraction")
+        check_fields(self, "unit", "slope")
 
     def to_dict(self) -> dict:
         return asdict(self)

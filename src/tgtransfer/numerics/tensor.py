@@ -221,25 +221,21 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def _leaky_relu(x: np.ndarray, slope: float):
-    """`leaky_relu`'s values and its map from their gradient to `x`'s."""
+    """`leaky_relu`'s values and its map from their gradient to `x`'s, for a
+    `slope` in [0, 1]: there the larger of x and slope*x is the selected one,
+    and slope + mask*(1 - slope) is exactly 1.0 or slope, so both are built
+    without a data-dependent branch per element."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope!r}")
     mask = x > 0.0
-    if 0.0 <= slope <= 1.0:
-        # the larger of x and slope*x is the selected one; unlike np.where
-        # this takes no data-dependent branch per element
-        out = slope * x
-        np.maximum(x, out, out=out)
-    else:
-        out = np.where(mask, x, slope * x)
+    out = slope * x
+    np.maximum(x, out, out=out)
 
     def backward(g):
-        if slope + (1.0 - slope) == 1.0:
-            # slope + mask*(1 - slope) is exactly 1.0 or slope, as np.where
-            # would pick, and is built without branching
-            scale = mask * (1.0 - slope)
-            scale += slope
-            scale *= g
-            return scale
-        return g * np.where(mask, 1.0, slope)
+        scale = mask * (1.0 - slope)
+        scale += slope
+        scale *= g
+        return scale
 
     return out, backward
 
@@ -337,9 +333,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor(out_data, _parents=tensors, _backward=backward, _op="concat")
 
 
-_INDEX_CELLS = 1 << 20
-
-
 def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """`out[k]` = sum of `values[i]` over all `i` with `idx[i] == k`, zero
     where no `i` matches; `out` has `n` rows. See `_index_plan`."""
@@ -348,16 +341,13 @@ def _index_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 def _index_plan(idx: np.ndarray, n: int, width: int):
     """The function that sums (len(idx), width) values as `_index_add` does:
-    the range check and the flat (row, column) indices are made once, so sums
+    the range check and the flat (row, column) index are made once, so sums
     over the same rows can share them.
 
     Each row is added in input order onto an initial 0.0, exactly as
     `np.add.at` on a zero array does, so results are bytewise the same.
-    `np.bincount` keeps that order and runs several times faster. Each call
-    sums a block of columns through a flattened (row, column) index of at
-    most `_INDEX_CELLS` entries, so inputs up to that size take one call;
-    wider ones take as few blocks as fit, as equal as they can be so all but
-    the last share one index, down to one call per column.
+    `np.bincount` over the flat index keeps that order and runs several
+    times faster.
     """
     if idx.size:
         lo, hi = int(idx.min()), int(idx.max())
@@ -365,20 +355,11 @@ def _index_plan(idx: np.ndarray, n: int, width: int):
             raise IndexError(f"row index out of range for {n} rows")
         if lo < 0:
             idx = np.where(idx < 0, idx + n, idx)
-    most = max(_INDEX_CELLS // max(len(idx), 1), 1)  # columns one index may cover
-    blocks = max(-(-width // most), 1)
-    step = max(-(-width // blocks), 1)  # as equal as the blocks can be
-    flats = {w: idx if w == 1 else (idx[:, None] * w + np.arange(w)).ravel()
-             for w in {min(step, width - j) for j in range(0, width, step)}}
+    flat = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
 
     def apply(values: np.ndarray) -> np.ndarray:
-        rows = values.reshape(len(idx), width)
-        out = np.empty((n, width))
-        for j in range(0, width, step):
-            w = min(step, width - j)
-            sums = np.bincount(flats[w], weights=rows[:, j : j + w].ravel(), minlength=n * w)
-            out[:, j : j + w] = sums.reshape(n, w)
-        return out.reshape((n,) + values.shape[1:])
+        sums = np.bincount(flat, weights=values.ravel(), minlength=n * width)
+        return sums.reshape((n,) + values.shape[1:])
 
     return apply
 
@@ -458,14 +439,13 @@ def _segment_softmax(logits: np.ndarray, seg_ids: np.ndarray, seg_sum):
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
     """Copy of `base` with `out[idx] = rows`.
 
-    `idx` is an integer array that must not repeat, or a `slice`, which
-    skips the repeat check. Each output row comes from exactly one input, so
-    nothing is accumulated: forward and backward copy values unchanged.
+    `idx` is an integer array that must not repeat. Each output row comes
+    from exactly one input, so nothing is accumulated: forward and backward
+    copy values unchanged.
     """
-    if not isinstance(idx, slice):
-        idx = np.asarray(idx, dtype=np.int64)
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("scatter_rows requires unique row indices")
+    idx = np.asarray(idx, dtype=np.int64)
+    if len(np.unique(idx)) != len(idx):
+        raise ValueError("scatter_rows requires unique row indices")
     out_data = base.data.copy()
     out_data[idx] = rows.data
 

@@ -395,12 +395,13 @@ class NeighborIndex:
         query = nodes * self._stride + np.searchsorted(self._stamps, ts, side="left")
         return np.searchsorted(self._keys, query, side="left") - self.adjacency.offsets[nodes]
 
-    def batch_neighbors(self, nodes: np.ndarray, ts: np.ndarray, k: int):
+    def batch_neighbors(self, nodes: np.ndarray, ts: np.ndarray, k: int | np.ndarray):
         """The k newest interactions before each (node, time) query, as CSR rows.
 
-        Returns (ids, times, ordinals, count): flat arrays holding the rows
-        in query order, newest first within each row, and each row's length,
-        `count` = min(history_lengths, k).
+        `k` is one integer for every query or an integer array with one
+        entry per query. Returns (ids, times, ordinals, count): flat arrays
+        holding the rows in query order, newest first within each row, and
+        each row's length, `count` = min(history_lengths, k).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)

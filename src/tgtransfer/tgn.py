@@ -274,16 +274,13 @@ class TgnModel:
         if nodes.size and (nodes.min() < 0 or nodes.max() >= ctx.num_nodes):
             raise KeyError("unknown node in static feature query")
         rows = ctx.node_rows
-        if rows.values.size == 0:
-            mean = T.constant(np.zeros((len(rows), self.config.d_feat)))
-        else:
-            counts = np.maximum(rows.lengths, 1).astype(np.float64)
-            emb = T.gather(self.pset["feat.table"], rows.values)
-            mean = T.segment_sum(emb, rows.segment_ids(), len(rows)) * T.constant(1.0 / counts[:, None])
+        counts = np.maximum(rows.lengths, 1).astype(np.float64)
+        emb = T.gather(self.pset["feat.table"], rows.values)
+        mean = T.segment_sum(emb, rows.segment_ids(), len(rows)) * T.constant(1.0 / counts[:, None])
         return T.gather(self.feat_proj(self.pset, mean), nodes)
 
-    def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int | None = None, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
-        """h^layer(t) for each (node, t) query; layer defaults to config.
+    def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
+        """The top-layer embedding h(t) of each (node, t) query.
 
         `mem` holds one memory row per graph node. `hide` marks query rows
         whose neighbor context is masked out at the top layer (training-time
@@ -300,7 +297,7 @@ class TgnModel:
         layer's entry for neighbor slots has one row per real slot of the
         distinct queries.
         """
-        layer = self.config.n_layers if layer is None else layer
+        layer = self.config.n_layers
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         hide = None if hide is None else np.asarray(hide)
@@ -332,11 +329,9 @@ class TgnModel:
             first, inverse = _distinct_queries(nodes, ts, None)
             h_self = T.gather(self._embed(ctx, h0, nodes[first], ts[first], layer - 1, trace, None,
                                           inverse[trace_rows]), inverse)
-        nbr_ids, nbr_times, nbr_ords, count = ctx.index.batch_neighbors(nodes, ts, k)
-        if hide is not None:  # hidden queries drop their slots
-            keep = np.repeat(hide == 0, count)
-            nbr_ids, nbr_times, nbr_ords = nbr_ids[keep], nbr_times[keep], nbr_ords[keep]
-            count = np.where(hide, 0, count)
+        # hidden queries look up no neighbor slots
+        nbr_ids, nbr_times, nbr_ords, count = ctx.index.batch_neighbors(
+            nodes, ts, k if hide is None else np.where(hide, 0, k))
         row = np.repeat(np.arange(b), count)
         h_nbr = self._embed(ctx, h0, nbr_ids, ts[row], layer - 1, trace, None)
         dt = ts[row] - nbr_times

@@ -299,7 +299,8 @@ def phase_update_composed(H, params, table, slope, attention=edge_attention_per_
         alpha = None
         context = T.constant(np.zeros((table.count, w5.shape[1])))
     hidden = T.leaky_relu(T.linear(T.concat([self_proj, context], axis=1), m_w0, m_b0))
-    return T.scatter_rows(H, rows, T.linear(hidden, m_w1, m_b1)), alpha
+    written = np.arange(table.start, table.start + table.count)
+    return T.scatter_rows(H, written, T.linear(hidden, m_w1, m_b1)), alpha
 
 
 def encode_composed(model, tg, plan=None):
@@ -479,7 +480,7 @@ def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
     nodes = np.asarray(nodes, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.float64)
     if layer == 0:
-        return model.embed(ctx, mem, nodes, ts, layer=0)
+        return model.node_static_features(ctx, nodes) + T.gather(mem, nodes)
 
     b, k = len(nodes), cfg.k_neighbors
     d, heads = cfg.d_mem, cfg.n_heads

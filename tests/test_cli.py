@@ -7,6 +7,7 @@ import pytest
 from tgtransfer import cli
 from tgtransfer import transfer as tr
 from tgtransfer.fgat import FgatModel
+from tgtransfer.numerics import read_blob, write_blob
 from tgtransfer.temporal_graph import load_events
 from tgtransfer.tgn import restore
 from tgtransfer.transform import load_transformed
@@ -409,6 +410,20 @@ def test_unreadable_checkpoint_writes_nothing_to_stdout(trained, tmp_path, capsy
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
+def test_encoder_checkpoint_with_bad_slope_is_one_error_line(trained, tmp_path, capsys):
+    src_ckpt, enc_ckpt, target = trained
+    meta, arrays = read_blob(enc_ckpt)
+    meta["config"]["slope"] = 1.5
+    bad = tmp_path / "encoder.ckpt"
+    write_blob(bad, meta, arrays)
+    rc = cli.main(["transfer", "--variant", "mintt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+                   "--fgat-ckpt", str(bad), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: bad checkpoint config: slope must be in [0, 1], got 1.5"]
     assert captured.out == ""
 
 

@@ -313,7 +313,8 @@ def test_catalog_ranks_match_direct_scoring():
     from tgtransfer.numerics import tensor as T
 
     with T.no_grad():
-        cat = em._catalog_scores(model, ctx, T.constant(state.memory), np.array([u]), np.array([t]))
+        cat = em._candidate_scores(model, ctx, T.constant(state.memory), np.array([u]), np.array([t]),
+                                   np.arange(g.num_items)[None])
     got_scores_rank = em.truth_rank(cat[0], np.arange(g.num_items), truth)
     assert got_scores_rank == expect
     assert np.allclose(cat[0], scores, atol=1e-12)
@@ -332,8 +333,9 @@ def test_catalog_row_same_alone_and_in_a_chunk(n_layers):
 
     mem = T.constant(np.random.default_rng(0).normal(size=(g.num_nodes, 8)))
     users, ts = g.users[30:37], g.times[30:37]
+    catalog = np.broadcast_to(np.arange(g.num_items), (len(users), g.num_items))
     with T.no_grad():
-        chunk = em._catalog_scores(model, ctx, mem, users, ts)
+        chunk = em._candidate_scores(model, ctx, mem, users, ts, catalog)
         for r in range(len(users)):
-            alone = em._catalog_scores(model, ctx, mem, users[r : r + 1], ts[r : r + 1])
+            alone = em._candidate_scores(model, ctx, mem, users[r : r + 1], ts[r : r + 1], catalog[r : r + 1])
             assert alone[0].tobytes() == chunk[r].tobytes()

@@ -3,7 +3,7 @@ import pytest
 
 import tgtransfer.fgat as fg
 from tgtransfer import transform as tf
-from tgtransfer.numerics import tensor as T
+from tgtransfer.numerics import CheckpointError, read_blob, tensor as T, write_blob
 
 from helpers import (
     assert_grads_match_fd, edge_attention_composed, encode_composed, feature_attachment_tables, g_theta,
@@ -651,6 +651,22 @@ def test_train_fgat_rejects_bad_pools(rng):
     )
     with pytest.raises(ValueError, match="fewer than 2"):
         fg.train_fgat(model, [tiny], 5, rng)
+
+
+@pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
+def test_fgat_config_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="slope must be in"):
+        fg.FgatConfig(slope=slope)
+
+
+def test_load_fgat_rejects_slope_outside_unit_interval(tmp_path, model):
+    path = tmp_path / "fgat.ckpt"
+    fg.save_fgat(model, path)
+    meta, arrays = read_blob(path)
+    meta["config"]["slope"] = 1.5
+    write_blob(path, meta, arrays)
+    with pytest.raises(CheckpointError, match="slope must be in"):
+        fg.load_fgat(path)
 
 
 def test_fgat_checkpoint_roundtrip(tmp_path, rng, model):

@@ -217,12 +217,14 @@ def test_neighbor_index_is_bidirectional():
 
 
 def assert_batch_matches_rows(idx, nodes, ts, k):
+    """`k` is one integer or one per query."""
     ids, times, ords, count = idx.batch_neighbors(nodes, ts, k)
     assert count.shape == (len(nodes),) and ids.shape == times.shape == ords.shape == (count.sum(),)
     assert (ids.dtype, times.dtype, ords.dtype, count.dtype) == (np.int64, np.float64, np.int64, np.int64)
     ends = np.cumsum(count)
+    ks = np.broadcast_to(k, len(nodes))
     for row in range(len(nodes)):
-        single_ids, single_ts, single_ords = neighbors(idx, int(nodes[row]), float(ts[row]), k)
+        single_ids, single_ts, single_ords = neighbors(idx, int(nodes[row]), float(ts[row]), int(ks[row]))
         sel = slice(ends[row] - count[row], ends[row])
         assert np.array_equal(ids[sel], single_ids)
         assert np.array_equal(times[sel], single_ts)
@@ -246,6 +248,10 @@ def test_batch_neighbors_padding_and_mask():
     ts = np.tile(np.concatenate([g.times, g.times + 1e-9, g.times + 100.0]), g.num_nodes)
     for k in (0, 1, 3, 50):
         assert_batch_matches_rows(idx, nodes, ts, k)
+    # one k per query, all four values within one batch
+    mixed = np.resize(np.array([0, 1, 3, 50]), len(nodes))
+    count = assert_batch_matches_rows(idx, nodes, ts, mixed)
+    assert not count[mixed == 0].any() and count[mixed == 50].max() > 3
     assert assert_batch_matches_rows(idx, nodes[:0], ts[:0], 4).shape == (0,)
 
 

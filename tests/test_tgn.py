@@ -184,13 +184,16 @@ def test_last_message_wins_within_batch(rng):
 # -- embeddings and prediction ------------------------------------------------------
 
 
-def test_embed_layer0_is_features_plus_memory(setup, rng):
-    model, ctx, g = setup
+def test_embed_layer0_is_features_plus_memory(rng):
+    # a model without attention layers embeds every query at layer 0
+    g = make_graph()
+    model = tgn.TgnModel(small_config(n_layers=0), VOCAB, 0, rng)
+    ctx = model.bind_graph(g)
     state = tgn.MemoryState(np.asarray(rng.normal(size=(g.num_nodes, 8))), np.zeros(g.num_nodes))
     nodes = np.array([0, 3, g.num_users + 1])
     with T.no_grad():
         mem = T.constant(state.memory)
-        h0 = model.embed(ctx, mem, nodes, np.full(3, 50.0), layer=0).data
+        h0 = model.embed(ctx, mem, nodes, np.full(3, 50.0)).data
         feats = model.node_static_features(ctx, nodes).data
     assert np.allclose(h0, feats + state.memory[nodes], atol=1e-12)
 
@@ -253,7 +256,7 @@ def test_embed_empty_neighborhood_is_combine_of_zero_context(setup, rng):
     with T.no_grad():
         mem = T.constant(state.memory)
         h1 = model.embed(ctx, mem, node, t).data
-        h0 = model.embed(ctx, mem, node, t, layer=0)
+        h0 = model.node_static_features(ctx, node) + T.gather(mem, node)
         expect = model.combine[0](model.pset, T.concat([h0, T.constant(np.zeros((1, 8)))], axis=1)).data
     assert np.allclose(h1, expect, atol=1e-12)
 
@@ -540,20 +543,18 @@ def _grads_bytes(tensors):
     return [t.grad.tobytes() for t in tensors]
 
 
-# (layer, edge_dim, n_slots, split_columns); `n_slots` set means the default
-# TgnConfig widths over that many slots: products of these shapes round
-# differently when they are split into per-block products
-SAME_BYTES_CASES = [(layer, edge_dim, None, split) for layer in (1, 2) for edge_dim in (0, 3)
-                    for split in (False, True)] + [(1, 3, 60, False), (1, 3, 2000, False)]
+# (layer, edge_dim, n_slots); `n_slots` set means the default TgnConfig
+# widths over that many slots: products of these shapes round differently
+# when they are split into per-block products
+SAME_BYTES_CASES = [(layer, edge_dim, None) for layer in (1, 2) for edge_dim in (0, 3)] + [
+    (1, 3, 60), (1, 3, 2000)]
 
 
-@pytest.mark.parametrize("layer, edge_dim, n_slots, split_columns", SAME_BYTES_CASES)
-def test_temporal_attention_same_bytes_as_recompute(monkeypatch, layer, edge_dim, n_slots, split_columns):
+@pytest.mark.parametrize("layer, edge_dim, n_slots", SAME_BYTES_CASES)
+def test_temporal_attention_same_bytes_as_recompute(layer, edge_dim, n_slots):
     config = small_config(n_layers=2) if n_slots is None else tgn.TgnConfig()
     model = tgn.TgnModel(config, VOCAB, edge_dim, np.random.default_rng(layer))
     (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, layer, 10 * layer + edge_dim, n_slots)
-    if split_columns:  # sums over `row` take column blocks of 3, 3 and 2 columns
-        monkeypatch.setattr(T, "_INDEX_CELLS", 3 * len(row))
     out_w = np.random.default_rng(11).normal(size=(b, model.config.d_mem))
     checked = [q, h_nbr, phi, *weights]
     runs = []
@@ -706,6 +707,23 @@ def test_context_dropout_training_is_seeded(rng):
     ctx = model.bind_graph(g)
     _, plain = tgn.train(model, ctx, g, epochs=2, rng=np.random.default_rng(11))
     assert run() != plain
+
+
+def test_featureless_graph_trains_with_context_dropout():
+    # no node holds a token: every static row is the projection's bias, and
+    # the embedding table receives an all-zero gradient
+    g = make_graph(n_events=60, seed=9)
+    bare = tg.TemporalGraph(g.users, g.items, g.times, g.edge_features, g.user_ids, g.item_ids, [],
+                            [np.array([], dtype=np.int64)] * g.num_users,
+                            [np.array([], dtype=np.int64)] * g.num_items)
+    model = tgn.TgnModel(small_config(context_dropout=0.5), [], 0, np.random.default_rng(3))
+    ctx = model.bind_graph(bare)
+    _, losses = tgn.train(model, ctx, bare, epochs=1, rng=np.random.default_rng(11))
+    assert np.isfinite(losses).all()
+    static = model.node_static_features(ctx, np.arange(bare.num_nodes)).data
+    assert np.array_equal(static, np.broadcast_to(model.pset["feat_proj.b"].data, static.shape))
+    table = model.pset["feat.table"]
+    assert table.grad.shape == table.data.shape and not table.grad.any()
 
 
 # -- training loop -------------------------------------------------------------------
