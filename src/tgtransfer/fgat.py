@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import check_fields, config_from, read_blob, require, write_blob
+from .numerics.checkpoint import check_fields, check_value, config_from, read_blob, require, write_blob
 from .numerics.nn import Mlp
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
@@ -353,7 +353,14 @@ def train_fgat(
     rng: np.random.Generator,
     forbidden: list[TransformedGraph] = (),
 ) -> list[float]:
-    """Masked-link training; returns the per-epoch loss curve."""
+    """Masked-link training; returns the per-epoch loss curve.
+
+    Each epoch is one `_train_step` on a graph drawn from `pool`, whose tape
+    is gone when it returns, so no step holds two tapes. `epochs` may be 0;
+    a negative count raises `ValueError`. Training sets the C heap to keep
+    the pages freed tapes held (see `numerics.tensor._keep_freed_pages`).
+    """
+    check_value("epochs", epochs, "size")
     if not pool:
         raise ValueError("training pool is empty")
     banned = {graph_fingerprint(t) for t in forbidden}
@@ -363,6 +370,7 @@ def train_fgat(
         if tg.static.num_pairs < 2:
             raise ValueError("pool graph has fewer than 2 interaction pairs")
 
+    T._keep_freed_pages()
     # masking hides pairs only, so phases 1 and 4 keep their tables
     d = model.config.dim
     feature_tables = [_feature_tables(tg, d) for tg in pool]
@@ -370,35 +378,43 @@ def train_fgat(
     losses: list[float] = []
     for _ in range(epochs):
         k = int(rng.integers(0, len(pool)))
-        tg = pool[k]
-        s = tg.static
-        n_pairs = s.num_pairs
-        n_mask = max(1, int(round(n_pairs * model.config.mask_fraction)))
-        n_mask = min(n_mask, n_pairs - 1)  # always keep at least one pair
-        perm = rng.permutation(n_pairs)
-        mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
-        p1, p4 = feature_tables[k]
-        p2, p3 = _interaction_tables(
-            s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
-        )
-
-        H = model.encode(tg, plan=[p1, p2, p3, p4], graph_rows=True)
-        pos_u = s.pair_users[mask_idx]
-        pos_i = s.pair_items[mask_idx] + tg.num_users
-        neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)
-        neg_i = neg_i + tg.num_users
-
-        hu = T.gather(H, np.concatenate([pos_u, neg_u]))
-        hv = T.gather(H, np.concatenate([pos_i, neg_i]))
-        probs = T.sigmoid(T.tensor_sum(hu * hv, axis=1))
-        labels = np.concatenate([np.ones(n_mask), np.zeros(n_mask)])
-        loss = T.bce_loss(probs, labels)
-
-        model.pset.zero_grads()
-        T.backward(loss, params=model.pset.tensors())
-        opt.step(model.pset)
-        losses.append(float(loss.data))
+        losses.append(_train_step(model, pool[k], feature_tables[k], opt, rng))
     return losses
+
+
+def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng: np.random.Generator) -> float:
+    """Mask a share of `tg`'s pairs, encode the rest, score the masked pairs
+    against as many sampled non-edges, take one optimizer step; returns the
+    loss. `feature_tables` are `tg`'s phase 1 and 4 tables. The tape lives in
+    this frame only."""
+    s = tg.static
+    d = model.config.dim
+    n_pairs = s.num_pairs
+    n_mask = max(1, int(round(n_pairs * model.config.mask_fraction)))
+    n_mask = min(n_mask, n_pairs - 1)  # always keep at least one pair
+    perm = rng.permutation(n_pairs)
+    mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
+    p1, p4 = feature_tables
+    p2, p3 = _interaction_tables(
+        s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
+    )
+
+    H = model.encode(tg, plan=[p1, p2, p3, p4], graph_rows=True)
+    pos_u = s.pair_users[mask_idx]
+    pos_i = s.pair_items[mask_idx] + tg.num_users
+    neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)
+    neg_i = neg_i + tg.num_users
+
+    hu = T.gather(H, np.concatenate([pos_u, neg_u]))
+    hv = T.gather(H, np.concatenate([pos_i, neg_i]))
+    probs = T.sigmoid(T.tensor_sum(hu * hv, axis=1))
+    labels = np.concatenate([np.ones(n_mask), np.zeros(n_mask)])
+    loss = T.bce_loss(probs, labels)
+
+    model.pset.zero_grads()
+    T.backward(loss, params=model.pset.tensors())
+    opt.step(model.pset)
+    return float(loss.data)
 
 
 # -- checkpointing ------------------------------------------------------------------

@@ -137,8 +137,13 @@ _RULES = {  # kind: (test, what a value of that kind must be)
 def check_fields(config, kind: str, *names: str) -> None:
     """ValueError naming the first field of `names` in the config dataclass
     `config` whose value is not of `kind` (see `_RULES`); None passes."""
-    test, what = _RULES[kind]
     for name in names:
-        value = getattr(config, name)
-        if value is not None and not test(value):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
+        check_value(name, getattr(config, name), kind)
+
+
+def check_value(name: str, value, kind: str) -> None:
+    """ValueError naming `name` when `value` is not of `kind` (see
+    `_RULES`); None passes."""
+    test, what = _RULES[kind]
+    if value is not None and not test(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")

@@ -14,6 +14,8 @@ Conventions:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -521,3 +523,35 @@ def backward(loss: Tensor, params=None) -> None:
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Let the C heap keep the pages a freed tape held, once per process.
+
+    A training step builds a tape of several MB and frees it when the step
+    returns. By default glibc gives that memory back to the OS (trimming
+    the heap top, unmapping large blocks) and the next step's tape faults it
+    in again, page by page. A 256 MiB trim threshold keeps freed memory in
+    the heap, and a 32 MiB mmap threshold, the largest 64-bit glibc accepts,
+    serves every tape array from the heap rather than from its own mapping.
+    The second setting is needed: a fixed trim threshold turns off glibc's
+    dynamic mmap threshold, which would leave every array of 128 KiB or more
+    in a mapping of its own, faulted in on each allocation.
+
+    Freed memory then stays with the process until it exits. Values are
+    unchanged. Does nothing where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to look in
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)

@@ -43,7 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import tensor as T
-from .numerics.checkpoint import CheckpointError, check_fields, config_from, read_blob, require, write_blob
+from .numerics.checkpoint import (
+    CheckpointError, check_fields, check_value, config_from, read_blob, require, write_blob,
+)
 from .numerics.nn import GruCell, Linear, Mlp, TimeEncoder
 from .numerics.optim import Adam
 from .numerics.params import ParameterSet, xavier_uniform
@@ -282,7 +284,8 @@ class TgnModel:
     def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
         """The top-layer embedding h(t) of each (node, t) query.
 
-        `mem` holds one memory row per graph node. `hide` marks query rows
+        `mem` holds one memory row per graph node, (num_nodes, d_mem);
+        another shape raises `ValueError`. `hide` marks query rows
         whose neighbor context is masked out at the top layer (training-time
         context dropout); they fall back to the empty-neighborhood path.
         Repeated queries are folded: each distinct (node, t, hidden) query is
@@ -302,6 +305,9 @@ class TgnModel:
         ts = np.asarray(ts, dtype=np.float64)
         hide = None if hide is None else np.asarray(hide)
         _check_lengths(nodes=nodes, ts=ts, hide=hide)
+        want = (ctx.num_nodes, self.config.d_mem)
+        if mem.shape != want:
+            raise ValueError(f"memory of shape {mem.shape} where the graph needs {want}")
         if nodes.size and (nodes.min() < 0 or nodes.max() >= ctx.num_nodes):
             raise KeyError("embedding query for unknown node")
         # layer 0 of every node, built once per call: static features plus memory
@@ -433,46 +439,52 @@ def train_epoch(
     The epoch starts from a copy of `init_state` (zeros for fresh training,
     or a transferred memory) and leaves `init_state` untouched. Each batch's
     memory update runs in the next batch's forward; the last batch's runs at
-    the end, with the trained parameters.
+    the end, with the trained parameters. Each batch is one `_train_step`,
+    whose tape is gone when it returns, so no step holds two tapes.
     """
     if train_graph.num_events == 0:
         raise ValueError("empty training graph")
-    num_users = ctx.graph.num_users
     state = init_state.copy()
     losses = []
     pending = None
     for batch in batch_iter(train_graph, model.config.batch_size):
-        model.pset.zero_grads()
-        mem = T.constant(state.memory)
-        applied = None
-        if pending is not None:
-            nodes, rows, new_last = model.batch_updates(mem, state.last_update, pending, num_users)
-            mem = T.scatter_rows(mem, nodes, rows)
-            applied = (nodes, rows, new_last)
-
-        items_g = batch.items + num_users
-        neg_items = sample_negatives(batch.items, ctx.graph.num_items, rng) + num_users
-        users2 = np.concatenate([batch.users, batch.users])
-        cands = np.concatenate([items_g, neg_items])
-        times2 = np.concatenate([batch.times, batch.times])
-        hide_u = hide_i = None
-        if model.config.context_dropout > 0.0:
-            hide_u = rng.random(len(users2)) < model.config.context_dropout
-            hide_i = rng.random(len(cands)) < model.config.context_dropout
-        probs = model.score_pairs(ctx, mem, users2, cands, times2,
-                                  hide_users=hide_u, hide_items=hide_i)
-        labels = np.concatenate([np.ones(len(batch.users)), np.zeros(len(batch.users))])
-        loss = T.bce_loss(probs, labels)
-        T.backward(loss, params=model.pset.tensors())
-        opt.step(model.pset)
-
-        if applied is not None:
-            nodes, rows, new_last = applied
-            state.memory[nodes] = rows.data
-            state.last_update[nodes] = new_last
+        losses.append(_train_step(model, ctx, state, pending, batch, opt, rng))
         pending = batch
-        losses.append(float(loss.data))
-    return update_memory(model, state, pending, num_users), float(np.mean(losses))
+    return update_memory(model, state, pending, ctx.graph.num_users), float(np.mean(losses))
+
+
+def _train_step(model: TgnModel, ctx: GraphContext, state: MemoryState, pending: EventBatch | None,
+                batch: EventBatch, opt, rng: np.random.Generator) -> float:
+    """Score `batch` after applying `pending`'s memory update on the tape,
+    take one optimizer step, write that update into `state`; returns the
+    batch loss. The tape lives in this frame only."""
+    num_users = ctx.graph.num_users
+    model.pset.zero_grads()
+    mem = T.constant(state.memory)
+    if pending is not None:
+        nodes, rows, new_last = model.batch_updates(mem, state.last_update, pending, num_users)
+        mem = T.scatter_rows(mem, nodes, rows)
+
+    items_g = batch.items + num_users
+    neg_items = sample_negatives(batch.items, ctx.graph.num_items, rng) + num_users
+    users2 = np.concatenate([batch.users, batch.users])
+    cands = np.concatenate([items_g, neg_items])
+    times2 = np.concatenate([batch.times, batch.times])
+    hide_u = hide_i = None
+    if model.config.context_dropout > 0.0:
+        hide_u = rng.random(len(users2)) < model.config.context_dropout
+        hide_i = rng.random(len(cands)) < model.config.context_dropout
+    probs = model.score_pairs(ctx, mem, users2, cands, times2,
+                              hide_users=hide_u, hide_items=hide_i)
+    labels = np.concatenate([np.ones(len(batch.users)), np.zeros(len(batch.users))])
+    loss = T.bce_loss(probs, labels)
+    T.backward(loss, params=model.pset.tensors())
+    opt.step(model.pset)
+
+    if pending is not None:
+        state.memory[nodes] = rows.data
+        state.last_update[nodes] = new_last
+    return float(loss.data)
 
 
 def train(
@@ -484,7 +496,16 @@ def train(
     init_state: MemoryState | None = None,
     optimizer=None,
 ) -> tuple[MemoryState, list[float]]:
-    """Multi-epoch training; memory restarts from `init_state` every epoch."""
+    """Multi-epoch training; memory restarts from `init_state` every epoch.
+
+    `epochs` may be 0, which returns `init_state`'s copy (zero memory when
+    none is given) and no losses; a negative count raises `ValueError`.
+    Training sets the C heap to keep the pages freed tapes held (see
+    `numerics.tensor._keep_freed_pages`), so each step reuses the last
+    step's memory instead of faulting fresh pages in.
+    """
+    check_value("epochs", epochs, "size")
+    T._keep_freed_pages()
     base = init_state or MemoryState.zeros(ctx.num_nodes, model.config.d_mem)
     opt = optimizer or Adam(lr=model.config.lr)
     losses = []

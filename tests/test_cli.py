@@ -216,6 +216,21 @@ def test_bad_model_config_is_one_error_line(trained, tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, value", [("train-tgn", "-2"), ("train-fgat", "-1")])
+def test_negative_epochs_is_one_error_line(trained, tmp_path, capsys, command, value):
+    """A negative epoch count ends the command before training, as one
+    `error:` line, with nothing on stdout and no checkpoint; 0 stays allowed."""
+    pool = Path(str(trained[1])).parent / "pool"
+    source = ["--pool", str(pool)] if command == "train-fgat" else ["--graph", str(trained[2]), *TGN_FAST]
+    out = tmp_path / "model.ckpt"
+    rc = cli.main([command, *source, "--epochs", value, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: epochs must be an integer >= 0, got {value}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_non_finite_ft_lr_is_one_error_line(trained, tmp_path, capsys):
     src_ckpt, _, target = trained
     out = tmp_path / "wt.json"

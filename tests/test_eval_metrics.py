@@ -277,6 +277,12 @@ def test_evaluate_rejects_bad_inputs():
     state = tgn.MemoryState.zeros(g.num_nodes, 8)
     with pytest.raises(ValueError):
         em.evaluate(model, ctx, g.slice(0, 0), state, np.random.default_rng(0))
+    # memory holds one d_mem row per graph node (11 nodes, d_mem 8)
+    for rows, cols in [(1, 8), (16, 8), (11, 16)]:
+        for rank in (True, False):
+            with pytest.raises(ValueError, match=rf"memory of shape \({rows}, {cols}\) where the graph needs \(11, 8\)"):
+                em.evaluate(model, ctx, g, tgn.MemoryState.zeros(rows, cols), np.random.default_rng(0),
+                            rank_metrics=rank)
 
 
 def test_random_model_auc_near_half():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -581,6 +583,35 @@ def test_train_fgat_deterministic(rng):
     assert run() == run()
 
 
+def test_a_training_step_frees_the_last_steps_tape(rng, monkeypatch):
+    """Each epoch's encoding, probabilities and loss are unreachable by the
+    time the next epoch's forward starts. A `Tensor` takes no weak
+    reference, so the test holds one to its array, which the tensor keeps
+    alive."""
+    vocab = [f"tok{k}" for k in range(6)]
+    model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=2), vocab, np.random.default_rng(3))
+    pool = [make_tg(rng, n_users=6, n_items=5, vocab_size=6, n_events=40) for _ in range(2)]
+    tapes, checks = [], []
+    bce_loss, encode = T.bce_loss, model.encode
+
+    def recording_bce(probs, labels):
+        loss = bce_loss(probs, labels)
+        tapes.extend(weakref.ref(t.data) for t in (probs, loss))
+        return loss
+
+    def checked_encode(*args, **kwargs):
+        checks.append(len(tapes))
+        assert all(ref() is None for ref in tapes), "a previous step's tape is still alive"
+        H = encode(*args, **kwargs)
+        tapes.append(weakref.ref(H.data))
+        return H
+
+    monkeypatch.setattr(T, "bce_loss", recording_bce)
+    monkeypatch.setattr(model, "encode", checked_encode)
+    fg.train_fgat(model, pool, epochs=4, rng=np.random.default_rng(4))
+    assert checks == [0, 3, 6, 9]
+
+
 def _pairs_graph(pair_keys, n_users, n_items):
     static = tf.StaticGraph(pair_keys // n_items, pair_keys % n_items,
                             np.ones(len(pair_keys), dtype=np.int64), n_users, n_items)
@@ -651,6 +682,8 @@ def test_train_fgat_rejects_bad_pools(rng):
     )
     with pytest.raises(ValueError, match="fewer than 2"):
         fg.train_fgat(model, [tiny], 5, rng)
+    with pytest.raises(ValueError, match="epochs must be an integer >= 0, got -1"):
+        fg.train_fgat(model, [target], -1, rng)
 
 
 @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])

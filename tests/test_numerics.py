@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -686,6 +688,38 @@ def test_training_loop_is_deterministic():
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
+
+
+# -- C heap setting for training ------------------------------------------------
+
+
+@pytest.fixture
+def fresh_heap_setting():
+    """`_keep_freed_pages` as if never called, and again so after the test:
+    the next real call then sets glibc's thresholds itself."""
+    T._keep_freed_pages.cache_clear()
+    yield
+    T._keep_freed_pages.cache_clear()
+
+
+def test_keep_freed_pages_sets_glibc_thresholds_once(monkeypatch, fresh_heap_setting):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    T._keep_freed_pages()
+    # M_TRIM_THRESHOLD 256 MiB, M_MMAP_THRESHOLD 32 MiB
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+    T._keep_freed_pages()
+    assert len(calls) == 2
+
+
+def test_keep_freed_pages_without_mallopt_does_nothing(monkeypatch, fresh_heap_setting):
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert T._keep_freed_pages() is None
 
 
 # -- checkpoint blobs ------------------------------------------------------------

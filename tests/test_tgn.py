@@ -1,8 +1,11 @@
+import platform
+import weakref
+
 import numpy as np
 import pytest
 
 import tgtransfer.tgn as tgn
-from tgtransfer import temporal_graph as tg
+from tgtransfer import synthdata, temporal_graph as tg
 from tgtransfer.numerics import Adam, tensor as T
 
 from helpers import (
@@ -798,6 +801,77 @@ def test_train_empty_graph_raises(setup):
             model, ctx, g.slice(0, 0), tgn.MemoryState.zeros(g.num_nodes, 8),
             Adam(lr=0.1), np.random.default_rng(0),
         )
+
+
+def test_train_rejects_negative_epochs(setup):
+    model, ctx, g = setup
+    with pytest.raises(ValueError, match=r"epochs must be an integer >= 0, got -1"):
+        tgn.train(model, ctx, g, epochs=-1, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 8), (14, 8), (9, 4)])
+def test_memory_of_the_wrong_shape_is_rejected(setup, rows, cols):
+    """Memory holds one d_mem row per graph node (9 nodes, d_mem 8 here);
+    another shape fails at the first `embed`, naming both shapes, not as an
+    index or broadcast error deeper in."""
+    model, ctx, g = setup
+    with pytest.raises(ValueError, match=rf"memory of shape \({rows}, {cols}\) where the graph needs \(9, 8\)"):
+        tgn.train(model, ctx, g, epochs=1, rng=np.random.default_rng(0), init_state=tgn.MemoryState.zeros(rows, cols))
+
+
+def test_a_training_step_frees_the_last_steps_tape(monkeypatch):
+    """Each batch's probabilities and loss, and the memory they were scored
+    from (which carries the pending memory update's tape), are unreachable
+    by the time the next batch's forward starts. A `Tensor` takes no weak
+    reference, so the test holds one to its array, which the tensor keeps
+    alive."""
+    g = make_graph(n_events=50, seed=3)
+    model = tgn.TgnModel(small_config(batch_size=10), VOCAB, 0, np.random.default_rng(1))
+    ctx = model.bind_graph(g)
+    tapes, checks = [], []
+    bce_loss, score_pairs, batch_updates = T.bce_loss, model.score_pairs, model.batch_updates
+
+    def step_starts():
+        checks.append(len(tapes))
+        assert all(ref() is None for ref in tapes), "a previous step's tape is still alive"
+
+    def recording_bce(probs, labels):
+        loss = bce_loss(probs, labels)
+        tapes.extend(weakref.ref(t.data) for t in (probs, loss))
+        return loss
+
+    def checked_updates(mem, *args):
+        step_starts()
+        return batch_updates(mem, *args)
+
+    def checked_score(ctx, mem, *args, **kwargs):
+        if mem.requires_grad:  # the pending update's scatter_rows output
+            tapes.append(weakref.ref(mem.data))
+        else:  # a constant over the state's own array: no pending update ran
+            step_starts()
+        return score_pairs(ctx, mem, *args, **kwargs)
+
+    monkeypatch.setattr(T, "bce_loss", recording_bce)
+    monkeypatch.setattr(model, "score_pairs", checked_score)
+    monkeypatch.setattr(model, "batch_updates", checked_updates)
+    tgn.train(model, ctx, g, epochs=2, rng=np.random.default_rng(0))
+    assert checks[:5] == [0, 2, 5, 8, 11]  # five batches, four with a pending update
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_a_second_training_epoch_reuses_the_freed_heap():
+    """Training keeps the pages freed tapes held, so once one epoch has run
+    on the README source, the next faults almost no page in, where it took
+    about 10 000 minor faults when glibc handed freed tapes back to the OS."""
+    import resource  # POSIX only
+    source, _, _ = synthdata.generate_pair(synthdata.SynthConfig(
+        n_users=80, n_items=120, n_feature_tokens=36, n_communities=6, n_events=3000, target_scale=0.6, seed=7))
+    model = tgn.TgnModel(tgn.TgnConfig(), source.feature_vocab, source.edge_feature_dim, np.random.default_rng(0))
+    ctx = model.bind_graph(source)
+    tgn.train(model, ctx, source, epochs=1, rng=np.random.default_rng(1))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tgn.train(model, ctx, source, epochs=1, rng=np.random.default_rng(2))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 # -- binding and checkpoints -----------------------------------------------------------
