@@ -476,10 +476,16 @@ def main(argv=None) -> int:
         if args.config:
             overrides = json.loads(Path(args.config).read_text())
             sub = subparsers.choices[args.command]
-            valid = {a.dest for a in sub._actions}
-            unknown = sorted(set(overrides) - valid)
+            actions = {a.dest: a for a in sub._actions}
+            unknown = sorted(set(overrides) - set(actions))
             if unknown:
                 raise ValueError(f"unknown config keys: {unknown}")
+            for key, value in overrides.items():  # argparse exits 2 on a string it cannot convert
+                convert = actions[key].type
+                try:
+                    overrides[key] = convert(value) if convert and isinstance(value, str) else value
+                except ValueError:
+                    raise ValueError(f"config key {key}: {value!r} is not a valid {convert.__name__}") from None
             sub.set_defaults(**overrides)
             args = parser.parse_args(argv)
         # every output's directory exists before the work that fills it starts

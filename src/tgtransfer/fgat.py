@@ -5,7 +5,9 @@ layer runs four update phases in a fixed order: feature nodes into all graph
 nodes, items into users, users into items, and graph nodes back into feature
 nodes. Phase 1 therefore reads feature embeddings as they stood at the end of
 the previous layer, while phases 2-4 read values already updated within the
-current layer.
+current layer. The last layer ends after phase 3, the last phase to write a
+graph-node row: its phase 4 would write feature rows only, which no output
+reads, so that layer has no phase-4 weights.
 
 Each phase applies the same attention block with its own weights: per edge
 (u aggregating v with weight a_uv),
@@ -33,12 +35,9 @@ one built without a tape omits the backward's plans.
 Training is masked link prediction over a pool of transformed graphs: each
 epoch samples one graph, hides half of its interaction pairs, re-encodes the
 remainder, and scores hidden pairs against equally many non-edges with a
-dot-product sigmoid decoder. The loss reads graph-node rows only, so training
-and `encode_arrays` call `encode` with `graph_rows`, which stops after the
-last layer's phase 3, the last phase to write them; by default `encode` runs
-every phase. Masking leaves the feature attachments alone, so the tables of
-phases 1 and 4 are built once per pool graph and those of phases 2 and 3 once
-per epoch, from the kept pairs.
+dot-product sigmoid decoder. Masking leaves the feature attachments alone, so
+the tables of phases 1 and 4 are built once per pool graph and those of phases
+2 and 3 once per epoch, from the kept pairs.
 """
 
 from __future__ import annotations
@@ -241,14 +240,16 @@ class FgatModel:
         self.pset = ParameterSet()
         d = config.dim
         self.pset.add("feat.table", xavier_uniform(rng, d, d, (len(self.feature_vocab) + 1, d)))
-        for layer in range(1, config.n_layers + 1):
-            for phase in range(1, 5):
-                p = f"layer{layer}.phase{phase}"
-                for w in ("w1", "w2", "w5", "w6"):
-                    self.pset.add(f"{p}.{w}", xavier_uniform(rng, d, d, (d, d)))
-                self.pset.add(f"{p}.w3", xavier_uniform(rng, 1, d, (d,)))
-                self.pset.add(f"{p}.w4", xavier_uniform(rng, 3 * d, 1, (3 * d, 1)))
-                Mlp(f"{p}.mlp", [2 * d, d, d]).init_params(self.pset, rng)
+        runs = [(layer, phase) for layer in range(1, config.n_layers + 1) for phase in range(1, 5)]
+        self._schedule = runs[:-1]  # `encode` ends after the last layer's phase 3
+        for layer, phase in runs:  # the last phase 4 is drawn, not kept: train-fgat goes on drawing from rng
+            pset = self.pset if (layer, phase) in self._schedule else ParameterSet()
+            p = f"layer{layer}.phase{phase}"
+            for w in ("w1", "w2", "w5", "w6"):
+                pset.add(f"{p}.{w}", xavier_uniform(rng, d, d, (d, d)))
+            pset.add(f"{p}.w3", xavier_uniform(rng, 1, d, (d,)))
+            pset.add(f"{p}.w4", xavier_uniform(rng, 3 * d, 1, (3 * d, 1)))
+            Mlp(f"{p}.mlp", [2 * d, d, d]).init_params(pset, rng)
 
     def token_rows(self, tokens: list[str]) -> np.ndarray:
         """Embedding rows for tokens; unseen tokens share the unknown row."""
@@ -260,30 +261,23 @@ class FgatModel:
         names = ("w5", "mlp.l0.w", "mlp.l0.b", "mlp.l1.w", "mlp.l1.b", *attention)
         return tuple(self.pset[f"layer{layer}.phase{phase}.{name}"] for name in names)
 
-    def encode(self, tg: TransformedGraph, trace=None, plan: list[PhaseTable] | None = None,
-               graph_rows=False) -> T.Tensor:
-        """Embeddings for all transformed-graph nodes after n_layers rounds of
-        the schedule's phases over `plan` (by default `phase_plan(tg, dim)`);
-        `graph_rows` ends it before the last layer's phase 4, which writes
-        feature rows only."""
+    def encode(self, tg: TransformedGraph, plan: list[PhaseTable] | None = None) -> T.Tensor:
+        """Embeddings for all transformed-graph nodes after the schedule's
+        phases over `plan` (by default `phase_plan(tg, dim)`); it ends after
+        the last layer's phase 3, so feature rows hold what that layer read."""
         plan = phase_plan(tg, self.config.dim) if plan is None else plan
         feat_h = T.gather(self.pset["feat.table"], self.token_rows(tg.feature_vocab))
         H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, self.config.dim))), feat_h], axis=0)
-        schedule = [(layer, phase) for layer in range(1, self.config.n_layers + 1) for phase in range(1, 5)]
-        for layer, phase in schedule[:-1] if graph_rows else schedule:
+        for layer, phase in self._schedule:
             table = plan[phase - 1]
             params = self._phase_params(layer, phase, len(table.edge_tgt) > 0)
-            before, (H, alpha) = H.data, phase_update(H, params, table, self.config.slope)
-            if trace is not None:
-                trace.append({"layer": layer, "phase": phase, "before": before.copy(), "seg": table.seg,
-                              "alpha": None if alpha is None else alpha[:, 0].copy(),
-                              "targets": np.arange(table.start, table.start + table.count)})
+            H, _ = phase_update(H, params, table, self.config.slope)
         return H
 
     def encode_arrays(self, tg: TransformedGraph) -> np.ndarray:
         """The graph-node rows of `encode`, tape-free."""
         with T.no_grad():
-            return self.encode(tg, graph_rows=True).data[: tg.num_graph_nodes]
+            return self.encode(tg).data[: tg.num_graph_nodes]
 
 
 def graph_fingerprint(tg: TransformedGraph) -> tuple:
@@ -399,7 +393,7 @@ def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng
         s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
     )
 
-    H = model.encode(tg, plan=[p1, p2, p3, p4], graph_rows=True)
+    H = model.encode(tg, plan=[p1, p2, p3, p4])
     pos_u = s.pair_users[mask_idx]
     pos_i = s.pair_items[mask_idx] + tg.num_users
     neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)

@@ -17,10 +17,10 @@ gathers the result back to the caller's rows; `score_pairs` embeds users and
 items in one call. A call builds the layer-0 table (static features plus
 memory) for every graph node once and gathers it wherever its recursion
 reaches layer 0, and each layer encodes the query side's zero time gap once.
-With no tape and no trace, as in evaluation, it runs the distinct queries in
-consecutive blocks of about `BLOCK_SLOTS` real top-layer neighbor slots, so
-a block's per-slot arrays stay cache-sized; each row gets the bytes of one
-pass. With a tape or a trace a call is one block.
+With no tape, as in evaluation, it runs the distinct queries in consecutive
+blocks of about `BLOCK_SLOTS` real top-layer neighbor slots, so a block's
+per-slot arrays stay cache-sized; each row gets the bytes of one pass. With a
+tape a call is one block.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
 backward, `_temporal_attention`: the tape keeps its concatenated input, keys,
@@ -281,7 +281,7 @@ class TgnModel:
         mean = T.segment_sum(emb, rows.segment_ids(), len(rows)) * T.constant(1.0 / counts[:, None])
         return T.gather(self.feat_proj(self.pset, mean), nodes)
 
-    def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, trace=None, hide: np.ndarray | None = None) -> T.Tensor:
+    def embed(self, ctx: GraphContext, mem: T.Tensor, nodes: np.ndarray, ts: np.ndarray, hide: np.ndarray | None = None) -> T.Tensor:
         """The top-layer embedding h(t) of each (node, t) query.
 
         `mem` holds one memory row per graph node, (num_nodes, d_mem);
@@ -292,13 +292,6 @@ class TgnModel:
         embedded once and its row gathered wherever it repeats, so repeats
         get the same bytes and their gradients are summed before the layers
         see them. A hidden and an unhidden copy stay distinct.
-
-        Each `trace` entry holds the layer, the (b, k) slot mask and the
-        attention weights `alpha` as a (b, k, heads) array, zero on padded
-        slots; a query with no real neighbor has all-zero `alpha`. Entries of
-        the caller's own queries keep one row per caller query; a deeper
-        layer's entry for neighbor slots has one row per real slot of the
-        distinct queries.
         """
         layer = self.config.n_layers
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -314,32 +307,30 @@ class TgnModel:
         h0 = self.node_static_features(ctx, np.arange(ctx.num_nodes)) + mem
         first, inverse = _distinct_queries(nodes, ts, hide)
         nodes, ts, hide = nodes[first], ts[first], None if hide is None else hide[first]
-        if trace is not None or T._grad_enabled:
-            return T.gather(self._embed(ctx, h0, nodes, ts, layer, trace, hide, trace_rows=inverse), inverse)
+        if T._grad_enabled:
+            return T.gather(self._embed(ctx, h0, nodes, ts, layer, hide), inverse)
         slots = np.minimum(ctx.index.history_lengths(nodes, ts), self.config.k_neighbors)
         slots = slots if hide is None else np.where(hide, 0, slots)
-        h = T.concat([self._embed(ctx, h0, nodes[sl], ts[sl], layer, None, None if hide is None else hide[sl])
+        h = T.concat([self._embed(ctx, h0, nodes[sl], ts[sl], layer, None if hide is None else hide[sl])
                       for sl in _slot_blocks(slots)], axis=0)
         return T.gather(h, inverse)
 
-    def _embed(self, ctx: GraphContext, h0: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int, trace, hide, trace_rows=slice(None)) -> T.Tensor:
-        """`embed` of distinct queries; the trace entries of these queries
-        keep their rows `trace_rows`, one per caller query."""
+    def _embed(self, ctx: GraphContext, h0: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int, hide=None) -> T.Tensor:
+        """`embed` of distinct queries."""
         if layer == 0:
             return T.gather(h0, nodes)
         cfg = self.config
         b, k = len(nodes), cfg.k_neighbors
         if hide is None:
-            h_self = self._embed(ctx, h0, nodes, ts, layer - 1, trace, None, trace_rows)
+            h_self = self._embed(ctx, h0, nodes, ts, layer - 1)
         else:  # a hidden and an unhidden copy of one (node, t) share the layers below
             first, inverse = _distinct_queries(nodes, ts, None)
-            h_self = T.gather(self._embed(ctx, h0, nodes[first], ts[first], layer - 1, trace, None,
-                                          inverse[trace_rows]), inverse)
+            h_self = T.gather(self._embed(ctx, h0, nodes[first], ts[first], layer - 1), inverse)
         # hidden queries look up no neighbor slots
         nbr_ids, nbr_times, nbr_ords, count = ctx.index.batch_neighbors(
             nodes, ts, k if hide is None else np.where(hide, 0, k))
         row = np.repeat(np.arange(b), count)
-        h_nbr = self._embed(ctx, h0, nbr_ids, ts[row], layer - 1, trace, None)
+        h_nbr = self._embed(ctx, h0, nbr_ids, ts[row], layer - 1)
         dt = ts[row] - nbr_times
         if dt.size and dt.min() < -1e-12:
             raise ValueError("neighbor newer than query time")
@@ -351,26 +342,20 @@ class TgnModel:
 
         li, ps = layer - 1, self.pset
         q = self.att_q[li](ps, q_in)
-        context, alpha = _temporal_attention(
+        context, _ = _temporal_attention(
             q, h_nbr, phi, x_uv, *self.att_k[li].weights(ps), *self.att_v[li].weights(ps),
             row, b, cfg.n_heads,
         )
-        if trace is not None:
-            mask = np.arange(k) < count[:, None]
-            dense = np.zeros((b, k, cfg.n_heads))
-            dense[mask] = alpha
-            trace.append({"layer": layer, "alpha": dense[trace_rows], "mask": mask[trace_rows].astype(np.float64)})
         context = self.att_o[li](ps, context)
         has_nbr = (count > 0).astype(np.float64)
         context = context * T.constant(has_nbr[:, None])
         return self.combine[li](ps, T.concat([h_self, context], axis=1))
 
-    def score_pairs(self, ctx: GraphContext, mem: T.Tensor, users: np.ndarray, items: np.ndarray, ts: np.ndarray, trace=None, hide_users: np.ndarray | None = None, hide_items: np.ndarray | None = None) -> T.Tensor:
+    def score_pairs(self, ctx: GraphContext, mem: T.Tensor, users: np.ndarray, items: np.ndarray, ts: np.ndarray, hide_users: np.ndarray | None = None, hide_items: np.ndarray | None = None) -> T.Tensor:
         """Link probabilities for (user, item, t) triples; items are global ids.
 
         Users and items are embedded in one `embed` call on the users followed
-        by the items, so repeated queries are folded across both sides and a
-        `trace` gets each entry of the caller's queries once, users first.
+        by the items, so repeated queries are folded across both sides.
         """
         ts = np.asarray(ts, dtype=np.float64)
         _check_lengths(users=users, items=items, ts=ts, hide_users=hide_users, hide_items=hide_items)
@@ -378,7 +363,7 @@ class TgnModel:
         hide = None
         if hide_users is not None or hide_items is not None:
             hide = np.concatenate([np.zeros(b) if h is None else h for h in (hide_users, hide_items)])
-        h = self.embed(ctx, mem, np.concatenate([users, items]), np.concatenate([ts, ts]), trace=trace, hide=hide)
+        h = self.embed(ctx, mem, np.concatenate([users, items]), np.concatenate([ts, ts]), hide=hide)
         logits = self.decoder(self.pset, T.concat([T.gather(h, slice(0, b)), T.gather(h, slice(b, 2 * b))], axis=1))
         return T.sigmoid(logits.reshape((b,)))
 

@@ -13,17 +13,22 @@ from tgtransfer.temporal_graph import EventBatch
 from tgtransfer.transform import StaticGraph
 
 
-def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4):
+def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4, h_min=1e-9):
     """Check autodiff grads of a scalar loss against central differences.
 
     `build_loss` must rebuild the forward pass from the tensors' current
     data on every call. A few coordinates per tensor are sampled; relative
     error uses max(|fd|, |ad|, 1e-3) as denominator so near-zero gradients
     do not blow up the ratio.
+
+    A stencil across a leaky-ReLU kink measures no derivative. So where some
+    `numerics.tensor._leaky_relu` input at x + h or x - h has another sign
+    than at x, the step is halved for that coordinate until none does, down
+    to `h_min`; at `h_min` the differences are compared as at any step.
     """
     for t in tensors:
         t.grad = None
-    loss = build_loss()
+    loss, signs = _loss_and_kink_signs(build_loss)
     backward(loss)
     for t in tensors:
         assert t.grad is not None, "no gradient reached a checked tensor"
@@ -31,17 +36,41 @@ def assert_grads_match_fd(build_loss, tensors, rng, n_coords=4, h=1e-5, tol=1e-4
         picks = rng.choice(t.data.size, size=n, replace=False)
         for flat in picks:
             idx = np.unravel_index(flat, t.data.shape)
-            orig = t.data[idx]
-            t.data[idx] = orig + h
-            hi = float(build_loss().data)
-            t.data[idx] = orig - h
-            lo = float(build_loss().data)
-            t.data[idx] = orig
-            fd = (hi - lo) / (2.0 * h)
+            orig, step = t.data[idx], h
+            while True:
+                t.data[idx] = orig + step
+                hi, hi_signs = _loss_and_kink_signs(build_loss)
+                t.data[idx] = orig - step
+                lo, lo_signs = _loss_and_kink_signs(build_loss)
+                t.data[idx] = orig
+                if step / 2 < h_min or _same_signs(hi_signs, signs) and _same_signs(lo_signs, signs):
+                    break
+                step /= 2
+            fd = (float(hi.data) - float(lo.data)) / (2.0 * step)
             ad = t.grad[idx]
             denom = max(abs(fd), abs(ad), 1e-3)
             rel = abs(fd - ad) / denom
-            assert rel < tol, f"coord {idx}: fd={fd:.10g} ad={ad:.10g} rel={rel:.3g}"
+            assert rel < tol, f"coord {idx}: fd={fd:.10g} ad={ad:.10g} rel={rel:.3g} h={step:.3g}"
+
+
+def _loss_and_kink_signs(build_loss):
+    """`build_loss()` and the `x > 0` mask of every `_leaky_relu` input it
+    made, in call order."""
+    signs, real = [], T._leaky_relu
+
+    def recording(x, slope):
+        signs.append(x > 0.0)
+        return real(x, slope)
+
+    T._leaky_relu = recording
+    try:
+        return build_loss(), signs
+    finally:
+        T._leaky_relu = real
+
+
+def _same_signs(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def auc_loop(scores, labels):
@@ -303,14 +332,17 @@ def phase_update_composed(H, params, table, slope, attention=edge_attention_per_
     return T.scatter_rows(H, written, T.linear(hidden, m_w1, m_b1)), alpha
 
 
-def encode_composed(model, tg, plan=None):
-    """Every phase of `model`'s schedule over `tg` through
-    `phase_update_composed`: the reference for `FgatModel.encode`, and with
-    its graph-node rows for `encode_arrays`."""
+def encode_composed(model, tg, plan=None, n_layers=None):
+    """Four phases in each of `model`'s first `n_layers` layers (all by
+    default) over `tg` through `phase_update_composed`: the reference for
+    the graph-node rows of `FgatModel.encode`, which ends before the last
+    phase 4, and so for `encode_arrays`. `FgatModel` draws the last phase 4
+    and drops it, so a model one layer deeper, built from the same seed,
+    holds the tested model's weights and that phase's too."""
     plan = fgat.phase_plan(tg, model.config.dim) if plan is None else plan
     feat_h = T.gather(model.pset["feat.table"], model.token_rows(tg.feature_vocab))
     H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, model.config.dim))), feat_h], axis=0)
-    for layer in range(1, model.config.n_layers + 1):
+    for layer in range(1, (model.config.n_layers if n_layers is None else n_layers) + 1):
         for phase in range(1, 5):
             table = plan[phase - 1]
             params = model._phase_params(layer, phase, len(table.edge_tgt) > 0)
@@ -352,10 +384,10 @@ class AdamLoop:
             p.data = np.subtract(p.data, step, out=step)
 
 
-def train_fgat_composed(model, pool, epochs, rng):
-    """`fgat.train_fgat` over the full schedule through `encode_composed`,
-    stepped by `AdamLoop`; returns the per-epoch losses and leaves the last
-    epoch's gradients on the parameters."""
+def train_fgat_composed(model, pool, epochs, rng, n_layers=None):
+    """`fgat.train_fgat` through `encode_composed` over `model`'s first
+    `n_layers` layers, stepped by `AdamLoop`; returns the per-epoch losses
+    and leaves the last epoch's gradients on the parameters."""
     d = model.config.dim
     feature_tables = [fgat._feature_tables(tg, d) for tg in pool]
     opt = AdamLoop(lr=model.config.lr)
@@ -373,7 +405,7 @@ def train_fgat_composed(model, pool, epochs, rng):
         p2, p3 = fgat._interaction_tables(
             s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
         )
-        H = encode_composed(model, tg, [p1, p2, p3, p4])
+        H = encode_composed(model, tg, [p1, p2, p3, p4], n_layers)
         pos_u = s.pair_users[mask_idx]
         pos_i = s.pair_items[mask_idx] + tg.num_users
         neg_u, neg_i = fgat._sample_non_edges(tg, n_mask, rng)

@@ -101,7 +101,7 @@ def _check_gru_cells(rng, n):
 def _check_g_theta_blocks(rng, n):
     for k in range(n):
         d = int(rng.integers(2, 6))
-        model = fg.FgatModel(fg.FgatConfig(dim=d, n_layers=1), ["a", "b"], rng)
+        model = fg.FgatModel(fg.FgatConfig(dim=d, n_layers=2), ["a", "b"], rng)
         count = int(rng.integers(1, 5))
         n_nodes = count + int(rng.integers(1, 5))
         n_edges = int(rng.integers(1, 9))
@@ -130,7 +130,7 @@ def _check_fgat_layers(rng, n):
     for _ in range(n):
         d = int(rng.integers(3, 5))
         model = fg.FgatModel(
-            fg.FgatConfig(dim=d, n_layers=1), [f"tok{k}" for k in range(3)], rng
+            fg.FgatConfig(dim=d, n_layers=2), [f"tok{k}" for k in range(3)], rng
         )
         tg2 = _rand_transformed(rng)
         w = rng.normal(size=(tg2.num_nodes, d))

@@ -442,6 +442,25 @@ def test_encoder_checkpoint_with_bad_slope_is_one_error_line(trained, tmp_path, 
     assert captured.out == ""
 
 
+def test_encoder_checkpoint_with_a_last_phase_4_is_one_error_line(trained, tmp_path, capsys):
+    """An encoder checkpoint that holds weights for the last layer's phase 4,
+    which the schedule does not run, ends `transfer` before any output: one
+    `error:` line naming those arrays and an empty stdout."""
+    src_ckpt, enc_ckpt, target = trained
+    meta, arrays = read_blob(enc_ckpt)
+    last = f"layer{meta['config']['n_layers']}"
+    arrays.update({k.replace(".phase3.", ".phase4."): v for k, v in arrays.items() if k.startswith(f"{last}.phase3.")})
+    bad = tmp_path / "encoder.ckpt"
+    write_blob(bad, meta, arrays)
+    rc = cli.main(["transfer", "--variant", "mintt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+                   "--fgat-ckpt", str(bad), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    (err,) = captured.err.splitlines()
+    assert err.startswith("error: ") and f"extra=['{last}.phase4.mlp.l0.b', " in err
+    assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["transfer", "--variant", "nt", "--seeds", ","],
     ["transfer", "--variant", "nt", "--seeds", " , "],
@@ -565,6 +584,21 @@ def test_config_file_rejects_unknown_keys(synth_dir, tmp_path, capsys):
     ])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", "abc"), ("sharpness", "sharp")])
+def test_config_value_argparse_cannot_convert_is_one_error_line(tmp_path, capsys, key, value):
+    """A `--config` string that its flag's type cannot read exits 1 with one
+    `error:` line naming the key and an empty stdout, not argparse's usage
+    text and exit 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = cli.main(["synth", "--out-dir", str(tmp_path / "data"), "--config", str(cfg)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config key {key}: {value!r} is not a valid "
+                                         + ("int" if key == "seed" else "float")]
+    assert captured.out == "" and not (tmp_path / "data").exists()
 
 
 def test_synth_outputs_are_ingestible(synth_dir):

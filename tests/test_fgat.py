@@ -45,18 +45,53 @@ def model(rng):
     return fg.FgatModel(cfg, [f"tok{k}" for k in range(4)], rng)
 
 
+def _record_phases(monkeypatch, model):
+    """Wrap `fg.phase_update` for `model`'s phases; each call appends its
+    layer, phase, table, `alpha`, and the rows of `H` before and after."""
+    names = {id(model.pset[f"layer{layer}.phase{phase}.w5"]): (layer, phase) for layer, phase in model._schedule}
+    steps, real = [], fg.phase_update
+
+    def recording(H, params, table, slope):
+        out, alpha = real(H, params, table, slope)
+        layer, phase = names[id(params[0])]
+        steps.append({"layer": layer, "phase": phase, "table": table, "alpha": alpha,
+                      "before": H.data, "after": out.data})
+        return out, alpha
+
+    monkeypatch.setattr(fg, "phase_update", recording)
+    return steps
+
+
 def test_parameter_count(model):
-    # one feature table + per layer per phase: w1..w6 and a 2-layer MLP (4 arrays)
+    # one feature table + per layer per phase: w1..w6 and a 2-layer MLP (4
+    # arrays); the last layer has no phase 4
     per_block = 6 + 4
-    assert len(model.pset) == 1 + model.config.n_layers * 4 * per_block
+    assert len(model.pset) == 1 + (model.config.n_layers * 4 - 1) * per_block
+    default = fg.FgatModel(fg.FgatConfig(), [f"tok{k}" for k in range(64)], np.random.default_rng(0))
+    assert len(default.pset) == 71 and sum(t.data.size for t in default.pset.tensors()) == 53_600
+    assert not [name for name in default.pset.names() if name.startswith("layer2.phase4.")]
 
 
-def test_initial_embeddings(rng, model):
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_the_model_draws_the_last_phase_4_it_drops(n_layers):
+    """The generator a model is built from moves on past the last layer's
+    phase 4, to where a deeper model draws its next layer: `train-fgat`
+    trains from that generator, so its draws are those of four phases in
+    every layer."""
+    vocab, d = [f"tok{k}" for k in range(4)], 8
+    draws = np.random.default_rng(4)
+    fg.FgatModel(fg.FgatConfig(dim=d, n_layers=n_layers), vocab, draws)
+    deeper = fg.FgatModel(fg.FgatConfig(dim=d, n_layers=n_layers + 1), vocab, np.random.default_rng(4))
+    nxt = deeper.pset[f"layer{n_layers + 1}.phase1.w1"].data
+    assert draws.uniform(-np.sqrt(3 / d), np.sqrt(3 / d), (d, d)).tobytes() == nxt.tobytes()
+
+
+def test_initial_embeddings(rng, model, monkeypatch):
     tg = make_tg(rng)
-    trace = []
+    steps = _record_phases(monkeypatch, model)
     with T.no_grad():
-        model.encode(tg, trace=trace)
-    first = trace[0]
+        model.encode(tg)
+    first = steps[0]
     assert first["layer"] == 1 and first["phase"] == 1
     h0 = first["before"]
     assert np.array_equal(h0[: tg.num_graph_nodes], np.zeros((tg.num_graph_nodes, 8)))
@@ -73,56 +108,56 @@ def test_shared_tokens_share_initial_rows(rng, model):
     assert model.token_rows(["never-seen"]) == [fg.UNKNOWN_ROW]
 
 
-def test_phase_schedule_and_target_ranges(rng, model):
+def test_phase_schedule_and_target_ranges(rng, model, monkeypatch):
     tg = make_tg(rng)
-    trace = []
+    steps = _record_phases(monkeypatch, model)
     with T.no_grad():
-        H = model.encode(tg, trace=trace)
-    assert [(s["layer"], s["phase"]) for s in trace] == [
-        (l, p) for l in (1, 2) for p in (1, 2, 3, 4)
-    ]
-    states = [s["before"] for s in trace] + [H.data]
+        H = model.encode(tg)
+    # the last layer ends after phase 3, the last phase to write a graph row
+    assert [(s["layer"], s["phase"]) for s in steps] == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)]
+    assert steps[-1]["after"] is H.data
+    states = [s["before"] for s in steps] + [H.data]
     u, g, n = tg.num_users, tg.num_graph_nodes, tg.num_nodes
     ranges = {1: (0, g), 2: (0, u), 3: (u, g), 4: (g, n)}
-    for snap, after, step in zip(states[:-1], states[1:], trace):
+    for snap, after, step in zip(states[:-1], states[1:], steps):
         lo, hi = ranges[step["phase"]]
         changed = np.where(np.any(snap != after, axis=1))[0]
         assert changed.size > 0
         assert changed.min() >= lo and changed.max() < hi
-    # feature rows stay at their layer-(l-1) values through phases 1-3
+    # feature rows stay at their layer-(l-1) values through phases 1-3, so
+    # `encode` returns those the last layer read
     for k in (0, 4):  # phase-1 steps of each layer
-        assert np.array_equal(trace[k]["before"][g:], trace[k + 3]["before"][g:])
+        assert np.array_equal(states[k][g:], states[k + 3][g:])
 
 
-def test_attention_weights_sum_to_one(rng, model):
+def test_attention_weights_sum_to_one(rng, model, monkeypatch):
     tg = make_tg(rng)
-    trace = []
+    steps = _record_phases(monkeypatch, model)
     with T.no_grad():
-        model.encode(tg, trace=trace)
-    for step in trace:
+        model.encode(tg)
+    assert any(step["alpha"] is not None for step in steps)
+    for step in steps:
         if step["alpha"] is None:
             continue
-        sums = np.zeros(step["targets"].size)
-        np.add.at(sums, step["seg"], step["alpha"])
-        nonempty = np.zeros(step["targets"].size, dtype=bool)
-        nonempty[step["seg"]] = True
+        table = step["table"]
+        sums = np.zeros(table.count)
+        np.add.at(sums, table.seg, step["alpha"][:, 0])
+        nonempty = np.zeros(table.count, dtype=bool)
+        nonempty[table.seg] = True
         assert np.allclose(sums[nonempty], 1.0, atol=1e-6)
 
 
-def test_phase_output_matches_per_node_block(rng, model):
+def test_phase_output_matches_per_node_block(rng, model, monkeypatch):
     # oracle: recompute each phase target with the single-node block
     tg = make_tg(rng)
-    trace = []
+    steps = _record_phases(monkeypatch, model)
     with T.no_grad():
-        H_final = model.encode(tg, trace=trace)
-    states = [s["before"] for s in trace] + [H_final.data]
-    plan = fg.phase_plan(tg, model.config.dim)
+        model.encode(tg)
     for step_idx in (0, 1, 2, 3, 5):  # phases of layer 1 plus one of layer 2
-        step = trace[step_idx]
-        before, after = states[step_idx], states[step_idx + 1]
-        table = plan[step["phase"] - 1]
+        step = steps[step_idx]
+        before, after, table = step["before"], step["after"], step["table"]
         prefix = f"layer{step['layer']}.phase{step['phase']}"
-        for pos, node in enumerate(step["targets"][:6]):
+        for pos, node in enumerate(range(table.start, table.start + table.count)[:6]):
             sel = table.seg == pos
             nbrs = [
                 (int(s), before[int(s)], float(a))
@@ -224,7 +259,7 @@ def test_encode_deterministic(rng, model):
 
 
 def test_layer_gradients_match_fd(rng):
-    cfg = fg.FgatConfig(dim=4, n_layers=1)
+    cfg = fg.FgatConfig(dim=4, n_layers=2)
     model = fg.FgatModel(cfg, [f"tok{k}" for k in range(3)], rng)
     tg = make_tg(rng, n_users=3, n_items=2, vocab_size=3, n_events=12)
     weights = rng.normal(size=(tg.num_nodes, 4))
@@ -240,6 +275,7 @@ def test_layer_gradients_match_fd(rng):
         model.pset["layer1.phase3.w6"],
         model.pset["layer1.phase4.mlp.l0.w"],
         model.pset["layer1.phase1.w5"],
+        model.pset["layer2.phase3.w2"],
     ]
     assert_grads_match_fd(loss, checked, rng, n_coords=3, tol=1e-4)
 
@@ -372,6 +408,36 @@ def test_phase_update_grads_match_fd_on_overlapping_sources(model):
     _assert_update_grads_match_fd(model, _overlapping_table(model.config.dim))
 
 
+def test_fd_check_steps_inside_a_kink_of_a_phase(model, monkeypatch):
+    """The MLP bias of phase 2 moved so that one target's first hidden unit
+    sits 3e-7 above its leaky-ReLU kink: the plain 1e-6 stencil on that bias
+    straddles the kink and misreads the derivative. The check halves its
+    step and passes, and it still fails a wrong leaky-ReLU backward."""
+    tg = _attention_graphs()[0]
+    table = fg.phase_plan(tg, model.config.dim)[1]
+    H, params, out_w = _update_inputs(model, tg, table, 2, seed=3)
+    inputs, real = [], T._leaky_relu
+    monkeypatch.setattr(T, "_leaky_relu", lambda x, slope: inputs.append(x) or real(x, slope))
+    fg.phase_update(H, params, table, model.config.slope)
+    monkeypatch.setattr(T, "_leaky_relu", real)
+    bias = params[2]  # shifts the hidden layer's inputs, the op's last activation
+    bias.data[0] += 3e-7 - inputs[-1][0, 0]
+
+    def loss():
+        out, _ = fg.phase_update(H, params, table, model.config.slope)
+        return T.tensor_mean(out * T.constant(out_w))
+
+    def check(**step):
+        assert_grads_match_fd(loss, [bias], np.random.default_rng(0), n_coords=bias.data.size, h=1e-6, **step)
+
+    with pytest.raises(AssertionError, match=r"coord \(np.int64\(0\),\)"):
+        check(h_min=1e-6)
+    check()
+    monkeypatch.setattr(T, "_leaky_relu", lambda x, slope: (real(x, slope)[0], real(x, 0.3)[1]))
+    with pytest.raises(AssertionError):
+        check()
+
+
 def test_edge_attention_names_itself_on_nan(model):
     tg = _attention_graphs()[0]
     table = fg.phase_plan(tg, model.config.dim)[1]
@@ -499,56 +565,62 @@ def test_tape_free_tables_build_only_the_forward_plans(monkeypatch, rng):
 
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_full_schedule_gives_the_last_phase_4_zero_gradient(rng, n_layers):
-    """The premise of ending training at the last layer's phase 3: under the
-    full schedule, the loss gives that layer's phase-4 parameters exactly
-    zero gradient (phase 4 writes feature rows, which the loss never reads)."""
+    """The premise of ending the schedule at the last layer's phase 3: over
+    four phases in every layer, the loss gives that layer's phase-4 weights
+    exactly zero gradient (phase 4 writes feature rows, which the loss never
+    reads)."""
     vocab = [f"tok{k}" for k in range(6)]
     pool = [make_tg(rng, n_users=8, n_items=6, vocab_size=6, n_events=60) for _ in range(3)]
-    model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers), vocab, np.random.default_rng(1))
+    deeper = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers + 1), vocab, np.random.default_rng(1))
     for seed in range(3):
-        train_fgat_composed(model, pool, 1, np.random.default_rng(seed))
-        last = [t for name, t in model.pset.items() if name.startswith(f"layer{n_layers}.phase4.")]
+        train_fgat_composed(deeper, pool, 1, np.random.default_rng(seed), n_layers)
+        last = [t for name, t in deeper.pset.items() if name.startswith(f"layer{n_layers}.phase4.")]
         assert len(last) == 10 and all(not t.grad.any() for t in last)
-        assert model.pset[f"layer{n_layers}.phase3.w5"].grad.any()
+        assert deeper.pset[f"layer{n_layers}.phase3.w5"].grad.any()
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_train_fgat_keeps_the_composed_full_schedule_bytes(rng, n_layers):
-    """Losses and parameters byte for byte as the composed phases over every
-    phase of the schedule, stepped by a per-parameter Adam."""
+    """Losses and parameters byte for byte as the composed phases over four
+    phases in every layer, stepped by a per-parameter Adam: a model one layer
+    deeper runs its first `n_layers` layers, so the last phase 4, which only
+    it holds, changes no byte of the loss or of any parameter."""
     vocab = [f"tok{k}" for k in range(6)]
     pool = [make_tg(rng, n_users=8, n_items=6, vocab_size=6, n_events=60) for _ in range(3)]
-    models = [fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers, lr=0.02), vocab, np.random.default_rng(6))
-              for _ in range(2)]
-    got = fg.train_fgat(models[0], pool, 8, np.random.default_rng(7))
-    expect = train_fgat_composed(models[1], pool, 8, np.random.default_rng(7))
+    model, deeper = (fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n, lr=0.02), vocab, np.random.default_rng(6))
+                     for n in (n_layers, n_layers + 1))
+    got = fg.train_fgat(model, pool, 8, np.random.default_rng(7))
+    expect = train_fgat_composed(deeper, pool, 8, np.random.default_rng(7), n_layers)
     assert np.array(got).tobytes() == np.array(expect).tobytes()
-    for (name, a), (_, b) in zip(models[0].pset.items(), models[1].pset.items()):
-        assert a.data.tobytes() == b.data.tobytes(), name
+    for name, t in model.pset.items():
+        assert t.data.tobytes() == deeper.pset[name].data.tobytes(), name
 
 
-def test_encode_arrays_are_the_graph_rows_of_every_phase(rng, model):
+def test_encode_arrays_are_the_graph_rows_of_every_phase(rng):
+    vocab = [f"tok{k}" for k in range(4)]
+    model, deeper = (fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n), vocab, np.random.default_rng(5)) for n in (2, 3))
     tg = make_tg(rng, n_users=6, n_items=5, n_events=40)
+    g = tg.num_graph_nodes
     with T.no_grad():
-        expect = encode_composed(model, tg).data[: tg.num_graph_nodes]
+        expect = encode_composed(deeper, tg, n_layers=2).data[:g]
     got = model.encode_arrays(tg)
     assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
-    assert model.encode(tg).data.tobytes() == encode_composed(model, tg).data.tobytes()
+    assert model.encode(tg).data[:g].tobytes() == encode_composed(deeper, tg, n_layers=2).data[:g].tobytes()
 
 
 def test_encode_arrays_and_training_run_through_encode(rng, model, monkeypatch):
-    """Both reach the schedule through the public `encode`, with `graph_rows`."""
+    """Both reach the schedule through the public `encode`, with no switch."""
     calls, real = [], fg.FgatModel.encode
 
     def encode(self, tg, *args, **kwargs):
-        calls.append(kwargs.get("graph_rows"))
+        calls.append((args, sorted(kwargs)))
         return real(self, tg, *args, **kwargs)
 
     monkeypatch.setattr(fg.FgatModel, "encode", encode)
     tg = make_tg(rng, n_users=6, n_items=5, n_events=40)
     model.encode_arrays(tg)
     fg.train_fgat(model, [tg], 2, np.random.default_rng(0))
-    assert calls == [True, True, True]
+    assert calls == [((), []), ((), ["plan"]), ((), ["plan"])]
 
 
 def test_score_link_values():
@@ -699,6 +771,18 @@ def test_load_fgat_rejects_slope_outside_unit_interval(tmp_path, model):
     meta["config"]["slope"] = 1.5
     write_blob(path, meta, arrays)
     with pytest.raises(CheckpointError, match="slope must be in"):
+        fg.load_fgat(path)
+
+
+def test_load_fgat_rejects_weights_for_the_last_phase_4(tmp_path, model):
+    """A checkpoint that holds weights for the last layer's phase 4, which
+    the schedule does not run, fails to load and names them."""
+    path = tmp_path / "fgat.ckpt"
+    fg.save_fgat(model, path)
+    meta, arrays = read_blob(path)
+    last = {k.replace(".phase3.", ".phase4."): a for k, a in arrays.items() if k.startswith("layer2.phase3.")}
+    write_blob(path, meta, {**arrays, **last})
+    with pytest.raises(ValueError, match=r"missing=\[\] extra=\['layer2\.phase4\.mlp\.l0\.b', "):
         fg.load_fgat(path)
 
 

@@ -58,6 +58,46 @@ def test_leaky_relu_grads_away_from_kink(rng):
     assert np.allclose(x.grad, [0.2, 0.2, 1.0, 1.0])
 
 
+def _kink_loss():
+    # 3e-7 above and 4e-7 below the kink: a central difference at h = 1e-6
+    # straddles it at both points
+    x = N.parameter(np.array([3e-7, -4e-7]))
+
+    def loss():
+        return N.tensor_sum(N.leaky_relu(x, slope=0.2))
+
+    return x, loss
+
+
+def test_fd_check_halves_a_step_that_straddles_a_kink():
+    """The plain stencil reads 0.72 and 0.48 where the derivatives are 1 and
+    0.2; halving the step until no input changes sign recovers them."""
+    x, loss = _kink_loss()
+    with pytest.raises(AssertionError, match=r"fd=0\.7[12]\d* ad=1 "):
+        assert_grads_match_fd(loss, [x], np.random.default_rng(0), h=1e-6, h_min=1e-6)
+    assert_grads_match_fd(loss, [x], np.random.default_rng(0), h=1e-6)
+    assert np.array_equal(x.grad, [1.0, 0.2])
+
+
+def test_fd_check_fails_a_wrong_leaky_relu_backward(monkeypatch):
+    """A backward rule that scales the negative side by 0.3 in place of the
+    slope 0.2 still fails the kink-robust check, next to the kink and away
+    from it."""
+    real = T._leaky_relu
+
+    def mutated(x, slope):
+        out, _ = real(x, slope)
+        return out, real(x, 0.3)[1]
+
+    monkeypatch.setattr(T, "_leaky_relu", mutated)
+    x, loss = _kink_loss()
+    with pytest.raises(AssertionError, match=r" ad=0\.3 "):
+        assert_grads_match_fd(loss, [x], np.random.default_rng(0), h=1e-6)
+    x.data[:] = [0.7, -0.5]
+    with pytest.raises(AssertionError, match=r" ad=0\.3 "):
+        assert_grads_match_fd(loss, [x], np.random.default_rng(0), h=1e-6)
+
+
 def test_softmax_grads(rng):
     x = N.parameter(rng.normal(size=(4, 5)))
     weights = rng.normal(size=(4, 5))

@@ -264,46 +264,67 @@ def test_embed_empty_neighborhood_is_combine_of_zero_context(setup, rng):
     assert np.allclose(h1, expect, atol=1e-12)
 
 
-def test_single_neighbor_gets_full_attention(rng):
+def _record_attention(monkeypatch):
+    """Wrap `tgn._temporal_attention`; each call appends its slot rows `row`,
+    its query count `b` and its (slots, heads) `alpha`."""
+    calls, real = [], tgn._temporal_attention
+
+    def recording(*args):
+        out, alpha = real(*args)
+        calls.append({"row": args[8], "b": args[9], "alpha": alpha})
+        return out, alpha
+
+    monkeypatch.setattr(tgn, "_temporal_attention", recording)
+    return calls
+
+
+def _attention_sums(call, heads):
+    """Per query of one attention call: its slot count and, per head, the
+    sum of its attention weights."""
+    sums = np.zeros((call["b"], heads))
+    np.add.at(sums, call["row"], call["alpha"])
+    return np.bincount(call["row"], minlength=call["b"]), sums
+
+
+def test_single_neighbor_gets_full_attention(rng, monkeypatch):
     model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
     g = tg.TemporalGraph(
         np.array([0]), np.array([0]), np.array([5.0]), np.zeros((1, 0)),
         ["u0"], ["i0"], VOCAB, [np.array([0])], [np.array([1])],
     )
     ctx = model.bind_graph(g)
-    trace = []
+    calls = _record_attention(monkeypatch)
     with T.no_grad():
         mem = T.constant(np.zeros((2, 8)))
-        model.embed(ctx, mem, np.array([0]), np.array([9.0]), trace=trace)
-    alpha, mask = trace[-1]["alpha"], trace[-1]["mask"]
-    assert mask[0, 0] == 1 and mask[0, 1:].sum() == 0
-    assert np.allclose(alpha[0, 0, :], 1.0)
-    assert np.allclose(alpha[0, 1:, :], 0.0)
+        model.embed(ctx, mem, np.array([0]), np.array([9.0]))
+    (call,) = calls
+    assert call["b"] == 1 and call["row"].tolist() == [0]
+    assert call["alpha"].shape == (1, model.config.n_heads) and np.allclose(call["alpha"], 1.0)
 
 
-def test_attention_weights_sum_to_one(setup, rng):
+def test_attention_weights_sum_to_one(setup, rng, monkeypatch):
     model, ctx, g = setup
+    heads = model.config.n_heads
     state = tgn.MemoryState(np.asarray(rng.normal(size=(g.num_nodes, 8))), np.zeros(g.num_nodes))
-    trace = []
+    calls = _record_attention(monkeypatch)
     with T.no_grad():
         mem = T.constant(state.memory)
-        model.embed(ctx, mem, np.arange(g.num_nodes), np.full(g.num_nodes, 400.0), trace=trace)
-    for step in trace:
-        sums = step["alpha"].sum(axis=1)  # (b, heads)
-        assert np.allclose(sums, 1.0, atol=1e-6)
+        model.embed(ctx, mem, np.arange(g.num_nodes), np.full(g.num_nodes, 400.0))
+    (call,) = calls
+    counts, sums = _attention_sums(call, heads)
+    assert call["b"] == g.num_nodes and counts.all()
+    assert np.allclose(sums, 1.0, atol=1e-6)
     # queries made before a node's first event have no neighbor to attend to
-    trace = []
+    calls.clear()
     nodes = np.concatenate([np.arange(g.num_nodes), np.arange(g.num_nodes)])
     ts = np.concatenate([np.full(g.num_nodes, 400.0), np.zeros(g.num_nodes)])
     with T.no_grad():
-        model.embed(ctx, mem, nodes, ts, trace=trace)
-    (step,) = trace
-    assert step["alpha"].shape == (len(nodes), model.config.k_neighbors, model.config.n_heads)
-    assert not step["mask"][g.num_nodes:].any()
-    sums = step["alpha"].sum(axis=1)
-    assert np.allclose(sums[:g.num_nodes], 1.0, atol=1e-6)
-    assert np.array_equal(sums[g.num_nodes:], np.zeros((g.num_nodes, model.config.n_heads)))
-    assert not step["alpha"][step["mask"] == 0].any()
+        model.embed(ctx, mem, nodes, ts)
+    (call,) = calls
+    counts, sums = _attention_sums(call, heads)
+    assert call["b"] == len(nodes) and (counts > 0).sum() == g.num_nodes
+    assert np.allclose(sums[counts > 0], 1.0, atol=1e-6)
+    assert np.array_equal(sums[counts == 0], np.zeros((g.num_nodes, heads)))
 
 
 def _outputs_and_grads(model, mem, forward):
@@ -374,7 +395,7 @@ def test_embed_matches_padded_attention_with_one_real_slot(rng):
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
-def test_embed_folds_repeated_queries(rng, n_layers):
+def test_embed_folds_repeated_queries(rng, monkeypatch, n_layers):
     g = make_graph(n_events=40, seed=8, edge_dim=3)
     model = tgn.TgnModel(small_config(n_layers=n_layers), VOCAB, 3, rng)
     ctx = model.bind_graph(g)
@@ -394,20 +415,23 @@ def test_embed_folds_repeated_queries(rng, n_layers):
         return out
 
     ctx.index.batch_neighbors = counting_lookup
-    trace, base_trace = [], []
+    attention = _record_attention(monkeypatch)
     with T.no_grad():
-        folded = model.embed(ctx, mem, nodes, ts, hide=hide, trace=trace).data
+        folded = model.embed(ctx, mem, nodes, ts, hide=hide).data
         calls = len(seen)
-        alone = model.embed(ctx, mem, base_nodes, base_ts, hide=base_hide, trace=base_trace).data
+        alone = model.embed(ctx, mem, base_nodes, base_ts, hide=base_hide).data
     # only the distinct queries reach the neighbor lookup, at every layer; the
     # self path below the top folds the two copies of node 0 at t=600 into one
     assert seen[n_layers - 1] == len(base_nodes) and seen[:calls] == seen[calls:]
     if n_layers == 2:
         assert seen[0] == len(base_nodes) - 1
     assert folded.tobytes() == alone[rep].tobytes()
-    # the top layer's trace entry keeps one row per caller query
-    assert trace[-1]["alpha"].tobytes() == base_trace[-1]["alpha"][rep].tobytes()
-    assert np.array_equal(trace[-1]["mask"], base_trace[-1]["mask"][rep])
+    # attention runs as often as the lookup, over the distinct queries only:
+    # the top layer's (the last op of each call) has one query per distinct one
+    assert len(attention) == 2 * calls and attention[calls - 1]["b"] == len(base_nodes)
+    for got, expect in zip(attention[:calls], attention[calls:]):
+        assert got["b"] == expect["b"] and np.array_equal(got["row"], expect["row"])
+        assert got["alpha"].tobytes() == expect["alpha"].tobytes()
 
     got, got_grads = _outputs_and_grads(model, mem, lambda: model.embed(ctx, mem, nodes, ts, hide=hide))
     expect, expect_grads = _outputs_and_grads(
@@ -454,7 +478,7 @@ def test_blocked_embed_same_bytes_as_one_block(rng, monkeypatch, n_layers, hidde
     assert blocked.tobytes() == one.tobytes()
 
 
-def test_embed_with_a_tape_or_a_trace_is_one_block(rng, monkeypatch):
+def test_embed_with_a_tape_is_one_block(rng, monkeypatch):
     g = make_graph(n_events=80, seed=5, edge_dim=3)
     model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
     ctx = model.bind_graph(g)
@@ -463,28 +487,28 @@ def test_embed_with_a_tape_or_a_trace_is_one_block(rng, monkeypatch):
     monkeypatch.setattr(tgn, "BLOCK_SLOTS", 24)
     blocks = _count_top_blocks(model)
     taped = model.embed(ctx, mem, nodes, ts).data
-    trace = []
     with T.no_grad():
-        traced = model.embed(ctx, mem, nodes, ts, trace=trace).data
         blocked = model.embed(ctx, mem, nodes, ts).data
-    # the taped and the traced call are one block of every distinct query
-    assert blocks[0] == blocks[1] == sum(blocks[2:]) and len(blocks) > 4
-    assert taped.tobytes() == traced.tobytes() == blocked.tobytes()
-    assert trace[0]["alpha"].shape[0] == len(nodes)
+    # the taped call is one block of every distinct query (the 60 query times
+    # are distinct draws)
+    assert blocks[0] == len(nodes) == sum(blocks[1:]) and len(blocks) > 3
+    assert taped.tobytes() == blocked.tobytes()
 
 
-def test_score_pairs_traces_each_layer_once_users_first(setup, rng):
+def test_score_pairs_traces_each_layer_once_users_first(setup, rng, monkeypatch):
+    """`score_pairs` runs each layer's attention once, over the distinct
+    queries of one `embed` call on the users followed by the items."""
     model, ctx, g = setup
     mem = T.constant(rng.normal(size=(g.num_nodes, 8)))
     users, items = np.array([0, 1, 0]), g.num_users + np.array([2, 2, 1])
     ts = np.array([400.0, 450.0, 400.0])
-    trace, expect = [], []
+    calls = _record_attention(monkeypatch)
     with T.no_grad():
-        model.score_pairs(ctx, mem, users, items, ts, trace=trace)
-        model.embed(ctx, mem, np.concatenate([users, items]), np.concatenate([ts, ts]), trace=expect)
-    (step,) = trace
-    assert step["alpha"].shape[0] == 2 * len(users)
-    assert step["alpha"].tobytes() == expect[0]["alpha"].tobytes()
+        model.score_pairs(ctx, mem, users, items, ts)
+        model.embed(ctx, mem, np.concatenate([users, items]), np.concatenate([ts, ts]))
+    got, expect = calls
+    assert got["b"] == expect["b"] == 5  # users 0 and 1, items 2 (twice) and 1
+    assert np.array_equal(got["row"], expect["row"]) and got["alpha"].tobytes() == expect["alpha"].tobytes()
 
 
 def test_embed_and_score_pairs_reject_mismatched_lengths(setup):
