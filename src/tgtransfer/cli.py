@@ -394,6 +394,34 @@ def cmd_synth(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _config_value(action, key: str, value):
+    """The value a `--config` entry gives its flag. A string goes through
+    the flag's type, as on the command line (where argparse would exit 2 on
+    one it cannot convert). Any other JSON value must already have the
+    flag's type: an integer, not a boolean, for an int flag; a number for a
+    float flag; a boolean for a switch; a list of strings for a repeated
+    flag. null is allowed only where the flag's default is None."""
+    if action.type is not None:
+        kind = action.type
+    elif action.nargs == 0:  # a switch
+        kind = bool
+    else:
+        kind = list if isinstance(action, argparse._AppendAction) else str
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, str) and kind not in (bool, list):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    elif kind is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is kind and (kind is not list or all(type(v) is str for v in value)):
+        return value
+    shown = repr(value) if isinstance(value, str) else json.dumps(value)
+    raise ValueError(f"config key {key}: {shown} is not a valid {kind.__name__}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tgtransfer",
@@ -480,13 +508,7 @@ def main(argv=None) -> int:
             unknown = sorted(set(overrides) - set(actions))
             if unknown:
                 raise ValueError(f"unknown config keys: {unknown}")
-            for key, value in overrides.items():  # argparse exits 2 on a string it cannot convert
-                convert = actions[key].type
-                try:
-                    overrides[key] = convert(value) if convert and isinstance(value, str) else value
-                except ValueError:
-                    raise ValueError(f"config key {key}: {value!r} is not a valid {convert.__name__}") from None
-            sub.set_defaults(**overrides)
+            sub.set_defaults(**{key: _config_value(actions[key], key, value) for key, value in overrides.items()})
             args = parser.parse_args(argv)
         # every output's directory exists before the work that fills it starts
         for out in filter(None, (getattr(args, dest, None) for dest in ("out", "output", "mapping_out"))):

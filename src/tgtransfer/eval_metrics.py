@@ -153,7 +153,6 @@ def evaluate(
     if split.num_events == 0:
         raise ValueError("cannot evaluate an empty split")
     state = state.copy()
-    num_users = ctx.graph.num_users
     pos_scores, neg_scores, ranks = [], [], []
     item_ids = np.arange(ctx.graph.num_items)
     for batch in batch_iter(split, chunk):
@@ -170,7 +169,7 @@ def evaluate(
         neg_scores.append(scores[rows, neg_col])
         if rank_metrics:
             ranks.extend(truth_rank(scores, item_ids, batch.items))
-        state = update_memory(model, state, batch, num_users)
+        state = update_memory(model, state, batch, ctx)
     pos = np.concatenate(pos_scores)
     neg = np.concatenate(neg_scores)
     scores = np.concatenate([pos, neg])

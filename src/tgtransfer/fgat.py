@@ -109,21 +109,26 @@ def _sorted_table(start, count, tgt, src, a, dim) -> PhaseTable:
     return _phase_table(start, count, tgt[order], src[order], a[order], dim)
 
 
-def phase_plan(tg: TransformedGraph, dim: int) -> list[PhaseTable]:
-    """Edge tables for the four phases of one layer, in schedule order."""
+def phase_plan(tg: TransformedGraph, dim: int, n_layers: int = 2) -> list[PhaseTable]:
+    """Edge tables of the phases an `n_layers`-layer schedule runs, in
+    schedule order: all four, or the first three for one layer, whose
+    schedule ends before its phase 4."""
     s = tg.static
-    p1, p4 = _feature_tables(tg, dim)
-    return [p1, *_interaction_tables(s.pair_users, s.pair_items, s.pair_counts, s.num_users, s.num_items, dim), p4]
+    p1, *p4 = _feature_tables(tg, dim, n_layers)
+    return [p1, *_interaction_tables(s.pair_users, s.pair_items, s.pair_counts, s.num_users, s.num_items, dim), *p4]
 
 
-def _feature_tables(tg: TransformedGraph, dim: int) -> tuple[PhaseTable, PhaseTable]:
-    """Tables of phases 1 and 4, which read only the feature attachments."""
+def _feature_tables(tg: TransformedGraph, dim: int, n_layers: int) -> tuple[PhaseTable, ...]:
+    """Tables of phases 1 and 4, which read only the feature attachments;
+    phase 4's only where an `n_layers`-layer schedule runs one."""
     g_count = tg.num_graph_nodes
     feat_global = tg.feature_global(tg.feat_edge_feat)
 
     # phase 1: every graph node aggregates its feature nodes, weight 1/|F_u|
     a1 = 1.0 / tg.node_features.lengths[tg.feat_edge_node]
     p1 = _sorted_table(0, g_count, tg.feat_edge_node, feat_global, a1, dim)
+    if n_layers == 1:
+        return (p1,)
 
     # phase 4: feature nodes aggregate attached graph nodes, weight 1/deg
     a4 = 1.0 / np.bincount(tg.feat_edge_feat, minlength=tg.num_features)[tg.feat_edge_feat]
@@ -263,9 +268,9 @@ class FgatModel:
 
     def encode(self, tg: TransformedGraph, plan: list[PhaseTable] | None = None) -> T.Tensor:
         """Embeddings for all transformed-graph nodes after the schedule's
-        phases over `plan` (by default `phase_plan(tg, dim)`); it ends after
-        the last layer's phase 3, so feature rows hold what that layer read."""
-        plan = phase_plan(tg, self.config.dim) if plan is None else plan
+        phases over `plan` (by default `phase_plan(tg, dim, n_layers)`); it ends
+        after the last layer's phase 3, so feature rows hold what that layer read."""
+        plan = phase_plan(tg, self.config.dim, self.config.n_layers) if plan is None else plan
         feat_h = T.gather(self.pset["feat.table"], self.token_rows(tg.feature_vocab))
         H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, self.config.dim))), feat_h], axis=0)
         for layer, phase in self._schedule:
@@ -367,7 +372,7 @@ def train_fgat(
     T._keep_freed_pages()
     # masking hides pairs only, so phases 1 and 4 keep their tables
     d = model.config.dim
-    feature_tables = [_feature_tables(tg, d) for tg in pool]
+    feature_tables = [_feature_tables(tg, d, model.config.n_layers) for tg in pool]
     opt = Adam(lr=model.config.lr)
     losses: list[float] = []
     for _ in range(epochs):
@@ -379,8 +384,8 @@ def train_fgat(
 def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng: np.random.Generator) -> float:
     """Mask a share of `tg`'s pairs, encode the rest, score the masked pairs
     against as many sampled non-edges, take one optimizer step; returns the
-    loss. `feature_tables` are `tg`'s phase 1 and 4 tables. The tape lives in
-    this frame only."""
+    loss. `feature_tables` are `tg`'s phase 1 table and, where the schedule
+    runs one, its phase 4 table. The tape lives in this frame only."""
     s = tg.static
     d = model.config.dim
     n_pairs = s.num_pairs
@@ -388,12 +393,12 @@ def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng
     n_mask = min(n_mask, n_pairs - 1)  # always keep at least one pair
     perm = rng.permutation(n_pairs)
     mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
-    p1, p4 = feature_tables
+    p1, *p4 = feature_tables
     p2, p3 = _interaction_tables(
         s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
     )
 
-    H = model.encode(tg, plan=[p1, p2, p3, p4])
+    H = model.encode(tg, plan=[p1, p2, p3, *p4])
     pos_u = s.pair_users[mask_idx]
     pos_i = s.pair_items[mask_idx] + tg.num_users
     neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)

@@ -259,11 +259,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` for a 2-D `x` and a 1-D bias `b`, as one op.
 
     Bytes equal a product op followed by `add`, forward and backward, with
-    one tape node and no intermediate product kept.
+    one tape node and no intermediate product kept. An output of width 1 is
+    the exception: its forward is a multiply and a sum per row, since numpy
+    runs that product through a matrix-vector kernel whose bytes for one
+    row depend on the rows around it (OpenBLAS 0.3.31, x86-64), and a row
+    must score the same in any batch.
     """
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"linear expects (n, {w.shape[0]}) input, got {x.shape}")
-    out_data = _matmul(x.data, w.data)
+    if w.shape[1] == 1:
+        out_data = np.sum(x.data * w.data.T, axis=1, keepdims=True)
+    else:
+        out_data = _matmul(x.data, w.data)
     out_data += b.data
 
     def backward(g):

@@ -23,10 +23,18 @@ per-slot arrays stay cache-sized; each row gets the bytes of one pass. With a
 tape a call is one block.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
-backward, `_temporal_attention`: the tape keeps its concatenated input, keys,
-values, attention weights and its two plans of sums over query rows, so the
-backward reuses the forward instead of recomputing it. Its segment softmax is
-the one FGAT attention uses, `numerics.tensor._segment_softmax`.
+backward, `_temporal_attention`. Its keys and values project the neighbor
+rows once per row of their table: at layer 1 once per graph node (the
+layer-0 table), above it once per slot. The tape keeps its keys, values,
+attention weights and its two plans of sums over query rows, so the backward
+reuses the forward instead of recomputing it. Its segment softmax is the one
+FGAT attention uses, `numerics.tensor._segment_softmax`.
+Time gaps, of a neighbor event or a memory update before the query and the
+query's zero gap to itself, go through `numerics.nn.TimeEncoder`'s tables of
+the call's distinct query and event times. Gaps to events take the bound
+graph's first event time (`GraphContext.t0`) as the reference time, so a
+row's bytes depend on its own times only; the zero gap is encoded at time 0
+against time 0, which makes it exactly cos(phase).
 
 Training defers each batch's memory write until just before the next batch is
 scored (values are unchanged by the delay: no optimizer step intervenes), so
@@ -115,6 +123,12 @@ class GraphContext(NamedTuple):
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
+    @property
+    def t0(self) -> float:
+        """The graph's first event time (0.0 without events): the reference
+        time of every time encoding on this graph."""
+        return float(self.graph.times[0]) if self.graph.num_events else 0.0
+
 
 def _check_lengths(**arrays) -> None:
     """Raise `ValueError` unless every array given (None skipped) has as many
@@ -149,61 +163,69 @@ def _slot_blocks(counts: np.ndarray) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _temporal_attention(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     """Multi-head dot-product attention of `b` queries over their real
     neighbor slots, as one op.
 
     Slot `s` belongs to query `row[s]` (sorted); its key and value input is
-    `[h_nbr, phi, x_uv]`, with `x_uv` a constant array. Returns the (b, d)
-    context as a `Tensor` with op name "temporal_attention", and the
-    (n, heads) `alpha` array. The forward runs the numpy steps of the
-    composed ops: concat, key and value projections, per-slot query dot
-    products, a segment softmax and a segment sum.
+    `[h_src[src[s]], phi[s], x_uv[s]]`, with `x_uv` a constant array. Keys
+    are `P[src, :d] + [phi, x_uv] @ wk[dm:] + bk` and values `P[src, d:] +
+    [phi, x_uv] @ wv[dm:] + bv`, where `P = h_src @ [wk[:dm], wv[:dm]]`
+    projects each row of `h_src` once for both. Returns the (b, d) context
+    as a `Tensor` with op name "temporal_attention", and the (n, heads)
+    `alpha` array. The rest runs per-slot query dot products, a segment
+    softmax and a segment sum.
 
-    Backward reuses the forward's `kv_in`, keys, values, `alpha` and plans of
-    sums over `row`, one per width, and the softmax's backward rule.
-    Its input gradient is one product over all of `kv_in`'s columns: products
-    per input block round differently at some shapes (OpenBLAS 0.3.31, x86-64).
+    Backward reuses the forward's keys, values, per-slot query rows, `alpha`
+    and plans of sums over `row`, one per width, and the softmax's backward
+    rule; the
+    gradient of `P` is summed per `h_src` row before it meets the weights.
     """
     n, d = len(row), q.shape[1]
-    dh = d // heads
+    dm, dh = h_src.shape[1], d // heads
     scale = 1.0 / np.sqrt(dh)
-    kv_in = np.concatenate([h_nbr.data, phi.data, x_uv], axis=1)
+    w_h = np.concatenate([wk.data[:dm], wv.data[:dm]], axis=1)
+    rest_in = np.concatenate([phi.data, x_uv], axis=1)
     per_row, per_head = T._index_plan(row, b, d), T._index_plan(row, b, heads)
+    p = T._matmul(h_src.data, w_h)
 
-    def project(w, bias):
-        out = T._matmul(kv_in, w.data)
+    def project(half, w, bias):
+        out = p[:, half].take(src, axis=0)
+        out += T._matmul(rest_in, w.data[dm:])
         out += bias.data
         return out.reshape(n, heads, dh)
 
-    kk = project(wk, bk)
-    scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * kk).sum(axis=2) * scale
+    kk = project(slice(0, d), wk, bk)
+    q_slot = q.data.take(row, axis=0).reshape(n, heads, dh)
+    scores = (q_slot * kk).sum(axis=2) * scale
     if not T._grad_enabled:
-        kk = None  # no backward will read the keys: free them before the values
+        kk = q_slot = None  # no backward will read them: free them before the values
     alpha, softmax_backward = T._segment_softmax(scores, row, per_head)
-    vv = project(wv, bv)
+    vv = project(slice(d, 2 * d), wv, bv)
     context = per_row((alpha[:, :, None] * vv).reshape(n, d))
 
     def backward(g):
         g_edge = g.take(row, axis=0).reshape(n, heads, dh)
         g_scores = (softmax_backward(np.sum(g_edge * vv, axis=2)) * scale)[:, :, None]
         g_q = per_row((g_scores * kk).reshape(n, d))
-        g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
+        g_k = (g_scores * q_slot).reshape(n, d)
         g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
-        g_kv = T._matmul(g_k, wk.data.T) + T._matmul(g_v, wv.data.T)
-        dm = h_nbr.shape[1]
+        per_src = T._index_plan(src, len(h_src.data), d)
+        g_p = np.concatenate([per_src(g_k), per_src(g_v)], axis=1)
+        g_w_h = T._matmul(h_src.data.T, g_p)
+        dt = phi.shape[1]
         return (
             g_q,
-            np.ascontiguousarray(g_kv[:, :dm]),
-            np.ascontiguousarray(g_kv[:, dm : dm + phi.shape[1]]),
-            T._matmul(kv_in.T, g_k),
+            T._matmul(g_p, w_h.T),
+            T._matmul(g_k, wk.data[dm : dm + dt].T) + T._matmul(g_v, wv.data[dm : dm + dt].T),
+            np.concatenate([g_w_h[:, :d], T._matmul(rest_in.T, g_k)]),
             g_k.sum(axis=0),
-            T._matmul(kv_in.T, g_v),
+            np.concatenate([g_w_h[:, d:], T._matmul(rest_in.T, g_v)]),
             g_v.sum(axis=0),
         )
 
     out = T.Tensor(
-        context, _parents=(q, h_nbr, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
+        context, _parents=(q, h_src, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
     )
     return out, alpha
 
@@ -330,20 +352,24 @@ class TgnModel:
         nbr_ids, nbr_times, nbr_ords, count = ctx.index.batch_neighbors(
             nodes, ts, k if hide is None else np.where(hide, 0, k))
         row = np.repeat(np.arange(b), count)
-        h_nbr = self._embed(ctx, h0, nbr_ids, ts[row], layer - 1)
-        dt = ts[row] - nbr_times
-        if dt.size and dt.min() < -1e-12:
+        t_slot = ts[row]
+        if len(row) and (t_slot - nbr_times).min() < -1e-12:
             raise ValueError("neighbor newer than query time")
-        phi = self.time_enc(self.pset, dt)
+        # layer 1 projects the layer-0 table once per node; above, each slot's own row
+        if layer == 1:
+            h_src, src = h0, nbr_ids
+        else:
+            h_src, src = self._embed(ctx, h0, nbr_ids, t_slot, layer - 1), np.arange(len(row))
+        phi = self.time_enc(self.pset, t_slot, nbr_times, ctx.t0)
         x_uv = ctx.index.edge_features_for(nbr_ords)
         # every query sees a zero gap to itself: encode it once, copy it per row
-        phi_self = T.gather(self.time_enc(self.pset, np.zeros(1)), np.zeros(b, dtype=np.int64))
+        phi_self = T.gather(self.time_enc(self.pset, np.zeros(1), np.zeros(1), 0.0), np.zeros(b, dtype=np.int64))
         q_in = T.concat([h_self, phi_self], axis=1)
 
         li, ps = layer - 1, self.pset
         q = self.att_q[li](ps, q_in)
         context, _ = _temporal_attention(
-            q, h_nbr, phi, x_uv, *self.att_k[li].weights(ps), *self.att_v[li].weights(ps),
+            q, h_src, src, phi, x_uv, *self.att_k[li].weights(ps), *self.att_v[li].weights(ps),
             row, b, cfg.n_heads,
         )
         context = self.att_o[li](ps, context)
@@ -369,21 +395,20 @@ class TgnModel:
 
     # -- memory updates ------------------------------------------------------------
 
-    def batch_updates(self, mem: T.Tensor, last_update: np.ndarray, batch: EventBatch, num_users: int):
-        """New memory rows for a batch of events.
+    def batch_updates(self, mem: T.Tensor, last_update: np.ndarray, batch: EventBatch, ctx: GraphContext):
+        """New memory rows for a batch of events of `ctx`'s graph.
 
         Both endpoints of every event receive a message computed from
         batch-start memories; per node only its latest message in the batch
         survives. Returns (nodes ascending, new row tensor, new last_update).
         """
-        items_g = batch.items + num_users
+        items_g = batch.items + ctx.graph.num_users
         ev_nodes = np.concatenate([batch.users, items_g])
         ev_partner = np.concatenate([items_g, batch.users])
         ev_times = np.concatenate([batch.times, batch.times])
         ev_feats = np.concatenate([batch.edge_features, batch.edge_features], axis=0)
 
-        dt_all = ev_times - last_update[ev_nodes]
-        if dt_all.size and dt_all.min() < 0:
+        if (ev_times < last_update[ev_nodes]).any():
             raise ValueError("event time precedes a node's last memory update")
 
         # last message per node: scan positions in reverse, unique keeps first
@@ -393,19 +418,20 @@ class TgnModel:
 
         m_self = T.gather(mem, ev_nodes[last_pos])
         m_other = T.gather(mem, ev_partner[last_pos])
-        phi = self.time_enc(self.pset, dt_all[last_pos])
+        phi = self.time_enc(self.pset, ev_times[last_pos], last_update[uniq], ctx.t0)
         msg_in = T.concat([m_self, m_other, phi, T.constant(ev_feats[last_pos])], axis=1)
         msg = self.msg_mlp(self.pset, msg_in)
         new_rows = self.gru(self.pset, msg, m_self)
         return uniq, new_rows, ev_times[last_pos]
 
 
-def update_memory(model: TgnModel, state: MemoryState, batch: EventBatch, num_users: int) -> MemoryState:
-    """Apply one batch of events to a state immediately; returns a new state."""
+def update_memory(model: TgnModel, state: MemoryState, batch: EventBatch, ctx: GraphContext) -> MemoryState:
+    """Apply one batch of events of `ctx`'s graph to a state immediately;
+    returns a new state."""
     out = state.copy()
     with T.no_grad():
         mem = T.constant(state.memory)
-        nodes, rows, new_last = model.batch_updates(mem, state.last_update, batch, num_users)
+        nodes, rows, new_last = model.batch_updates(mem, state.last_update, batch, ctx)
     out.memory[nodes] = rows.data
     out.last_update[nodes] = new_last
     return out
@@ -435,7 +461,7 @@ def train_epoch(
     for batch in batch_iter(train_graph, model.config.batch_size):
         losses.append(_train_step(model, ctx, state, pending, batch, opt, rng))
         pending = batch
-    return update_memory(model, state, pending, ctx.graph.num_users), float(np.mean(losses))
+    return update_memory(model, state, pending, ctx), float(np.mean(losses))
 
 
 def _train_step(model: TgnModel, ctx: GraphContext, state: MemoryState, pending: EventBatch | None,
@@ -447,7 +473,7 @@ def _train_step(model: TgnModel, ctx: GraphContext, state: MemoryState, pending:
     model.pset.zero_grads()
     mem = T.constant(state.memory)
     if pending is not None:
-        nodes, rows, new_last = model.batch_updates(mem, state.last_update, pending, num_users)
+        nodes, rows, new_last = model.batch_updates(mem, state.last_update, pending, ctx)
         mem = T.scatter_rows(mem, nodes, rows)
 
     items_g = batch.items + num_users

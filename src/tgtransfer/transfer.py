@@ -234,7 +234,7 @@ def execute_run(
         # training events so evaluation starts from the same clock position
         state = setup.init_state.copy()
         for batch in batch_iter(train_g, setup.model.config.batch_size):
-            state = update_memory(setup.model, state, batch, train_g.num_users)
+            state = update_memory(setup.model, state, batch, ctx_train)
 
     reports = []
     for split in (val_g, test_g):

@@ -177,7 +177,7 @@ def compute_message(model, m_self, m_other, dt, x_uv):
     if dt < 0:
         raise ValueError("negative time gap: events processed out of order")
     with T.no_grad():
-        phi = model.time_enc(model.pset, np.array([dt]))
+        phi = model.time_enc(model.pset, np.array([dt]), np.zeros(1), 0.0)
         msg_in = T.concat(
             [
                 T.constant(np.asarray(m_self)[None, :]),
@@ -389,7 +389,7 @@ def train_fgat_composed(model, pool, epochs, rng, n_layers=None):
     `n_layers` layers, stepped by `AdamLoop`; returns the per-epoch losses
     and leaves the last epoch's gradients on the parameters."""
     d = model.config.dim
-    feature_tables = [fgat._feature_tables(tg, d) for tg in pool]
+    feature_tables = [fgat._feature_tables(tg, d, 2) for tg in pool]  # every layer runs a phase 4
     opt = AdamLoop(lr=model.config.lr)
     losses = []
     for _ in range(epochs):
@@ -505,8 +505,9 @@ def softmax(a, axis=-1):
 def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
     """Padded reference for `TgnModel.embed`: every query attends over all k
     neighbor slots, and padded slots are pushed out of a dense softmax by a
-    -1e30 score offset. The library attends over real slots only and must
-    give the same values."""
+    -1e30 score offset. Keys and values project each node once at layer 1,
+    as in `tgn._temporal_attention`, through `key_value_composed`. The
+    library attends over real slots only and must give the same values."""
     cfg = model.config
     layer = cfg.n_layers if layer is None else layer
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -530,17 +531,22 @@ def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
         mask = mask * (1.0 - np.asarray(hide, dtype=np.float64))[:, None]
     flat_ids = nbr_ids.reshape(-1)
     flat_ts = np.repeat(ts, k)
-    h_nbr = embed_padded(model, ctx, mem, flat_ids, flat_ts, layer=layer - 1)
-    dt = flat_ts - nbr_times.reshape(-1)
-    phi = model.time_enc(model.pset, dt)
+    if layer == 1:  # the layer-0 row of every node, projected once per node
+        h_src = model.node_static_features(ctx, np.arange(ctx.num_nodes)) + mem
+        src = flat_ids
+    else:
+        h_src = embed_padded(model, ctx, mem, flat_ids, flat_ts, layer=layer - 1)
+        src = np.arange(b * k)
+    phi = model.time_enc(model.pset, flat_ts, nbr_times.reshape(-1), ctx.t0)
     x_uv = T.constant(ctx.index.edge_features_for(nbr_ords.reshape(-1)))
-    kv_in = T.concat([h_nbr, phi, x_uv], axis=1)
-    q_in = T.concat([h_self, model.time_enc(model.pset, np.zeros(b))], axis=1)
+    q_in = T.concat([h_self, model.time_enc(model.pset, np.zeros(b), np.zeros(b), 0.0)], axis=1)
 
     li = layer - 1
     q = model.att_q[li](model.pset, q_in).reshape((b, 1, heads, dh))
-    kk = model.att_k[li](model.pset, kv_in).reshape((b, k, heads, dh))
-    vv = model.att_v[li](model.pset, kv_in).reshape((b, k, heads, dh))
+    wk, bk = model.att_k[li].weights(model.pset)
+    wv, bv = model.att_v[li].weights(model.pset)
+    kk, vv = key_value_composed(h_src, src, T.concat([phi, x_uv], axis=1), wk, bk, wv, bv)
+    kk, vv = kk.reshape((b, k, heads, dh)), vv.reshape((b, k, heads, dh))
     scores = T.tensor_sum(q * kk, axis=3) * (1.0 / np.sqrt(dh))  # (b, k, heads)
     scores = scores + T.constant((mask - 1.0)[:, :, None] * 1e30)
     alpha = softmax(scores, axis=1)
@@ -561,7 +567,8 @@ def score_pairs_padded(model, ctx, mem, users, items, ts, hide_users=None, hide_
 
 def matmul(a, b):
     """`a @ b` for 2-D tensors as one autodiff op; the composed-op oracles
-    project with it, and `numerics.tensor.linear` must match it plus `add`."""
+    project with it, and `numerics.tensor.linear` of an output wider than 1
+    must match it plus `add`."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -582,8 +589,22 @@ def exp(a):
 
 
 def cos(a):
-    """Elementwise `cos` as one autodiff op, for the composed time encoder."""
+    """Elementwise `cos` as one autodiff op, for the composed ops of
+    `test_numerics`."""
     return T.Tensor(np.cos(a.data), _parents=(a,), _backward=lambda g: (-g * np.sin(a.data),), _op="cos")
+
+
+def cos_difference(a, b):
+    """Elementwise cos(a - b) = cos a cos b + sin a sin b as one autodiff op,
+    for the composed time encoder; its backward takes sin(a - b) = sin a
+    cos b - cos a sin b from the same identity."""
+    cos_a, sin_a, cos_b, sin_b = np.cos(a.data), np.sin(a.data), np.cos(b.data), np.sin(b.data)
+
+    def backward(g):
+        sin_ab = sin_a * cos_b - cos_a * sin_b
+        return -(g * sin_ab), g * sin_ab
+
+    return T.Tensor(cos_a * cos_b + sin_a * sin_b, _parents=(a, b), _backward=backward, _op="cos_difference")
 
 
 def div(a, b):
@@ -607,73 +628,109 @@ def segment_softmax(a, seg_ids, num_segments):
     return div(e, T.gather(T.segment_sum(e, seg_ids, num_segments), seg_ids))
 
 
-def temporal_attention_composed(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+def key_value_composed(h_src, src, rest, wk, bk, wv, bv):
+    """Keys and values of `tgn._temporal_attention` as composed ops:
+    `P = h_src @ W_h` with the key and value weights' first rows side by
+    side, gathered at `src`; its key half plus `rest @ wk[dm:]` plus `bk`,
+    and its value half plus `rest @ wv[dm:]` plus `bv`. Returns the (n, d)
+    keys and values."""
+    dm, d, n = h_src.shape[1], wk.shape[1], len(src)
+    head, tail = slice(0, dm), slice(dm, wk.shape[0])
+    p = matmul(h_src, T.concat([T.gather(wk, head), T.gather(wv, head)], axis=1))
+    # row 2s of the (2n, d) view holds slot s's key half, row 2s + 1 its value half
+    halves = T.gather(p, src).reshape((2 * n, d))
+    kk = T.gather(halves, np.arange(0, 2 * n, 2)) + matmul(rest, T.gather(wk, tail)) + bk
+    vv = T.gather(halves, np.arange(1, 2 * n, 2)) + matmul(rest, T.gather(wv, tail)) + bv
+    return kk, vv
+
+
+def temporal_attention_composed(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     """Composed-op reference for `tgn._temporal_attention`: one autodiff op
     per step, each keeping its output on the tape. Returns the context and
     the `alpha` array."""
     n, d = len(row), q.shape[1]
     dh = d // heads
-    kv_in = T.concat([h_nbr, phi, T.constant(x_uv)], axis=1)
-    kk = matmul(kv_in, wk) + bk
-    vv = (matmul(kv_in, wv) + bv).reshape((n, heads, dh))
+    kk, vv = key_value_composed(h_src, src, T.concat([phi, T.constant(x_uv)], axis=1), wk, bk, wv, bv)
+    vv = vv.reshape((n, heads, dh))
     scores = T.tensor_sum((T.gather(q, row) * kk).reshape((n, heads, dh)), axis=2) * (1.0 / np.sqrt(dh))
     alpha = segment_softmax(scores, row, b)
     context = T.segment_sum((alpha.reshape((n, heads, 1)) * vv).reshape((n, d)), row, b)
     return context, alpha.data
 
 
-def temporal_attention_recompute(q, h_nbr, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
     """Recomputing reference for `tgn._temporal_attention`: its backward
     projects the keys and values and gathers the per-slot query rows again,
-    and every sum over `row` makes its own `_index_add` plan. The library op,
-    which reuses its forward, must give the same bytes, forward and backward."""
+    and every sum over `row` or `src` makes its own `_index_add` plan. The
+    library op, which reuses its forward, must give the same bytes, forward
+    and backward."""
     n, d = len(row), q.shape[1]
-    dh = d // heads
+    dm, dh = h_src.shape[1], d // heads
     scale = 1.0 / np.sqrt(dh)
-    kv_in = np.concatenate([h_nbr.data, phi.data, x_uv], axis=1)
+    w_h = np.concatenate([wk.data[:dm], wv.data[:dm]], axis=1)
+    rest_in = np.concatenate([phi.data, x_uv], axis=1)
 
-    def project(w, bias):
-        out = T._matmul(kv_in, w.data)
+    def project(half, w, bias):
+        out = T._matmul(h_src.data, w_h)[:, half].take(src, axis=0)
+        out += T._matmul(rest_in, w.data[dm:])
         out += bias.data
         return out.reshape(n, heads, dh)
 
-    kk = project(wk, bk)
-    scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * kk).sum(axis=2) * scale
+    keys, values = slice(0, d), slice(d, 2 * d)
+    scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * project(keys, wk, bk)).sum(axis=2) * scale
     e = np.exp(scores - T._segment_max_rows(scores, row))
     alpha = e / T._index_add(row, e, b).take(row, axis=0)
-    context = T._index_add(row, (alpha[:, :, None] * project(wv, bv)).reshape(n, d), b)
+    context = T._index_add(row, (alpha[:, :, None] * project(values, wv, bv)).reshape(n, d), b)
 
     def backward(g):
         g_edge = g.take(row, axis=0).reshape(n, heads, dh)
-        g_alpha = np.sum(g_edge * project(wv, bv), axis=2)
+        g_alpha = np.sum(g_edge * project(values, wv, bv), axis=2)
         g_scores = alpha * (g_alpha - T._index_add(row, alpha * g_alpha, b).take(row, axis=0))
         g_scores = (g_scores * scale)[:, :, None]
-        g_q = T._index_add(row, (g_scores * project(wk, bk)).reshape(n, d), b)
+        g_q = T._index_add(row, (g_scores * project(keys, wk, bk)).reshape(n, d), b)
         g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
         g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
-        g_kv = T._matmul(g_k, wk.data.T) + T._matmul(g_v, wv.data.T)
-        dm = h_nbr.shape[1]
+        g_p = np.concatenate([T._index_add(src, g_k, len(h_src.data)), T._index_add(src, g_v, len(h_src.data))],
+                             axis=1)
+        g_w_h = T._matmul(h_src.data.T, g_p)
+        dt = phi.shape[1]
         return (
             g_q,
-            np.ascontiguousarray(g_kv[:, :dm]),
-            np.ascontiguousarray(g_kv[:, dm : dm + phi.shape[1]]),
-            T._matmul(kv_in.T, g_k),
+            T._matmul(g_p, w_h.T),
+            T._matmul(g_k, wk.data[dm : dm + dt].T) + T._matmul(g_v, wv.data[dm : dm + dt].T),
+            np.concatenate([g_w_h[:, :d], T._matmul(rest_in.T, g_k)]),
             g_k.sum(axis=0),
-            T._matmul(kv_in.T, g_v),
+            np.concatenate([g_w_h[:, d:], T._matmul(rest_in.T, g_v)]),
             g_v.sum(axis=0),
         )
 
     out = T.Tensor(
-        context, _parents=(q, h_nbr, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
+        context, _parents=(q, h_src, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
     )
     return out, alpha
 
 
-def time_encoder_composed(encoder, pset, dt):
-    """`TimeEncoder.__call__` as composed `mul`, `add` and `cos` ops, the
-    reference the one-op encoder must match byte for byte."""
-    dt_t = T.constant(np.asarray(dt, dtype=np.float64)[..., None])
-    return cos(dt_t * pset[f"{encoder.prefix}.freq"] + pset[f"{encoder.prefix}.phase"])
+def time_encoder_composed(encoder, pset, t, s, t0):
+    """`TimeEncoder.__call__` as composed ops: one angle table over the
+    distinct query times t and event times s, `(time - t0) * freq` by
+    `mul`, the phase added to the query rows a, each row gathered, and
+    `cos_difference` of a and the event rows b. The one-op encoder must
+    match it byte for byte, forward and backward."""
+    freq, phase = pset[f"{encoder.prefix}.freq"], pset[f"{encoder.prefix}.phase"]
+    t_tab, ti = np.unique(np.asarray(t, dtype=np.float64), return_inverse=True)
+    s_tab, si = np.unique(np.asarray(s, dtype=np.float64), return_inverse=True)
+    nt = len(t_tab)
+    angles = T.constant(np.concatenate([t_tab, s_tab])[:, None] - t0) * freq
+    a = T.gather(angles, slice(0, nt)) + phase
+    b = T.gather(angles, slice(nt, None))
+    return cos_difference(T.gather(a, ti), T.gather(b, si))
+
+
+def time_encoder_direct(encoder, pset, dt):
+    """cos(dt * freq + phase) with the gap taken first: the direct form the
+    encoder's angle-addition tables approximate."""
+    dt = np.asarray(dt, dtype=np.float64)[..., None]
+    return np.cos(dt * pset[f"{encoder.prefix}.freq"].data + pset[f"{encoder.prefix}.phase"].data)
 
 
 def event_batch_of(g, start, end):

@@ -601,6 +601,33 @@ def test_config_value_argparse_cannot_convert_is_one_error_line(tmp_path, capsys
     assert captured.out == "" and not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("seed", None), ("seed", True), ("sharpness", False),
+                                        ("no_rank_metrics", 1)])
+def test_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys, key, value):
+    """A `--config` value that is not a string must already have its flag's
+    type, and null is allowed only where the flag's default is None: a float
+    or null seed once reached the generator (a traceback, or an unseeded run
+    whose snapshot records `"seed": null`)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    command = (["transfer", "--variant", "nt", "--target", str(tmp_path / "t.csv"), "--out", str(tmp_path / "r.json")]
+               if key == "no_rank_metrics" else ["synth", "--out-dir", str(tmp_path / "data")])
+    rc = cli.main(command + ["--config", str(cfg)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    kind = {"seed": "int", "sharpness": "float", "no_rank_metrics": "bool"}[key]
+    assert captured.err.splitlines() == [f"error: config key {key}: {json.dumps(value)} is not a valid {kind}"]
+    assert captured.out == "" and not (tmp_path / "data").exists()
+
+
+def test_config_null_is_allowed_where_the_default_is_none():
+    actions = {a.dest: a for a in cli.build_parser()[1].choices["transfer"]._actions}
+    assert cli._config_value(actions["ft_lr"], "ft_lr", None) is None
+    assert cli._config_value(actions["ft_lr"], "ft_lr", 1) == 1.0  # a JSON integer for a float flag
+    assert cli._config_value(actions["ft_epochs"], "ft_epochs", "3") == 3
+    assert cli._config_value(actions["no_rank_metrics"], "no_rank_metrics", True) is True
+
+
 def test_synth_outputs_are_ingestible(synth_dir):
     src = load_events(synth_dir / "source.csv")
     tgt = load_events(synth_dir / "target.csv")

@@ -345,3 +345,28 @@ def test_catalog_row_same_alone_and_in_a_chunk(n_layers):
         for r in range(len(users)):
             alone = em._candidate_scores(model, ctx, mem, users[r : r + 1], ts[r : r + 1], catalog[r : r + 1])
             assert alone[0].tobytes() == chunk[r].tobytes()
+
+
+@pytest.mark.parametrize("edge_dim", [0, 3])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_catalog_row_same_alone_and_in_a_chunk_at_default_widths(n_layers, edge_dim):
+    """As above at the default `TgnConfig` widths. A chunk scores all its
+    (user, item) pairs in one decoder product, whose output layer has one
+    column: a matrix-vector kernel would give a pair other bytes in a chunk
+    than alone."""
+    base = make_graph(n_users=8, n_items=12, n_events=120, seed=4)
+    g = tg.TemporalGraph(base.users, base.items, base.times,
+                         np.random.default_rng(1).normal(size=(base.num_events, edge_dim)),
+                         base.user_ids, base.item_ids, base.feature_vocab, base.user_features, base.item_features)
+    model = tgn.TgnModel(tgn.TgnConfig(n_layers=n_layers), VOCAB, edge_dim, np.random.default_rng(3))
+    ctx = model.bind_graph(g)
+    from tgtransfer.numerics import tensor as T
+
+    mem = T.constant(np.random.default_rng(0).normal(size=(g.num_nodes, model.config.d_mem)))
+    users, ts = g.users[60:70], g.times[60:70]
+    catalog = np.broadcast_to(np.arange(g.num_items), (len(users), g.num_items))
+    with T.no_grad():
+        chunk = em._candidate_scores(model, ctx, mem, users, ts, catalog)
+        for r in range(len(users)):
+            alone = em._candidate_scores(model, ctx, mem, users[r : r + 1], ts[r : r + 1], catalog[r : r + 1])
+            assert alone[0].tobytes() == chunk[r].tobytes()

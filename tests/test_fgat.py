@@ -502,7 +502,8 @@ def test_feature_tables_match_attachment_oracle(rng):
 def test_train_fgat_builds_each_tables_plans_once(monkeypatch, rng):
     """Phases 1 and 4 build their sum plans once per pool graph and phases 2
     and 3 once per epoch; the phase op, forward and backward, builds none.
-    Each epoch runs every phase but the last layer's phase 4."""
+    Each epoch runs every phase but the last layer's phase 4, and a
+    one-layer encoder builds no phase-4 table."""
     pool = [make_tg(rng, n_users=6, n_items=5, n_events=40) for _ in range(3)]
     real_plan, real_table, real_op = T._index_plan, fg._phase_table, fg.phase_update
     entered, plans, where = {"table": 0, "op": 0}, {"table": 0, "op": 0, None: 0}, [None]
@@ -535,7 +536,8 @@ def test_train_fgat_builds_each_tables_plans_once(monkeypatch, rng):
         plans.update(table=0, op=0)
         model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=n_layers), [f"tok{k}" for k in range(4)], rng)
         fg.train_fgat(model, pool, epochs, np.random.default_rng(2))
-        assert entered["table"] == 2 * len(pool) + 2 * epochs
+        # a one-layer schedule runs no phase 4, so it builds no phase-4 table
+        assert entered["table"] == min(n_layers, 2) * len(pool) + 2 * epochs
         assert plans["table"] == 4 * entered["table"]  # over seg and over sources, at widths 1 and dim
         assert entered["op"] == 2 * (4 * n_layers - 1) * epochs  # forward and backward of each phase run
         assert plans["op"] == 0

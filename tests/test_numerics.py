@@ -6,7 +6,9 @@ import pytest
 import tgtransfer.numerics as N
 from tgtransfer.numerics import tensor as T
 
-from helpers import AdamLoop, assert_grads_match_fd, cos, div, exp, matmul, segment_softmax, softmax
+from helpers import (
+    AdamLoop, assert_grads_match_fd, cos, div, exp, matmul, segment_softmax, softmax, time_encoder_direct,
+)
 
 
 @pytest.fixture
@@ -267,6 +269,21 @@ def test_linear_bytes_match_matmul_plus_add(rng):
         runs.append([out.data, x.grad, w.grad, b.grad])
     for got, expect in zip(*runs):
         assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_linear_of_width_one_gives_a_row_the_same_bytes_in_any_batch(rng, k):
+    """A one-column output is a score per row (the TGN decoder's); a row
+    keeps its bytes whatever rows share its batch, where numpy's
+    matrix-vector kernel gives some rows other bytes at some offsets and
+    batch sizes."""
+    x = rng.normal(size=(400, k))
+    w, b = N.constant(rng.normal(size=(k, 1))), N.constant(rng.normal(size=(1,)))
+    full = N.linear(N.constant(x), w, b).data
+    assert np.allclose(full, x @ w.data + b.data, rtol=0.0, atol=1e-13)
+    for lo in range(12):
+        for m in (1, 2, 3, 5, 7, 9, 35):
+            assert N.linear(N.constant(x[lo : lo + m]), w, b).data.tobytes() == full[lo : lo + m].tobytes()
 
 
 def test_gather_accepts_a_slice(rng):
@@ -536,9 +553,10 @@ def test_time_encoder_formula_and_shape(rng):
     pset = N.ParameterSet()
     te = N.TimeEncoder("t", 8)
     te.init_params(pset, rng)
-    dt = np.array([0.0, 1.5, 200.0])
-    out = te(pset, dt).data
+    t, s = np.array([10.0, 11.5, 210.0]), np.array([10.0, 10.0, 10.0])
+    out = te(pset, t, s, 10.0).data
     assert out.shape == (3, 8)
+    dt = t - s
     expect = np.cos(dt[:, None] * pset["t.freq"].data + pset["t.phase"].data)
     assert np.allclose(out, expect, atol=1e-15)
     # dt of zero with zero phase gives cos(0) = 1 in every channel
@@ -549,12 +567,52 @@ def test_time_encoder_grads(rng):
     pset = N.ParameterSet()
     te = N.TimeEncoder("t", 4)
     te.init_params(pset, rng)
-    dt = np.array([0.3, 2.0])
+    t, s = np.array([5.3, 7.0]), np.array([5.0, 5.0])
 
     def loss():
-        return N.tensor_mean(te(pset, dt))
+        return N.tensor_mean(te(pset, t, s, 5.0))
 
     assert_grads_match_fd(loss, pset.tensors(), rng)
+
+
+def _time_encoder_with_phases(rng, dim=16):
+    pset = N.ParameterSet()
+    te = N.TimeEncoder("t", dim)
+    te.init_params(pset, rng)
+    pset["t.phase"].data = rng.uniform(-np.pi, np.pi, dim)
+    return pset, te
+
+
+@pytest.mark.parametrize("span", [3_000.0, 1e6])
+def test_time_encoder_tables_stay_close_to_the_direct_form(span):
+    """The angle-addition tables round the angles f * (t - t0) + p and
+    f * (s - t0), not the gap: within 1e-12 of cos(f * (t - s) + p) at the
+    README's span of 3 000, and within 8 * eps * max|f| * span beyond it."""
+    rng = np.random.default_rng(8)
+    pset, te = _time_encoder_with_phases(rng)
+    t0 = 1234.5
+    s = t0 + rng.uniform(0.0, span, 2000)
+    t = np.maximum(s, t0 + rng.uniform(0.0, span, 2000))
+    t[:100] = s[:100]  # zero gaps, as every query has to itself
+    got = te(pset, t, s, t0).data
+    bound = 1e-12 if span == 3_000.0 else 8 * np.finfo(np.float64).eps * np.abs(pset["t.freq"].data).max() * span
+    assert np.abs(got - time_encoder_direct(te, pset, t - s)).max() <= bound
+
+
+def test_time_encoder_table_grads_match_fd():
+    """Frequency and phase gradients through the tables, with query and
+    event times that repeat, so each table row sums several gaps."""
+    rng = np.random.default_rng(9)
+    pset, te = _time_encoder_with_phases(rng, dim=6)
+    t0 = 40.0
+    s = t0 + rng.choice(rng.uniform(0.0, 300.0, 5), 30)
+    t = s + rng.choice(rng.uniform(0.0, 50.0, 4), 30)
+    weights = N.constant(rng.normal(size=(30, 6)))
+
+    def loss():
+        return N.tensor_mean(te(pset, t, s, t0) * weights)
+
+    assert_grads_match_fd(loss, [pset["t.freq"], pset["t.phase"]], rng, n_coords=6)
 
 
 # -- parameter sets and optimizers ----------------------------------------------

@@ -95,10 +95,10 @@ def test_memory_update_grads_match_fd(rng):
     g = make_graph(n_events=6, seed=4)
     mem0 = rng.normal(size=(g.num_nodes, 8))
     mem = T.Tensor(mem0, requires_grad=True)
-    batch = event_batch_of(g, 0, 6)
+    batch, ctx = event_batch_of(g, 0, 6), model.bind_graph(g)
 
     def loss():
-        _, rows, _ = model.batch_updates(mem, np.zeros(g.num_nodes), batch, g.num_users)
+        _, rows, _ = model.batch_updates(mem, np.zeros(g.num_nodes), batch, ctx)
         return T.tensor_mean(rows * rows)
 
     assert_grads_match_fd(loss, [mem, model.pset["gru.wz"], model.pset["msg.l0.w"]], rng, n_coords=3)
@@ -110,7 +110,7 @@ def test_update_memory_touches_only_endpoints(setup):
     state.memory[:] = 0.3
     batch = event_batch_of(g, 0, 1)
     u, i, t = int(g.users[0]), int(g.items[0]) + g.num_users, float(g.times[0])
-    out = tgn.update_memory(model, state, batch, g.num_users)
+    out = tgn.update_memory(model, state, batch, ctx)
     assert out.last_update[u] == t and out.last_update[i] == t
     untouched = [n for n in range(g.num_nodes) if n not in (u, i)]
     assert np.array_equal(out.memory[untouched], state.memory[untouched])
@@ -124,7 +124,7 @@ def test_zero_params_zero_memory_fixed_point(rng):
     zero_params(model, ["msg.", "gru."])
     g = make_graph(n_events=10)
     state = tgn.MemoryState.zeros(g.num_nodes, 8)
-    out = tgn.update_memory(model, state, event_batch_of(g, 0, 10), g.num_users)
+    out = tgn.update_memory(model, state, event_batch_of(g, 0, 10), model.bind_graph(g))
     assert np.array_equal(out.memory, np.zeros_like(out.memory))
 
 
@@ -137,9 +137,10 @@ def test_batch_equals_sequential_without_repeats(rng):
         [np.array([0]), np.array([1])], [np.array([2]), np.array([3])],
     )
     state = tgn.MemoryState(np.asarray(rng.normal(size=(4, 8))), np.zeros(4))
-    whole = tgn.update_memory(model, state, event_batch_of(g, 0, 2), g.num_users)
-    step = tgn.update_memory(model, state, event_batch_of(g, 0, 1), g.num_users)
-    step = tgn.update_memory(model, step, event_batch_of(g, 1, 2), g.num_users)
+    ctx = model.bind_graph(g)
+    whole = tgn.update_memory(model, state, event_batch_of(g, 0, 2), ctx)
+    step = tgn.update_memory(model, state, event_batch_of(g, 0, 1), ctx)
+    step = tgn.update_memory(model, step, event_batch_of(g, 1, 2), ctx)
     assert np.allclose(whole.memory, step.memory, atol=1e-12)
     assert np.array_equal(whole.last_update, step.last_update)
 
@@ -153,9 +154,10 @@ def test_batch_differs_from_sequential_with_repeats(rng):
         [np.array([0])], [np.array([1]), np.array([2])],
     )
     state = tgn.MemoryState(np.asarray(rng.normal(size=(3, 8))), np.zeros(3))
-    whole = tgn.update_memory(model, state, event_batch_of(g, 0, 2), g.num_users)
-    step = tgn.update_memory(model, state, event_batch_of(g, 0, 1), g.num_users)
-    step = tgn.update_memory(model, step, event_batch_of(g, 1, 2), g.num_users)
+    ctx = model.bind_graph(g)
+    whole = tgn.update_memory(model, state, event_batch_of(g, 0, 2), ctx)
+    step = tgn.update_memory(model, state, event_batch_of(g, 0, 1), ctx)
+    step = tgn.update_memory(model, step, event_batch_of(g, 1, 2), ctx)
     assert not np.allclose(whole.memory[0], step.memory[0])
 
 
@@ -164,7 +166,7 @@ def test_update_rejects_time_regression(setup, rng):
     state = tgn.MemoryState.zeros(g.num_nodes, 8)
     state.last_update[:] = 1e6
     with pytest.raises(ValueError, match="precedes"):
-        tgn.update_memory(model, state, event_batch_of(g, 0, 5), g.num_users)
+        tgn.update_memory(model, state, event_batch_of(g, 0, 5), ctx)
 
 
 def test_last_message_wins_within_batch(rng):
@@ -175,7 +177,7 @@ def test_last_message_wins_within_batch(rng):
         [np.array([0])], [np.array([1]), np.array([2])],
     )
     state = tgn.MemoryState(np.asarray(rng.normal(size=(3, 8))), np.zeros(3))
-    out = tgn.update_memory(model, state, event_batch_of(g, 0, 2), g.num_users)
+    out = tgn.update_memory(model, state, event_batch_of(g, 0, 2), model.bind_graph(g))
     assert out.last_update[0] == 9.0
     # oracle: user 0's new memory comes from the t=9 event alone
     msg = compute_message(model, state.memory[0], state.memory[2], 9.0, np.zeros(0))
@@ -271,7 +273,7 @@ def _record_attention(monkeypatch):
 
     def recording(*args):
         out, alpha = real(*args)
-        calls.append({"row": args[8], "b": args[9], "alpha": alpha})
+        calls.append({"row": args[9], "b": args[10], "alpha": alpha})
         return out, alpha
 
     monkeypatch.setattr(tgn, "_temporal_attention", recording)
@@ -478,6 +480,27 @@ def test_blocked_embed_same_bytes_as_one_block(rng, monkeypatch, n_layers, hidde
     assert blocked.tobytes() == one.tobytes()
 
 
+@pytest.mark.parametrize("edge_dim", [0, 3])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_blocked_embed_same_bytes_as_one_block_at_default_widths(rng, monkeypatch, n_layers, edge_dim):
+    """As above at the default `TgnConfig` widths, where the per-slot
+    products are widest: blocks of about 60 slots split every product."""
+    g = make_graph(n_events=120, seed=5, edge_dim=edge_dim)
+    model = tgn.TgnModel(tgn.TgnConfig(n_layers=n_layers), VOCAB, edge_dim, rng)
+    ctx = model.bind_graph(g)
+    mem = T.constant(rng.normal(size=(g.num_nodes, model.config.d_mem)))
+    nodes = rng.integers(0, g.num_nodes, 60)
+    ts = np.concatenate([np.zeros(10), rng.uniform(1, 600, 50)])
+    hide = rng.random(60) < 0.3
+    blocks = _count_top_blocks(model)
+    with T.no_grad():
+        one = model.embed(ctx, mem, nodes, ts, hide=hide).data
+        monkeypatch.setattr(tgn, "BLOCK_SLOTS", 60)
+        blocked = model.embed(ctx, mem, nodes, ts, hide=hide).data
+    assert len(blocks) > 4 and min(blocks[1:]) >= 2
+    assert blocked.tobytes() == one.tobytes()
+
+
 def test_embed_with_a_tape_is_one_block(rng, monkeypatch):
     g = make_graph(n_events=80, seed=5, edge_dim=3)
     model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
@@ -532,29 +555,33 @@ def test_embed_and_score_pairs_reject_mismatched_lengths(setup):
 
 def _attention_inputs(model, layer, seed, n_slots=None):
     # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four;
-    # or `n_slots` slots spread over 300 queries
+    # or `n_slots` slots spread over 300 queries. At layer 1 the slots read
+    # rows of a layer-0 table of 7 nodes (200 with `n_slots`), some of them
+    # twice; above, each slot reads a row of its own
     rng = np.random.default_rng(seed)
     row = np.array([0, 2, 2, 2, 3, 4, 4, 4, 4]) if n_slots is None else np.sort(rng.integers(0, 300, n_slots))
     n, b, d, dt = len(row), 6 if n_slots is None else 300, model.config.d_mem, model.config.d_time
+    n_nodes = 7 if n_slots is None else 200
     q = T.Tensor(rng.normal(size=(b, d)), requires_grad=True)
-    h_nbr = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    h_src = T.Tensor(rng.normal(size=(n_nodes if layer == 1 else n, d)), requires_grad=True)
+    src = rng.integers(0, n_nodes, n) if layer == 1 else np.arange(n)
     phi = T.Tensor(rng.normal(size=(n, dt)), requires_grad=True)
     x_uv = rng.normal(size=(n, model.edge_dim))
     weights = [model.pset[f"att{layer}.{p}"] for p in ("k.w", "k.b", "v.w", "v.b")]
-    return [q, h_nbr, phi], x_uv, weights, row, b
+    return [q, h_src, phi], src, x_uv, weights, row, b
 
 
 @pytest.mark.parametrize("layer", [1, 2])
 def test_temporal_attention_matches_composed_ops(rng, layer):
     model = tgn.TgnModel(small_config(n_layers=2), VOCAB, 3, rng)
-    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, layer, seed=layer)
+    (q, h_src, phi), src, x_uv, weights, row, b = _attention_inputs(model, layer, seed=layer)
     out_w = np.random.default_rng(9).normal(size=(b, model.config.d_mem))
-    checked = [q, h_nbr, phi, *weights]
+    checked = [q, h_src, phi, *weights]
     runs = []
     for op in (tgn._temporal_attention, temporal_attention_composed):
         for t in checked:
             t.grad = None
-        context, alpha = op(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        context, alpha = op(q, h_src, src, phi, x_uv, *weights, row, b, model.config.n_heads)
         T.backward(T.tensor_sum(context * T.constant(out_w)))
         runs.append((context.data, alpha, [t.grad.copy() for t in checked]))
     (context, alpha, grads), (expect_context, expect_alpha, expect_grads) = runs
@@ -581,14 +608,14 @@ SAME_BYTES_CASES = [(layer, edge_dim, None) for layer in (1, 2) for edge_dim in 
 def test_temporal_attention_same_bytes_as_recompute(layer, edge_dim, n_slots):
     config = small_config(n_layers=2) if n_slots is None else tgn.TgnConfig()
     model = tgn.TgnModel(config, VOCAB, edge_dim, np.random.default_rng(layer))
-    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, layer, 10 * layer + edge_dim, n_slots)
+    (q, h_src, phi), src, x_uv, weights, row, b = _attention_inputs(model, layer, 10 * layer + edge_dim, n_slots)
     out_w = np.random.default_rng(11).normal(size=(b, model.config.d_mem))
-    checked = [q, h_nbr, phi, *weights]
+    checked = [q, h_src, phi, *weights]
     runs = []
     for op in (tgn._temporal_attention, temporal_attention_recompute):
         for t in checked:
             t.grad = None
-        context, alpha = op(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        context, alpha = op(q, h_src, src, phi, x_uv, *weights, row, b, model.config.n_heads)
         T.backward(T.tensor_sum(context * T.constant(out_w)))
         runs.append([context.data.tobytes(), alpha.tobytes(), *_grads_bytes(checked)])
     assert runs[0] == runs[1]
@@ -596,16 +623,25 @@ def test_temporal_attention_same_bytes_as_recompute(layer, edge_dim, n_slots):
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5)])
 def test_time_encoder_same_bytes_as_composed_ops(rng, shape):
+    """`shape` is that of a grid of (query time, event time) rows: (7,) is
+    seven rows of their own, (3, 5) three query times against five event
+    times, so both time tables hold repeats."""
     model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
     model.pset["time.phase"].data = rng.normal(size=model.config.d_time)
-    dt = rng.uniform(0, 500, size=shape)
-    out_w = rng.normal(size=shape + (model.config.d_time,))
+    t0 = 100.0
+    if len(shape) == 1:
+        s = rng.uniform(t0, 400, size=shape)
+        t = s + rng.uniform(0, 100, size=shape)
+    else:
+        t, s = (x.ravel() for x in np.meshgrid(rng.uniform(450, 500, shape[0]), rng.uniform(t0, 400, shape[1]),
+                                                indexing="ij"))
+    out_w = rng.normal(size=(len(t), model.config.d_time))
     params = [model.pset["time.freq"], model.pset["time.phase"]]
     runs = []
-    for encode in (model.time_enc.__call__, lambda pset, x: time_encoder_composed(model.time_enc, pset, x)):
-        for t in params:
-            t.grad = None
-        phi = encode(model.pset, dt)
+    for encode in (model.time_enc.__call__, lambda *args: time_encoder_composed(model.time_enc, *args)):
+        for t_ in params:
+            t_.grad = None
+        phi = encode(model.pset, t, s, t0)
         T.backward(T.tensor_sum(phi * T.constant(out_w)))
         runs.append([phi.data.tobytes(), *_grads_bytes(params)])
     assert runs[0] == runs[1]
@@ -638,22 +674,22 @@ def test_training_step_same_bytes_as_recompute_and_composed_encoder(monkeypatch,
 
 def test_temporal_attention_grads_match_fd(rng):
     model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
-    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, 1, seed=3)
+    (q, h_src, phi), src, x_uv, weights, row, b = _attention_inputs(model, 1, seed=3)
     out_w = np.random.default_rng(4).normal(size=(b, model.config.d_mem))
 
     def loss():
-        context, _ = tgn._temporal_attention(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        context, _ = tgn._temporal_attention(q, h_src, src, phi, x_uv, *weights, row, b, model.config.n_heads)
         return T.tensor_mean(context * T.constant(out_w))
 
-    assert_grads_match_fd(loss, [q, h_nbr, phi, *weights], np.random.default_rng(5))
+    assert_grads_match_fd(loss, [q, h_src, phi, *weights], np.random.default_rng(5))
 
 
 def test_temporal_attention_names_itself_on_nan(rng):
     model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
-    (q, h_nbr, phi), x_uv, weights, row, b = _attention_inputs(model, 1, seed=6)
-    h_nbr.data[2] = np.nan
+    (q, h_src, phi), src, x_uv, weights, row, b = _attention_inputs(model, 1, seed=6)
+    h_src.data[src[2]] = np.nan
     with pytest.raises(T.NonFiniteError, match="temporal_attention"):
-        tgn._temporal_attention(q, h_nbr, phi, x_uv, *weights, row, b, model.config.n_heads)
+        tgn._temporal_attention(q, h_src, src, phi, x_uv, *weights, row, b, model.config.n_heads)
 
 
 def test_predict_link_range_and_determinism(setup, rng):
@@ -803,7 +839,7 @@ def test_deferred_updates_match_immediate_when_params_frozen(rng):
 
     oracle = init.copy()
     for batch in tg.batch_iter(g, 8):
-        oracle = tgn.update_memory(model, oracle, batch, g.num_users)
+        oracle = tgn.update_memory(model, oracle, batch, ctx)
     assert np.allclose(state.memory, oracle.memory, atol=1e-12)
     assert np.array_equal(state.last_update, oracle.last_update)
 
