@@ -5,7 +5,11 @@ negatives pair each event's user with a random other item at the same time.
 Each batch scores its users against one (B, m) matrix of candidate items:
 the full item catalog when ranking metrics are on, else each event's true
 item and its negative. The positive and negative scores are read off that
-matrix, and ranking metrics rank the true item among the catalog.
+matrix, and ranking metrics rank the true item among the catalog. The matrix
+is scored in near-equal groups of whole user rows of at most `PAIR_BUDGET`
+(user, item) pairs each, which bounds the per-slot arrays of one scoring
+pass; a row's bytes do not depend on the rows scored with it. Only a ranked
+chunk, one pair per catalog item for every event, is large enough to split.
 The true events update the memory after being scored, so later events are
 predicted with everything observed so far.
 
@@ -22,6 +26,10 @@ import numpy as np
 from .numerics import tensor as T
 from .temporal_graph import TemporalGraph, batch_iter, sample_negatives
 from .tgn import GraphContext, MemoryState, TgnModel, update_memory
+
+# (user, item) pairs per `score_pairs` call: a README ranked `transfer` (1 BLAS
+# thread) took 0.82 s at 1 000, 2 000 or one call a chunk, peaking at 52, 64, 91 MB
+PAIR_BUDGET = 1000
 
 
 # -- scalar metrics ------------------------------------------------------------
@@ -122,15 +130,17 @@ def summarize(values) -> tuple[float, float]:
 
 def _candidate_scores(model: TgnModel, ctx: GraphContext, mem, users, ts, items) -> np.ndarray:
     """(B, m) probabilities of the candidate items `items` (B, m), local ids,
-    for each (user, t) query: one `score_pairs` call on every (user,
-    candidate) pair, whose one `embed` call folds the repeated user queries
-    and shares one neighbor lookup and one static feature table between
-    users and items.
+    for each (user, t) query: one `score_pairs` call per near-equal group of
+    whole rows, at most `PAIR_BUDGET` pairs each unless one row exceeds it.
     """
     b, m = items.shape
-    items_g = items.ravel() + ctx.graph.num_users
-    probs = model.score_pairs(ctx, mem, np.repeat(users, m), items_g, np.repeat(ts, m))
-    return probs.data.reshape(b, m)
+    items_g = items + ctx.graph.num_users
+    rows = max(1, PAIR_BUDGET // m)  # whole user rows per call
+    scores = []
+    for r in np.array_split(np.arange(b), -(-b // rows)):
+        probs = model.score_pairs(ctx, mem, np.repeat(users[r], m), items_g[r].ravel(), np.repeat(ts[r], m))
+        scores.append(probs.data.reshape(len(r), m))
+    return np.concatenate(scores)
 
 
 def evaluate(

@@ -17,10 +17,6 @@ gathers the result back to the caller's rows; `score_pairs` embeds users and
 items in one call. A call builds the layer-0 table (static features plus
 memory) for every graph node once and gathers it wherever its recursion
 reaches layer 0, and each layer encodes the query side's zero time gap once.
-With no tape, as in evaluation, it runs the distinct queries in consecutive
-blocks of about `BLOCK_SLOTS` real top-layer neighbor slots, so a block's
-per-slot arrays stay cache-sized; each row gets the bytes of one pass. With a
-tape a call is one block.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
 backward, `_temporal_attention`. Its keys and values project the neighbor
@@ -61,9 +57,6 @@ from .temporal_graph import Csr, EventBatch, NeighborIndex, TemporalGraph, batch
 from .transform import StaticGraph, TransformedGraph, graph_blob, graph_from_blob
 
 UNKNOWN_ROW = 0
-# real top-layer neighbor slots per block of a tape-free `embed`: catalog ranking
-# on a 2-core x86-64 box (2 MiB L2) was fastest from 2 000 to 10 000
-BLOCK_SLOTS = 3000
 
 
 @dataclass
@@ -150,17 +143,6 @@ def _distinct_queries(nodes: np.ndarray, ts: np.ndarray, hide) -> tuple[np.ndarr
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
-
-
-def _slot_blocks(counts: np.ndarray) -> list[slice]:
-    """Consecutive query blocks that split the slot `counts` into near-equal
-    shares of at most `BLOCK_SLOTS`: unlike full blocks and a remainder, they
-    keep one-row matmuls (another numpy kernel) out unless a query holds a share."""
-    cum, total = np.cumsum(counts), int(np.sum(counts))
-    n_blocks = max(1, -(-total // BLOCK_SLOTS))
-    cuts = np.unique(np.searchsorted(cum, total * np.arange(1, n_blocks) / n_blocks) + 1)
-    bounds = [0, *cuts[cuts < len(counts)].tolist(), len(counts)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
@@ -315,7 +297,6 @@ class TgnModel:
         get the same bytes and their gradients are summed before the layers
         see them. A hidden and an unhidden copy stay distinct.
         """
-        layer = self.config.n_layers
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         hide = None if hide is None else np.asarray(hide)
@@ -329,13 +310,7 @@ class TgnModel:
         h0 = self.node_static_features(ctx, np.arange(ctx.num_nodes)) + mem
         first, inverse = _distinct_queries(nodes, ts, hide)
         nodes, ts, hide = nodes[first], ts[first], None if hide is None else hide[first]
-        if T._grad_enabled:
-            return T.gather(self._embed(ctx, h0, nodes, ts, layer, hide), inverse)
-        slots = np.minimum(ctx.index.history_lengths(nodes, ts), self.config.k_neighbors)
-        slots = slots if hide is None else np.where(hide, 0, slots)
-        h = T.concat([self._embed(ctx, h0, nodes[sl], ts[sl], layer, None if hide is None else hide[sl])
-                      for sl in _slot_blocks(slots)], axis=0)
-        return T.gather(h, inverse)
+        return T.gather(self._embed(ctx, h0, nodes, ts, self.config.n_layers, hide), inverse)
 
     def _embed(self, ctx: GraphContext, h0: T.Tensor, nodes: np.ndarray, ts: np.ndarray, layer: int, hide=None) -> T.Tensor:
         """`embed` of distinct queries."""
@@ -381,7 +356,9 @@ class TgnModel:
         """Link probabilities for (user, item, t) triples; items are global ids.
 
         Users and items are embedded in one `embed` call on the users followed
-        by the items, so repeated queries are folded across both sides.
+        by the items, so both sides share one layer-0 table and one neighbor
+        lookup per layer. Users and items are disjoint node ids, so the call
+        folds repeated queries within each side, never across them.
         """
         ts = np.asarray(ts, dtype=np.float64)
         _check_lengths(users=users, items=items, ts=ts, hide_users=hide_users, hide_items=hide_items)

@@ -170,7 +170,7 @@ def prepare_variant(
     if src_ckpt is None:
         raise ValueError(f"variant {variant!r} requires a source checkpoint")
     ckpt = restore(src_ckpt)
-    model = transfer_weights(ckpt.model)
+    model = ckpt.model  # a fresh model: `run_seeds` copies it for each run
     if variant == "wt":
         init = MemoryState.zeros(train_graph.num_nodes, model.config.d_mem)
         return VariantSetup(variant, model, init, cfg.ft_epochs, None)

@@ -244,7 +244,7 @@ def test_evaluate_streams_the_split_into_memory():
     assert end_stream.last_update.max() == g.times[-1]
 
 
-def test_evaluate_pair_scores_same_with_and_without_ranking():
+def test_evaluate_pair_scores_same_with_and_without_ranking(monkeypatch):
     # a ranked run reads its pair scores off the catalog, which it scores
     # through score_pairs; they must be the bytes score_pairs gives on the
     # pairs alone, and the negatives the same draws
@@ -260,14 +260,26 @@ def test_evaluate_pair_scores_same_with_and_without_ranking():
         return score_pairs(*args, **kwargs)
 
     model.score_pairs = counting_score_pairs
-    runs = []
+    runs, reports = [], {}
     for rank in (True, False):
         rng = np.random.default_rng(6)
         rep, end = em.evaluate(model, ctx, split, state, rng, chunk=10, rank_metrics=rank)
         runs.append((rep.ap, rep.auc, end.memory.tobytes(), rng.random()))
+        reports[rank] = rep
         assert len(scored) == 3  # one call per chunk in either mode
         scored.clear()
     assert runs[0] == runs[1]
+    # a budget of 13 pairs splits a chunk of 10 rows into groups of 2 rows
+    # over the 5-item catalog (5 calls) and of 5 rows over its 2 candidates
+    # (2 calls); the last chunk's one row is one call either way
+    monkeypatch.setattr(em, "PAIR_BUDGET", 13)
+    for rank, calls in ((True, 5 + 5 + 1), (False, 2 + 2 + 1)):
+        rng = np.random.default_rng(6)
+        rep, end = em.evaluate(model, ctx, split, state, rng, chunk=10, rank_metrics=rank)
+        assert (rep.ap, rep.auc, end.memory.tobytes(), rng.random()) == runs[0]
+        assert rep == reports[rank]  # MRR and Recall@20 too
+        assert len(scored) == calls
+        scored.clear()
 
 
 def test_evaluate_rejects_bad_inputs():
@@ -345,6 +357,37 @@ def test_catalog_row_same_alone_and_in_a_chunk(n_layers):
         for r in range(len(users)):
             alone = em._candidate_scores(model, ctx, mem, users[r : r + 1], ts[r : r + 1], catalog[r : r + 1])
             assert alone[0].tobytes() == chunk[r].tobytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_catalog_row_groups_same_bytes_as_one_call(monkeypatch, n_layers):
+    # a chunk larger than the pair budget is scored in near-equal groups of
+    # whole user rows, one `score_pairs` call each; the rows keep the bytes
+    # of one call on the whole chunk
+    g = make_graph(n_events=60, seed=4)
+    cfg = tgn.TgnConfig(d_mem=8, d_time=4, d_feat=8, n_layers=n_layers, n_heads=2, k_neighbors=4, batch_size=10)
+    model = tgn.TgnModel(cfg, VOCAB, 0, np.random.default_rng(3))
+    ctx = model.bind_graph(g)
+    from tgtransfer.numerics import tensor as T
+
+    mem = T.constant(np.random.default_rng(0).normal(size=(g.num_nodes, 8)))
+    users, ts = g.users[30:37], g.times[30:37]
+    catalog = np.broadcast_to(np.arange(g.num_items), (len(users), g.num_items))
+    calls, score_pairs = [], model.score_pairs
+
+    def counting_score_pairs(*args, **kwargs):
+        calls.append(len(args[2]))
+        return score_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(model, "score_pairs", counting_score_pairs)
+    with T.no_grad():
+        one = em._candidate_scores(model, ctx, mem, users, ts, catalog)
+        assert calls == [7 * 5]
+        # 12 pairs hold two 5-item rows: 7 rows in groups of 2, 2, 2 and 1
+        monkeypatch.setattr(em, "PAIR_BUDGET", 12)
+        grouped = em._candidate_scores(model, ctx, mem, users, ts, catalog)
+    assert calls[1:] == [10, 10, 10, 5]
+    assert grouped.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("edge_dim", [0, 3])

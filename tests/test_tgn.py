@@ -444,80 +444,6 @@ def test_embed_folds_repeated_queries(rng, monkeypatch, n_layers):
         assert np.allclose(got_grads[name], grad, rtol=0.0, atol=1e-12), name
 
 
-def _count_top_blocks(model):
-    """Record the query count of every top-layer `_embed` call on `model`."""
-    blocks, inner = [], model._embed
-
-    def counting(ctx, h0, nodes, ts, layer, *args, **kwargs):
-        if layer == model.config.n_layers:
-            blocks.append(len(nodes))
-        return inner(ctx, h0, nodes, ts, layer, *args, **kwargs)
-
-    model._embed = counting
-    return blocks
-
-
-@pytest.mark.parametrize("n_layers", [1, 2])
-@pytest.mark.parametrize("hidden", [False, True])
-def test_blocked_embed_same_bytes_as_one_block(rng, monkeypatch, n_layers, hidden):
-    g = make_graph(n_events=80, seed=5, edge_dim=3)
-    model = tgn.TgnModel(small_config(n_layers=n_layers), VOCAB, 3, rng)
-    ctx = model.bind_graph(g)
-    mem = T.constant(rng.normal(size=(g.num_nodes, 8)))
-    # 60 queries, the first ten before any event (no neighbors), some repeated
-    nodes = rng.integers(0, g.num_nodes, 60)
-    ts = np.concatenate([np.zeros(10), rng.uniform(1, 600, 50)])
-    nodes[50:], ts[50:] = nodes[40:50], ts[40:50]
-    hide = rng.random(60) < 0.3 if hidden else None
-    assert ctx.index.history_lengths(nodes[:10], ts[:10]).sum() == 0
-    blocks = _count_top_blocks(model)
-    with T.no_grad():
-        one = model.embed(ctx, mem, nodes, ts, hide=hide).data
-        assert len(blocks) == 1
-        monkeypatch.setattr(tgn, "BLOCK_SLOTS", 24)
-        blocked = model.embed(ctx, mem, nodes, ts, hide=hide).data
-    assert len(blocks) > 4 and min(blocks[1:]) >= 2
-    assert blocked.tobytes() == one.tobytes()
-
-
-@pytest.mark.parametrize("edge_dim", [0, 3])
-@pytest.mark.parametrize("n_layers", [1, 2])
-def test_blocked_embed_same_bytes_as_one_block_at_default_widths(rng, monkeypatch, n_layers, edge_dim):
-    """As above at the default `TgnConfig` widths, where the per-slot
-    products are widest: blocks of about 60 slots split every product."""
-    g = make_graph(n_events=120, seed=5, edge_dim=edge_dim)
-    model = tgn.TgnModel(tgn.TgnConfig(n_layers=n_layers), VOCAB, edge_dim, rng)
-    ctx = model.bind_graph(g)
-    mem = T.constant(rng.normal(size=(g.num_nodes, model.config.d_mem)))
-    nodes = rng.integers(0, g.num_nodes, 60)
-    ts = np.concatenate([np.zeros(10), rng.uniform(1, 600, 50)])
-    hide = rng.random(60) < 0.3
-    blocks = _count_top_blocks(model)
-    with T.no_grad():
-        one = model.embed(ctx, mem, nodes, ts, hide=hide).data
-        monkeypatch.setattr(tgn, "BLOCK_SLOTS", 60)
-        blocked = model.embed(ctx, mem, nodes, ts, hide=hide).data
-    assert len(blocks) > 4 and min(blocks[1:]) >= 2
-    assert blocked.tobytes() == one.tobytes()
-
-
-def test_embed_with_a_tape_is_one_block(rng, monkeypatch):
-    g = make_graph(n_events=80, seed=5, edge_dim=3)
-    model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
-    ctx = model.bind_graph(g)
-    mem = T.Tensor(rng.normal(size=(g.num_nodes, 8)), requires_grad=True)
-    nodes, ts = rng.integers(0, g.num_nodes, 60), rng.uniform(1, 600, 60)
-    monkeypatch.setattr(tgn, "BLOCK_SLOTS", 24)
-    blocks = _count_top_blocks(model)
-    taped = model.embed(ctx, mem, nodes, ts).data
-    with T.no_grad():
-        blocked = model.embed(ctx, mem, nodes, ts).data
-    # the taped call is one block of every distinct query (the 60 query times
-    # are distinct draws)
-    assert blocks[0] == len(nodes) == sum(blocks[1:]) and len(blocks) > 3
-    assert taped.tobytes() == blocked.tobytes()
-
-
 def test_score_pairs_traces_each_layer_once_users_first(setup, rng, monkeypatch):
     """`score_pairs` runs each layer's attention once, over the distinct
     queries of one `embed` call on the users followed by the items."""
