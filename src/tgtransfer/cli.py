@@ -2,8 +2,10 @@
 
 Every subcommand is reproducible from its inputs: outputs land at fixed
 paths, a resolved-config snapshot is written next to them, and all
-randomness flows from the --seed flag. A JSON file passed via --config
-supplies per-command defaults that explicit flags override.
+randomness flows from the --seed flag. A flag that sets a config field
+(`TgnConfig`, `FgatConfig`, `TransferConfig`, `SynthConfig`) takes that
+field's type and default. A JSON file passed via --config supplies
+per-command defaults that explicit flags override.
 
 Exit codes: 0 success, 1 validation failure or a non-finite value in training,
 2 I/O error.
@@ -92,32 +94,57 @@ def _split_triple(spec: str) -> tuple:
     return tuple(parts)
 
 
-def _tgn_config(args) -> tgn.TgnConfig:
-    return tgn.TgnConfig(
-        d_mem=args.d_mem,
-        d_time=args.d_time,
-        d_feat=args.d_feat,
-        n_layers=args.layers,
-        n_heads=args.heads,
-        k_neighbors=args.k_neighbors,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        context_dropout=args.context_dropout,
-    )
+# Each (flag, config field[, help]) in help order. A flag's type and default
+# are those of the field's value in the config's defaults, float where that
+# value is None; the flag's dest is argparse's, from the flag's name.
+TGN_FLAGS = (
+    ("--d-mem", "d_mem"),
+    ("--d-time", "d_time"),
+    ("--d-feat", "d_feat"),
+    ("--layers", "n_layers"),
+    ("--heads", "n_heads"),
+    ("--k-neighbors", "k_neighbors"),
+    ("--batch-size", "batch_size"),
+    ("--lr", "lr"),
+    ("--context-dropout", "context_dropout", "training-time chance to hide a node's neighbor context"),
+)
+FGAT_FLAGS = (("--dim", "dim"), ("--layers", "n_layers"), ("--lr", "lr"))
+TRANSFER_FLAGS = (
+    ("--ft-epochs", "ft_epochs"),
+    ("--nt-epochs", "nt_epochs"),
+    ("--ft-lr", "ft_lr", "fine-tuning learning rate for wt/mintt (defaults to --lr)"),
+    ("--seed", "seed"),
+)
+SYNTH_FLAGS = (
+    ("--users", "n_users"),
+    ("--items", "n_items"),
+    ("--tokens", "n_feature_tokens"),
+    ("--communities", "n_communities"),
+    ("--events", "n_events"),
+    ("--features-per-node", "features_per_node"),
+    ("--sharpness", "sharpness"),
+    ("--signature-strength", "signature_strength"),
+    ("--user-signature-strength", "user_signature_strength", "override signature strength for user features only"),
+    ("--item-churn", "item_churn"),
+    ("--edge-signal", "edge_signal", "fraction of events carrying a truthful community tag"),
+    ("--target-scale", "target_scale"),
+    ("--target-event-scale", "target_event_scale",
+     "override target event count fraction (defaults to --target-scale)"),
+    ("--seed", "seed"),
+)
 
 
-def _add_tgn_flags(sub) -> None:
-    d = tgn.TgnConfig()
-    sub.add_argument("--d-mem", type=int, default=d.d_mem)
-    sub.add_argument("--d-time", type=int, default=d.d_time)
-    sub.add_argument("--d-feat", type=int, default=d.d_feat)
-    sub.add_argument("--layers", type=int, default=d.n_layers)
-    sub.add_argument("--heads", type=int, default=d.n_heads)
-    sub.add_argument("--k-neighbors", type=int, default=d.k_neighbors)
-    sub.add_argument("--batch-size", type=int, default=d.batch_size)
-    sub.add_argument("--lr", type=float, default=d.lr)
-    sub.add_argument("--context-dropout", type=float, default=d.context_dropout,
-                     help="training-time chance to hide a node's neighbor context")
+def _add_config_flags(sub, cls, table) -> None:
+    defaults = cls()
+    for flag, name, *help_text in table:
+        value = getattr(defaults, name)
+        sub.add_argument(flag, type=float if value is None else type(value), default=value,
+                         help=help_text[0] if help_text else None)
+
+
+def _config(args, cls, table, **extra):
+    """`cls` from the parsed flags of `table`, with `extra` fields."""
+    return cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name, *_ in table}, **extra)
 
 
 def _add_run_flags(sub, own: dict, transfer: bool = False) -> None:
@@ -128,17 +155,13 @@ def _add_run_flags(sub, own: dict, transfer: bool = False) -> None:
     sub.add_argument("--fgat-ckpt")
     for flag, kw in own.items():
         sub.add_argument(flag, **kw)
-    sub.add_argument("--ft-epochs", type=int, default=5)
-    sub.add_argument("--nt-epochs", type=int, default=30)
-    sub.add_argument("--ft-lr", type=float, default=None,
-                     help="fine-tuning learning rate for wt/mintt (defaults to --lr)")
-    sub.add_argument("--seed", type=int, default=0)
+    _add_config_flags(sub, tr.TransferConfig, TRANSFER_FLAGS)
     sub.add_argument("--seeds", help="'1..5' or '1,3,9'; overrides --seed" if transfer else None)
     sub.add_argument("--out", required=True)
     if transfer:
         sub.add_argument("--mapping-out", help="write the memory mapping JSON here")
     sub.add_argument("--no-rank-metrics", action="store_true")
-    _add_tgn_flags(sub)
+    _add_config_flags(sub, tgn.TgnConfig, TGN_FLAGS)
 
 
 def _write_loss_csv(path, losses) -> None:
@@ -191,7 +214,7 @@ def cmd_transform(args) -> int:
 def cmd_train_tgn(args) -> int:
     g = load_events(args.graph)
     rng = np.random.default_rng(args.seed)
-    model = tgn.TgnModel(_tgn_config(args), g.feature_vocab, g.edge_feature_dim, rng)
+    model = tgn.TgnModel(_config(args, tgn.TgnConfig, TGN_FLAGS), g.feature_vocab, g.edge_feature_dim, rng)
     ctx = model.bind_graph(g)
     opt = Adam(lr=model.config.lr)
     # zero epochs leave the zero memory
@@ -222,7 +245,7 @@ def cmd_train_fgat(args) -> int:
 
     vocab = sorted(set().union(*(tg.feature_vocab for tg in pool)))
     rng = np.random.default_rng(args.seed)
-    model = fg.FgatModel(fg.FgatConfig(dim=args.dim, n_layers=args.layers, lr=args.lr), vocab, rng)
+    model = fg.FgatModel(_config(args, fg.FgatConfig, FGAT_FLAGS), vocab, rng)
     losses = fg.train_fgat(model, pool, args.epochs, rng, forbidden=forbidden)
     fg.save_fgat(model, args.out)
     _write_loss_csv(str(args.out) + ".loss.csv", losses)
@@ -256,13 +279,8 @@ def _seed_runs(args, seeds, variant: str, g: TemporalGraph, splits, key: str):
     """`run_seeds` of `variant` on the (train, val, test) `splits` of `g`,
     from the flags `transfer` and `sweep` share: an iterator of (result, CSV
     row) as each run ends. The config is checked before this returns."""
-    cfg = tr.TransferConfig(
-        nt_epochs=args.nt_epochs,
-        ft_epochs=args.ft_epochs,
-        ft_lr=args.ft_lr,
-        rank_metrics=not args.no_rank_metrics,
-        tgn=_tgn_config(args),
-    )
+    cfg = _config(args, tr.TransferConfig, TRANSFER_FLAGS, rank_metrics=not args.no_rank_metrics,
+                  tgn=_config(args, tgn.TgnConfig, TGN_FLAGS))
     src_ckpt = args.src_ckpt if variant != "nt" else None
     fgat_ckpt = args.fgat_ckpt if variant == "mintt" else None
     runs = tr.run_seeds(variant, g, cfg, seeds, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt, splits=splits)
@@ -355,23 +373,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = sd.SynthConfig(
-        n_users=args.users,
-        n_items=args.items,
-        n_feature_tokens=args.tokens,
-        n_communities=args.communities,
-        n_events=args.events,
-        features_per_node=args.features_per_node,
-        sharpness=args.sharpness,
-        signature_strength=args.signature_strength,
-        user_signature_strength=args.user_signature_strength,
-        item_churn=args.item_churn,
-        edge_signal=args.edge_signal,
-        target_scale=args.target_scale,
-        target_event_scale=args.target_event_scale,
-        seed=args.seed,
-    )
-    source, target, planted = sd.generate_pair(cfg)
+    source, target, planted = sd.generate_pair(_config(args, sd.SynthConfig, SYNTH_FLAGS))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sd.write_events_csv(source, out_dir / "source.csv")
@@ -447,7 +449,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_tgn_flags(p)
+    _add_config_flags(p, tgn.TgnConfig, TGN_FLAGS)
 
     p = sub("train-fgat", cmd_train_fgat, help="train the attribute-graph encoder on a pool")
     p.add_argument("--pool", required=True, help="directory of .cache transformed graphs")
@@ -455,10 +457,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--forbid", action="append", help="transformed graph that must not be in the pool")
-    fd = fg.FgatConfig()
-    p.add_argument("--dim", type=int, default=fd.dim)
-    p.add_argument("--layers", type=int, default=fd.n_layers)
-    p.add_argument("--lr", type=float, default=fd.lr)
+    _add_config_flags(p, fg.FgatConfig, FGAT_FLAGS)
 
     p = sub("transfer", cmd_transfer, help="run one variant on a target events CSV")
     p.add_argument("--variant", required=True, choices=tr.VARIANTS)
@@ -472,26 +471,9 @@ def build_parser():
     p.add_argument("--sweep", required=True)
     p.add_argument("--out", required=True)
 
-    d = sd.SynthConfig()
     p = sub("synth", cmd_synth, help="generate a synthetic source/target pair")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--users", type=int, default=d.n_users)
-    p.add_argument("--items", type=int, default=d.n_items)
-    p.add_argument("--tokens", type=int, default=d.n_feature_tokens)
-    p.add_argument("--communities", type=int, default=d.n_communities)
-    p.add_argument("--events", type=int, default=d.n_events)
-    p.add_argument("--features-per-node", type=int, default=d.features_per_node)
-    p.add_argument("--sharpness", type=float, default=d.sharpness)
-    p.add_argument("--signature-strength", type=float, default=d.signature_strength)
-    p.add_argument("--user-signature-strength", type=float, default=d.user_signature_strength,
-                   help="override signature strength for user features only")
-    p.add_argument("--item-churn", type=float, default=d.item_churn)
-    p.add_argument("--edge-signal", type=float, default=d.edge_signal,
-                   help="fraction of events carrying a truthful community tag")
-    p.add_argument("--target-scale", type=float, default=d.target_scale)
-    p.add_argument("--target-event-scale", type=float, default=d.target_event_scale,
-                   help="override target event count fraction (defaults to --target-scale)")
-    p.add_argument("--seed", type=int, default=d.seed)
+    _add_config_flags(p, sd.SynthConfig, SYNTH_FLAGS)
 
     return parser, subparsers
 
@@ -503,6 +485,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             overrides = json.loads(Path(args.config).read_text())
+            if not isinstance(overrides, dict):
+                raise ValueError(f"config file {args.config} must hold a JSON object")
             sub = subparsers.choices[args.command]
             actions = {a.dest: a for a in sub._actions}
             unknown = sorted(set(overrides) - set(actions))

@@ -236,6 +236,9 @@ def load_events(path) -> TemporalGraph:
 
         for lineno, row in enumerate(reader, start=2):
             try:
+                absent = [c for c in _REQUIRED_COLUMNS if row[c] is None]  # a row cut short
+                if absent:
+                    raise ValueError(f"missing columns {absent}")
                 raw_u = row["user_id"].strip()
                 raw_i = row["item_id"].strip()
                 if not raw_u or not raw_i:

@@ -240,7 +240,7 @@ def execute_run(
     for split in (val_g, test_g):
         ctx = setup.model.bind_graph(_concat_events([train_g, split]))
         report, _ = evaluate(
-            setup.model, ctx, split, state.copy(), rng,
+            setup.model, ctx, split, state, rng,
             variant=setup.variant, seed=cfg.seed, rank_metrics=cfg.rank_metrics,
         )
         reports.append(report)

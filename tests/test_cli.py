@@ -1,10 +1,14 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tgtransfer import cli
+from tgtransfer import fgat as fg
+from tgtransfer import synthdata as sd
+from tgtransfer import tgn
 from tgtransfer import transfer as tr
 from tgtransfer.fgat import FgatModel
 from tgtransfer.numerics import read_blob, write_blob
@@ -586,6 +590,17 @@ def test_config_file_rejects_unknown_keys(synth_dir, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"abc"'])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = cli.main(["synth", "--out-dir", str(tmp_path / "data"), "--config", str(cfg)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config file {cfg} must hold a JSON object"]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("key, value", [("seed", "abc"), ("sharpness", "sharp")])
 def test_config_value_argparse_cannot_convert_is_one_error_line(tmp_path, capsys, key, value):
     """A `--config` string that its flag's type cannot read exits 1 with one
@@ -695,3 +710,32 @@ def test_config_snapshot_records_numeric_environment(toy_csv, tmp_path, monkeypa
     assert env["numpy"] == np.__version__
     assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
     assert set(env["blas"]) == {"name", "version"}
+
+
+@pytest.mark.parametrize("command, cls, table", [
+    ("train-tgn", tgn.TgnConfig, cli.TGN_FLAGS),
+    ("train-fgat", fg.FgatConfig, cli.FGAT_FLAGS),
+    ("synth", sd.SynthConfig, cli.SYNTH_FLAGS),
+    ("transfer", tr.TransferConfig, cli.TRANSFER_FLAGS),
+    ("transfer", tgn.TgnConfig, cli.TGN_FLAGS),
+    ("sweep", tr.TransferConfig, cli.TRANSFER_FLAGS),
+    ("sweep", tgn.TgnConfig, cli.TGN_FLAGS),
+])
+def test_config_flags_default_to_their_fields(command, cls, table):
+    """Each table entry names a field of its config, and an absent flag
+    parses to that field's value in the config's defaults."""
+    names = {f.name for f in fields(cls)}
+    sub = cli.build_parser()[1].choices[command]
+    for flag, name, *_ in table:
+        assert name in names
+        assert sub.get_default(flag[2:].replace("-", "_")) == getattr(cls(), name)
+
+
+@pytest.mark.parametrize("cls, table, unflagged", [
+    (tgn.TgnConfig, cli.TGN_FLAGS, set()),
+    (sd.SynthConfig, cli.SYNTH_FLAGS, set()),
+    (tr.TransferConfig, cli.TRANSFER_FLAGS, {"split", "rank_metrics", "tgn"}),
+])
+def test_config_fields_have_one_flag_each(cls, table, unflagged):
+    named = [name for _, name, *_ in table]
+    assert sorted(named) == sorted({f.name for f in fields(cls)} - unflagged)

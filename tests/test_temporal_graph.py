@@ -77,6 +77,16 @@ def test_load_errors(tmp_path):
     with pytest.raises(tg.IngestError, match="missing columns"):
         tg.load_events(missing_col)
 
+    # csv fills a row's missing trailing fields with None
+    cut = write_csv(tmp_path / "c.csv", ["u1,i1,1.0,a,b", "u2"])
+    with pytest.raises(tg.IngestError, match=r":3: malformed row: missing columns \['item_id', 'timestamp', "
+                       r"'user_feature_ids', 'item_feature_ids'\]"):
+        tg.load_events(cut)
+    cut = write_csv(tmp_path / "c.csv", ["u1,i1,1.0,a,b", "u2,i2,2.0"])
+    with pytest.raises(tg.IngestError, match=r":3: malformed row: missing columns \['user_feature_ids', "
+                       r"'item_feature_ids'\]"):
+        tg.load_events(cut)
+
 
 def test_edge_features_parsed(tmp_path):
     path = tmp_path / "e.csv"
