@@ -114,10 +114,13 @@ class TimeEncoder:
         pset.add(f"{self.prefix}.freq", freqs)
         pset.add(f"{self.prefix}.phase", np.zeros(self.dim))
 
-    def __call__(self, pset: ParameterSet, t: np.ndarray, s: np.ndarray, t0: float) -> T.Tensor:
-        """t, s: float arrays of shape (n,); returns shape (n, dim)."""
+    def __call__(self, pset: ParameterSet, t: np.ndarray, s: np.ndarray, t0: float, row=None) -> T.Tensor:
+        """t, s: float arrays of shape (n,); returns shape (n, dim). With
+        `row`, an (n,) index into `t`, row j's query time is `t[row[j]]`, so
+        `t` may hold fewer entries than `s`."""
         freq, phase = pset[f"{self.prefix}.freq"], pset[f"{self.prefix}.phase"]
         t_tab, ti = np.unique(np.asarray(t, dtype=np.float64), return_inverse=True)
+        ti = ti if row is None else ti.take(row)
         s_tab, si = np.unique(np.asarray(s, dtype=np.float64), return_inverse=True)
         nt = len(t_tab)
         # one angle table: the query times' rows a, then the event times' rows b

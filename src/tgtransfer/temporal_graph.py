@@ -234,7 +234,7 @@ def load_events(path) -> TemporalGraph:
         users, items, times, efeats = [], [], [], []
         edge_dim = None
 
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 absent = [c for c in _REQUIRED_COLUMNS if row[c] is None]  # a row cut short
                 if absent:
@@ -254,7 +254,7 @@ def load_events(path) -> TemporalGraph:
                     if not np.isfinite(ef).all():
                         raise ValueError(f"non-finite edge feature in {row['edge_features']!r}")
             except (TypeError, ValueError, KeyError) as err:
-                raise IngestError(f"{path}:{lineno}: malformed row: {err}") from err
+                raise IngestError(f"{path}:{reader.line_num}: malformed row: {err}") from err
 
             if raw_u not in user_index:
                 user_index[raw_u] = len(user_index)
@@ -276,7 +276,7 @@ def load_events(path) -> TemporalGraph:
             if edge_dim is None:
                 edge_dim = len(ef)
             elif len(ef) != edge_dim:
-                raise IngestError(f"{path}:{lineno}: edge feature arity changed")
+                raise IngestError(f"{path}:{reader.line_num}: edge feature arity changed")
             users.append(u)
             items.append(i)
             times.append(t)

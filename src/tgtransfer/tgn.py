@@ -19,18 +19,21 @@ memory) for every graph node once and gathers it wherever its recursion
 reaches layer 0, and each layer encodes the query side's zero time gap once.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
-backward, `_temporal_attention`. Its keys and values project the neighbor
-rows once per row of their table: at layer 1 once per graph node (the
-layer-0 table), above it once per slot. The tape keeps its keys, values,
-attention weights and its two plans of sums over query rows, so the backward
-reuses the forward instead of recomputing it. Its segment softmax is the one
-FGAT attention uses, `numerics.tensor._segment_softmax`.
+backward, `_temporal_attention`. Keys and values run as one stream of width
+2 * d_mem: each neighbor table row is projected and biased once for both (at
+layer 1 once per graph node, the layer-0 table; above it once per slot),
+then gathered per slot, and one product adds the slots' time and edge
+columns. The tape keeps that stream, the attention weights and two plans of
+sums over query rows, so the backward reuses the forward instead of
+recomputing it. Its segment softmax is FGAT's, `T._segment_softmax`.
 Time gaps, of a neighbor event or a memory update before the query and the
 query's zero gap to itself, go through `numerics.nn.TimeEncoder`'s tables of
-the call's distinct query and event times. Gaps to events take the bound
-graph's first event time (`GraphContext.t0`) as the reference time, so a
-row's bytes depend on its own times only; the zero gap is encoded at time 0
-against time 0, which makes it exactly cos(phase).
+the call's distinct query and event times; neighbor slots pass their
+queries' times and the slot-to-query row, so one time per query is sorted.
+Gaps to events take the bound graph's first event time (`GraphContext.t0`)
+as the reference time, so a row's bytes depend on its own times only; the
+zero gap is encoded at time 0 against time 0, which makes it exactly
+cos(phase).
 
 Training defers each batch's memory write until just before the next batch is
 scored (values are unchanged by the delay: no optimizer step intervenes), so
@@ -151,65 +154,57 @@ def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads)
 
     Slot `s` belongs to query `row[s]` (sorted); its key and value input is
     `[h_src[src[s]], phi[s], x_uv[s]]`, with `x_uv` a constant array. Keys
-    are `P[src, :d] + [phi, x_uv] @ wk[dm:] + bk` and values `P[src, d:] +
-    [phi, x_uv] @ wv[dm:] + bv`, where `P = h_src @ [wk[:dm], wv[:dm]]`
-    projects each row of `h_src` once for both. Returns the (b, d) context
-    as a `Tensor` with op name "temporal_attention", and the (n, heads)
-    `alpha` array. The rest runs per-slot query dot products, a segment
-    softmax and a segment sum.
+    and values are the first and last d columns of one (n, 2d) stream
+    `P[src] + [phi, x_uv] @ [wk[dm:], wv[dm:]]`, where `P = h_src @ [wk[:dm],
+    wv[:dm]] + [bk, bv]` projects and biases each `h_src` row once for both.
+    Returns the (b, d) context as a `Tensor` with op name
+    "temporal_attention", and the (n, heads) `alpha` array. The rest runs
+    per-slot query dot products, a segment softmax and a segment sum.
 
-    Backward reuses the forward's keys, values, per-slot query rows, `alpha`
-    and plans of sums over `row`, one per width, and the softmax's backward
-    rule; the
-    gradient of `P` is summed per `h_src` row before it meets the weights.
+    Backward reuses the forward's stream, `alpha`, plans of sums over `row`
+    and the softmax's backward rule; it gathers each slot's query row, which
+    the tape does not keep, with its incoming gradient row. The key and
+    value gradients fill one (n, 2d) array, summed per `h_src` row by one
+    plan, and both bias gradients are read off those sums.
     """
     n, d = len(row), q.shape[1]
     dm, dh = h_src.shape[1], d // heads
     scale = 1.0 / np.sqrt(dh)
-    w_h = np.concatenate([wk.data[:dm], wv.data[:dm]], axis=1)
+    w = np.concatenate([wk.data, wv.data], axis=1)
+    w_h, w_rest = w[:dm], w[dm:]
     rest_in = np.concatenate([phi.data, x_uv], axis=1)
-    per_row, per_head = T._index_plan(row, b, d), T._index_plan(row, b, heads)
     p = T._matmul(h_src.data, w_h)
-
-    def project(half, w, bias):
-        out = p[:, half].take(src, axis=0)
-        out += T._matmul(rest_in, w.data[dm:])
-        out += bias.data
-        return out.reshape(n, heads, dh)
-
-    kk = project(slice(0, d), wk, bk)
-    q_slot = q.data.take(row, axis=0).reshape(n, heads, dh)
-    scores = (q_slot * kk).sum(axis=2) * scale
-    if not T._grad_enabled:
-        kk = q_slot = None  # no backward will read them: free them before the values
+    p += np.concatenate([bk.data, bv.data])
+    kv = T._matmul(rest_in, w_rest)
+    for lo in range(0, n, 4096):  # gathered in blocks: no second (n, 2d) array
+        kv[lo : lo + 4096] += p.take(src[lo : lo + 4096], axis=0)
+    per_row, per_head = T._index_plan(row, b, d), T._index_plan(row, b, heads)
+    kk, vv = kv.reshape(n, 2, heads, dh).transpose(1, 0, 2, 3)
+    scores = np.einsum("shd,shd->sh", q.data.take(row, axis=0).reshape(n, heads, dh), kk) * scale
     alpha, softmax_backward = T._segment_softmax(scores, row, per_head)
-    vv = project(slice(d, 2 * d), wv, bv)
-    context = per_row((alpha[:, :, None] * vv).reshape(n, d))
+    context = per_row(np.einsum("sh,shd->shd", alpha, vv).reshape(n, d))
 
     def backward(g):
-        g_edge = g.take(row, axis=0).reshape(n, heads, dh)
-        g_scores = (softmax_backward(np.sum(g_edge * vv, axis=2)) * scale)[:, :, None]
-        g_q = per_row((g_scores * kk).reshape(n, d))
-        g_k = (g_scores * q_slot).reshape(n, d)
-        g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
-        per_src = T._index_plan(src, len(h_src.data), d)
-        g_p = np.concatenate([per_src(g_k), per_src(g_v)], axis=1)
-        g_w_h = T._matmul(h_src.data.T, g_p)
-        dt = phi.shape[1]
+        # each slot's query row and incoming gradient row, side by side
+        qg = np.concatenate([q.data, g], axis=1).take(row, axis=0).reshape(n, 2, heads, dh)
+        g_scores = softmax_backward(np.einsum("shd,shd->sh", qg[:, 1], vv)) * scale
+        g_q = per_row(np.einsum("sh,shd->shd", g_scores, kk).reshape(n, d))
+        # keys' gradient g_scores * q beside values' alpha * g
+        g_kv = np.einsum("sjh,sjhd->sjhd", np.stack([g_scores, alpha], axis=1), qg).reshape(n, 2 * d)
+        g_p = T._index_plan(src, len(h_src.data), 2 * d)(g_kv)
+        g_w_h, g_w_rest, g_b = T._matmul(h_src.data.T, g_p), T._matmul(rest_in.T, g_kv), g_p.sum(axis=0)
         return (
             g_q,
             T._matmul(g_p, w_h.T),
-            T._matmul(g_k, wk.data[dm : dm + dt].T) + T._matmul(g_v, wv.data[dm : dm + dt].T),
-            np.concatenate([g_w_h[:, :d], T._matmul(rest_in.T, g_k)]),
-            g_k.sum(axis=0),
-            np.concatenate([g_w_h[:, d:], T._matmul(rest_in.T, g_v)]),
-            g_v.sum(axis=0),
+            T._matmul(g_kv, w_rest[: phi.shape[1]].T),
+            np.concatenate([g_w_h[:, :d], g_w_rest[:, :d]]),
+            g_b[:d],
+            np.concatenate([g_w_h[:, d:], g_w_rest[:, d:]]),
+            g_b[d:],
         )
 
-    out = T.Tensor(
-        context, _parents=(q, h_src, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
-    )
-    return out, alpha
+    parents = (q, h_src, phi, wk, bk, wv, bv)
+    return T.Tensor(context, _parents=parents, _backward=backward, _op="temporal_attention"), alpha
 
 
 class TgnModel:
@@ -335,7 +330,7 @@ class TgnModel:
             h_src, src = h0, nbr_ids
         else:
             h_src, src = self._embed(ctx, h0, nbr_ids, t_slot, layer - 1), np.arange(len(row))
-        phi = self.time_enc(self.pset, t_slot, nbr_times, ctx.t0)
+        phi = self.time_enc(self.pset, ts, nbr_times, ctx.t0, row)
         x_uv = ctx.index.edge_features_for(nbr_ords)
         # every query sees a zero gap to itself: encode it once, copy it per row
         phi_self = T.gather(self.time_enc(self.pset, np.zeros(1), np.zeros(1), 0.0), np.zeros(b, dtype=np.int64))

@@ -547,7 +547,7 @@ def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
     wv, bv = model.att_v[li].weights(model.pset)
     kk, vv = key_value_composed(h_src, src, T.concat([phi, x_uv], axis=1), wk, bk, wv, bv)
     kk, vv = kk.reshape((b, k, heads, dh)), vv.reshape((b, k, heads, dh))
-    scores = T.tensor_sum(q * kk, axis=3) * (1.0 / np.sqrt(dh))  # (b, k, heads)
+    scores = head_dot(q, kk) * (1.0 / np.sqrt(dh))  # (b, k, heads)
     scores = scores + T.constant((mask - 1.0)[:, :, None] * 1e30)
     alpha = softmax(scores, axis=1)
     context = T.tensor_sum(alpha.reshape((b, k, heads, 1)) * vv, axis=1)  # (b, heads, dh)
@@ -629,19 +629,31 @@ def segment_softmax(a, seg_ids, num_segments):
 
 
 def key_value_composed(h_src, src, rest, wk, bk, wv, bv):
-    """Keys and values of `tgn._temporal_attention` as composed ops:
-    `P = h_src @ W_h` with the key and value weights' first rows side by
-    side, gathered at `src`; its key half plus `rest @ wk[dm:]` plus `bk`,
-    and its value half plus `rest @ wv[dm:]` plus `bv`. Returns the (n, d)
-    keys and values."""
+    """Keys and values of `tgn._temporal_attention` as composed ops, in its
+    order: `P = h_src @ W_h + [bk, bv]`, with `W_h` the key and value
+    weights' first rows side by side, gathered at `src`, plus `rest @
+    W_rest` with their remaining rows side by side. Returns the (n, d) keys
+    and values, the first and last d columns of that sum."""
     dm, d, n = h_src.shape[1], wk.shape[1], len(src)
-    head, tail = slice(0, dm), slice(dm, wk.shape[0])
-    p = matmul(h_src, T.concat([T.gather(wk, head), T.gather(wv, head)], axis=1))
-    # row 2s of the (2n, d) view holds slot s's key half, row 2s + 1 its value half
-    halves = T.gather(p, src).reshape((2 * n, d))
-    kk = T.gather(halves, np.arange(0, 2 * n, 2)) + matmul(rest, T.gather(wk, tail)) + bk
-    vv = T.gather(halves, np.arange(1, 2 * n, 2)) + matmul(rest, T.gather(wv, tail)) + bv
-    return kk, vv
+    w = T.concat([wk, wv], axis=1)
+    p = matmul(h_src, T.gather(w, slice(0, dm))) + T.concat([bk, bv])
+    kv = T.gather(p, src) + matmul(rest, T.gather(w, slice(dm, wk.shape[0])))
+    # row 2s of the (2n, d) view holds slot s's key, row 2s + 1 its value
+    halves = kv.reshape((2 * n, d))
+    return T.gather(halves, np.arange(0, 2 * n, 2)), T.gather(halves, np.arange(1, 2 * n, 2))
+
+
+def head_dot(a, b):
+    """Dot products over the last axis, `np.einsum("...d,...d->...")` with
+    broadcasting, as one autodiff op: the attention scores of `embed_padded`
+    in the sum order of `tgn._temporal_attention`."""
+
+    def backward(g):
+        g = g[..., None]
+        return T._unbroadcast(g * b.data, a.shape), T._unbroadcast(g * a.data, b.shape)
+
+    return T.Tensor(np.einsum("...d,...d->...", a.data, b.data), _parents=(a, b), _backward=backward,
+                    _op="head_dot")
 
 
 def temporal_attention_composed(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
@@ -668,40 +680,38 @@ def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, 
     dm, dh = h_src.shape[1], d // heads
     scale = 1.0 / np.sqrt(dh)
     w_h = np.concatenate([wk.data[:dm], wv.data[:dm]], axis=1)
+    w_rest = np.concatenate([wk.data[dm:], wv.data[dm:]], axis=1)
     rest_in = np.concatenate([phi.data, x_uv], axis=1)
 
-    def project(half, w, bias):
-        out = T._matmul(h_src.data, w_h)[:, half].take(src, axis=0)
-        out += T._matmul(rest_in, w.data[dm:])
-        out += bias.data
-        return out.reshape(n, heads, dh)
+    def project(half):
+        kv = (T._matmul(h_src.data, w_h) + np.concatenate([bk.data, bv.data]))[src] + T._matmul(rest_in, w_rest)
+        return np.ascontiguousarray(kv[:, half]).reshape(n, heads, dh)
 
     keys, values = slice(0, d), slice(d, 2 * d)
-    scores = (q.data.take(row, axis=0).reshape(n, heads, dh) * project(keys, wk, bk)).sum(axis=2) * scale
+    scores = np.einsum("shd,shd->sh", q.data.take(row, axis=0).reshape(n, heads, dh), project(keys)) * scale
     e = np.exp(scores - T._segment_max_rows(scores, row))
     alpha = e / T._index_add(row, e, b).take(row, axis=0)
-    context = T._index_add(row, (alpha[:, :, None] * project(values, wv, bv)).reshape(n, d), b)
+    context = T._index_add(row, (alpha[:, :, None] * project(values)).reshape(n, d), b)
 
     def backward(g):
         g_edge = g.take(row, axis=0).reshape(n, heads, dh)
-        g_alpha = np.sum(g_edge * project(values, wv, bv), axis=2)
+        g_alpha = np.einsum("shd,shd->sh", g_edge, project(values))
         g_scores = alpha * (g_alpha - T._index_add(row, alpha * g_alpha, b).take(row, axis=0))
         g_scores = (g_scores * scale)[:, :, None]
-        g_q = T._index_add(row, (g_scores * project(keys, wk, bk)).reshape(n, d), b)
-        g_k = (g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d)
-        g_v = (g_edge * alpha[:, :, None]).reshape(n, d)
-        g_p = np.concatenate([T._index_add(src, g_k, len(h_src.data)), T._index_add(src, g_v, len(h_src.data))],
-                             axis=1)
-        g_w_h = T._matmul(h_src.data.T, g_p)
+        g_q = T._index_add(row, (g_scores * project(keys)).reshape(n, d), b)
+        g_kv = np.concatenate([(g_scores * q.data.take(row, axis=0).reshape(n, heads, dh)).reshape(n, d),
+                               (g_edge * alpha[:, :, None]).reshape(n, d)], axis=1)
+        g_p = T._index_add(src, g_kv, len(h_src.data))
+        g_w_h, g_w_rest, g_b = T._matmul(h_src.data.T, g_p), T._matmul(rest_in.T, g_kv), g_p.sum(axis=0)
         dt = phi.shape[1]
         return (
             g_q,
             T._matmul(g_p, w_h.T),
-            T._matmul(g_k, wk.data[dm : dm + dt].T) + T._matmul(g_v, wv.data[dm : dm + dt].T),
-            np.concatenate([g_w_h[:, :d], T._matmul(rest_in.T, g_k)]),
-            g_k.sum(axis=0),
-            np.concatenate([g_w_h[:, d:], T._matmul(rest_in.T, g_v)]),
-            g_v.sum(axis=0),
+            T._matmul(g_kv, w_rest[:dt].T),
+            np.concatenate([g_w_h[:, :d], g_w_rest[:, :d]]),
+            g_b[:d],
+            np.concatenate([g_w_h[:, d:], g_w_rest[:, d:]]),
+            g_b[d:],
         )
 
     out = T.Tensor(
@@ -710,14 +720,16 @@ def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, 
     return out, alpha
 
 
-def time_encoder_composed(encoder, pset, t, s, t0):
+def time_encoder_composed(encoder, pset, t, s, t0, row=None):
     """`TimeEncoder.__call__` as composed ops: one angle table over the
     distinct query times t and event times s, `(time - t0) * freq` by
-    `mul`, the phase added to the query rows a, each row gathered, and
-    `cos_difference` of a and the event rows b. The one-op encoder must
-    match it byte for byte, forward and backward."""
+    `mul`, the phase added to the query rows a, each row gathered (row j's
+    query time is `t[row[j]]` when `row` is given), and `cos_difference` of
+    a and the event rows b. The one-op encoder must match it byte for byte,
+    forward and backward."""
     freq, phase = pset[f"{encoder.prefix}.freq"], pset[f"{encoder.prefix}.phase"]
     t_tab, ti = np.unique(np.asarray(t, dtype=np.float64), return_inverse=True)
+    ti = ti if row is None else ti[row]
     s_tab, si = np.unique(np.asarray(s, dtype=np.float64), return_inverse=True)
     nt = len(t_tab)
     angles = T.constant(np.concatenate([t_tab, s_tab])[:, None] - t0) * freq

@@ -10,12 +10,19 @@ count. Names are matched by spelling, not resolved, so one use of a name
 keeps every definition of it. Dunder methods are exempt. `ENTRY_POINTS` lists the names that only code
 outside the library calls: the README's Python API, the `tgtransfer`
 command's entry point, `benchmarks/` and the acceptance suite.
+
+Spelling cannot tell a library method named like an `np.ndarray` attribute
+(`reshape`, `copy`, `size`) from numpy's, since any array use keeps it
+alive. `NUMPY_NAMED` lists each such method with a library line that uses
+it on a library object, so a new collision fails until it is reviewed.
 """
 
 import ast
 import io
 import tokenize
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tgtransfer"
 
@@ -25,6 +32,18 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tgtransfer"
 # that the README's Python API, the `tgtransfer` console script (`cli.main`)
 # and `benchmarks/` call is also used inside the library.
 ENTRY_POINTS = frozenset({"run_variant"})
+
+# "Class.method" of every non-dunder library method named like an
+# `np.ndarray` attribute: (module under src/tgtransfer, a line of it that
+# uses the method on an instance of that class).
+NUMPY_NAMED = {
+    "Csr.take": ("cli.py", "g.user_features.take(np.flatnonzero(keep_u)),"),
+    "MemoryState.copy": ("tgn.py", "out = state.copy()"),
+    "Tensor.ndim": ("numerics/tensor.py", "if x.ndim != 2 or x.shape[1] != w.shape[0]:"),
+    "Tensor.reshape": ("tgn.py", "return T.sigmoid(logits.reshape((b,)))"),
+    "Tensor.shape": ("tgn.py", "if mem.shape != want:"),
+    "Tensor.size": ("numerics/tensor.py", "n = a.size if axis is None else a.shape[axis]"),
+}
 
 
 def _definitions_and_names(text):
@@ -72,6 +91,45 @@ def dead_definitions(root=SRC, entry_points=ENTRY_POINTS):
 
 def test_every_library_definition_is_referenced():
     assert dead_definitions() == []
+
+
+def numpy_named_methods(root=SRC):
+    """"Class.method" of every non-dunder method of a class under `root`
+    whose name is an attribute of `np.ndarray`."""
+    array_names = set(dir(np.ndarray))
+    return {
+        f"{node.name}.{item.name}"
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in array_names
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+
+
+def test_numpy_named_methods_are_listed_with_a_use():
+    assert numpy_named_methods() == set(NUMPY_NAMED)
+    for key, (module, line) in NUMPY_NAMED.items():
+        lines = {text.strip() for text in (SRC / module).read_text().splitlines()}
+        assert line in lines and f".{key.split('.')[1]}" in line, key
+
+
+def test_numpy_named_methods_finds_collisions(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "class Box:\n"
+        "    def copy(self):\n"
+        "        return Box()\n"
+        "\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def open(self):\n"
+        "        return self\n"
+    )
+    assert numpy_named_methods(pkg) == {"Box.copy"}
 
 
 def test_guard_ignores_strings_comments_imports_and_own_body(tmp_path):

@@ -86,6 +86,10 @@ def test_load_errors(tmp_path):
     with pytest.raises(tg.IngestError, match=r":3: malformed row: missing columns \['user_feature_ids', "
                        r"'item_feature_ids'\]"):
         tg.load_events(cut)
+    # a quoted field may span lines: errors name the line a row ends on
+    multiline = write_csv(tmp_path / "ml.csv", ['u1,i1,1.0,"a\nb",g', "u2,i2,bad,f,g"])
+    with pytest.raises(tg.IngestError, match=r"ml\.csv:4: malformed row"):
+        tg.load_events(multiline)
 
 
 def test_edge_features_parsed(tmp_path):

@@ -483,7 +483,8 @@ def _attention_inputs(model, layer, seed, n_slots=None):
     # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four;
     # or `n_slots` slots spread over 300 queries. At layer 1 the slots read
     # rows of a layer-0 table of 7 nodes (200 with `n_slots`), some of them
-    # twice; above, each slot reads a row of its own
+    # twice; above, each slot reads a row of its own. The key and value
+    # biases are drawn nonzero, in place of `Linear`'s zeros
     rng = np.random.default_rng(seed)
     row = np.array([0, 2, 2, 2, 3, 4, 4, 4, 4]) if n_slots is None else np.sort(rng.integers(0, 300, n_slots))
     n, b, d, dt = len(row), 6 if n_slots is None else 300, model.config.d_mem, model.config.d_time
@@ -494,6 +495,8 @@ def _attention_inputs(model, layer, seed, n_slots=None):
     phi = T.Tensor(rng.normal(size=(n, dt)), requires_grad=True)
     x_uv = rng.normal(size=(n, model.edge_dim))
     weights = [model.pset[f"att{layer}.{p}"] for p in ("k.w", "k.b", "v.w", "v.b")]
+    for bias in weights[1::2]:
+        bias.data = rng.normal(size=d)
     return [q, h_src, phi], src, x_uv, weights, row, b
 
 
@@ -511,8 +514,9 @@ def test_temporal_attention_matches_composed_ops(rng, layer):
         T.backward(T.tensor_sum(context * T.constant(out_w)))
         runs.append((context.data, alpha, [t.grad.copy() for t in checked]))
     (context, alpha, grads), (expect_context, expect_alpha, expect_grads) = runs
-    assert context.tobytes() == expect_context.tobytes()
-    assert alpha.tobytes() == expect_alpha.tobytes()
+    # the composed scores sum each head's products in another order
+    np.testing.assert_allclose(context, expect_context, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, expect_alpha, rtol=0, atol=1e-12)
     assert not context[[1, 5]].any()  # queries without a slot get no context
     assert np.array_equal(alpha[[0, 4]], np.ones((2, model.config.n_heads)))
     for got, expect in zip(grads, expect_grads):
@@ -551,7 +555,9 @@ def test_temporal_attention_same_bytes_as_recompute(layer, edge_dim, n_slots):
 def test_time_encoder_same_bytes_as_composed_ops(rng, shape):
     """`shape` is that of a grid of (query time, event time) rows: (7,) is
     seven rows of their own, (3, 5) three query times against five event
-    times, so both time tables hold repeats."""
+    times, so both time tables hold repeats. Each encoder also runs in its
+    `row` form, over a query list that repeats times and holds one time no
+    row reads, as `TgnModel._embed` calls it for queries without slots."""
     model = tgn.TgnModel(small_config(), VOCAB, 0, rng)
     model.pset["time.phase"].data = rng.normal(size=model.config.d_time)
     t0 = 100.0
@@ -563,14 +569,17 @@ def test_time_encoder_same_bytes_as_composed_ops(rng, shape):
                                                 indexing="ij"))
     out_w = rng.normal(size=(len(t), model.config.d_time))
     params = [model.pset["time.freq"], model.pset["time.phase"]]
+    distinct, inverse = np.unique(t, return_inverse=True)
+    queries = np.concatenate([distinct, [(t.min() + t.max()) / 2], distinct])
     runs = []
     for encode in (model.time_enc.__call__, lambda *args: time_encoder_composed(model.time_enc, *args)):
-        for t_ in params:
-            t_.grad = None
-        phi = encode(model.pset, t, s, t0)
-        T.backward(T.tensor_sum(phi * T.constant(out_w)))
-        runs.append([phi.data.tobytes(), *_grads_bytes(params)])
-    assert runs[0] == runs[1]
+        for args in ((t, s, t0), (queries, s, t0, inverse + len(distinct) + 1)):
+            for t_ in params:
+                t_.grad = None
+            phi = encode(model.pset, *args)
+            T.backward(T.tensor_sum(phi * T.constant(out_w)))
+            runs.append([phi.data.tobytes(), *_grads_bytes(params)])
+    assert all(run == runs[0] for run in runs[1:])
 
 
 @pytest.mark.parametrize("config", [dict(n_layers=1), dict(n_layers=2), dict(d_mem=32, d_time=16, d_feat=32)])
@@ -599,15 +608,17 @@ def test_training_step_same_bytes_as_recompute_and_composed_encoder(monkeypatch,
 
 
 def test_temporal_attention_grads_match_fd(rng):
-    model = tgn.TgnModel(small_config(), VOCAB, 3, rng)
-    (q, h_src, phi), src, x_uv, weights, row, b = _attention_inputs(model, 1, seed=3)
-    out_w = np.random.default_rng(4).normal(size=(b, model.config.d_mem))
+    # layer 1 reads a shared node table, layer 2 a row per slot
+    for layer in (1, 2):
+        model = tgn.TgnModel(small_config(n_layers=layer), VOCAB, 3, rng)
+        (q, h_src, phi), src, x_uv, weights, row, b = _attention_inputs(model, layer, seed=3)
+        out_w = np.random.default_rng(4).normal(size=(b, model.config.d_mem))
 
-    def loss():
-        context, _ = tgn._temporal_attention(q, h_src, src, phi, x_uv, *weights, row, b, model.config.n_heads)
-        return T.tensor_mean(context * T.constant(out_w))
+        def loss():
+            context, _ = tgn._temporal_attention(q, h_src, src, phi, x_uv, *weights, row, b, model.config.n_heads)
+            return T.tensor_mean(context * T.constant(out_w))
 
-    assert_grads_match_fd(loss, [q, h_src, phi, *weights], np.random.default_rng(5))
+        assert_grads_match_fd(loss, [q, h_src, phi, *weights], np.random.default_rng(5))
 
 
 def test_temporal_attention_names_itself_on_nan(rng):
