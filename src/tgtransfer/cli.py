@@ -160,7 +160,8 @@ def _add_run_flags(sub, own: dict, transfer: bool = False) -> None:
     sub.add_argument("--out", required=True)
     if transfer:
         sub.add_argument("--mapping-out", help="write the memory mapping JSON here")
-    sub.add_argument("--no-rank-metrics", action="store_true")
+    sub.add_argument("--no-rank-metrics", action="store_true",
+                     help="skip the test catalog ranking: MRR and Recall@20 read 0.0")
     _add_config_flags(sub, tgn.TgnConfig, TGN_FLAGS)
 
 
@@ -309,6 +310,7 @@ def cmd_transfer(args) -> int:
     if len(runs) == 1:
         report.update(
             seed=seeds[0],
+            losses=runs[0].losses,
             val=runs[0].val_report.to_dict(),
             test=runs[0].test_report.to_dict(),
         )
@@ -316,7 +318,7 @@ def cmd_transfer(args) -> int:
         mean, std, rows = _summary(f"{args.variant},{pair}", [r.test_report for r in runs])
         report.update(
             seeds=seeds,
-            runs=[{"seed": s, "val": r.val_report.to_dict(), "test": r.test_report.to_dict()}
+            runs=[{"seed": s, "losses": r.losses, "val": r.val_report.to_dict(), "test": r.test_report.to_dict()}
                   for s, r in zip(seeds, runs)],
             mean=mean,
             std=std,

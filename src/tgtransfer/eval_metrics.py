@@ -5,7 +5,8 @@ negatives pair each event's user with a random other item at the same time.
 Each batch scores its users against one (B, m) matrix of candidate items:
 the full item catalog when ranking metrics are on, else each event's true
 item and its negative. The positive and negative scores are read off that
-matrix, and ranking metrics rank the true item among the catalog. The matrix
+matrix, and ranking metrics rank the true item among the catalog (a run
+ranks its test split only; see `transfer.execute_run`). The matrix
 is scored in near-equal groups of whole user rows of at most `PAIR_BUDGET`
 (user, item) pairs each, which bounds the per-slot arrays of one scoring
 pass; a row's bytes do not depend on the rows scored with it. Only a ranked

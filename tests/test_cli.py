@@ -294,9 +294,23 @@ def test_transfer_nt_report_and_warning(trained, tmp_path, capsys):
     assert "ignored for variant nt" in captured.err
     report = json.loads(out.read_text())
     assert report["variant"] == "nt"
+    assert len(report["losses"]) == 2  # one per --nt-epochs epoch
     for split in ("val", "test"):
         for metric in ("ap", "auc", "mrr", "recall_at_k"):
             assert 0.0 <= report[split][metric] <= 1.0
+    assert report["val"]["mrr"] == report["val"]["recall_at_k"] == 0.0  # only test is ranked
+    assert report["test"]["mrr"] > 0.0
+
+
+def test_transfer_report_carries_fine_tuning_losses(trained, tmp_path):
+    src_ckpt, _, target = trained
+    base = ["transfer", "--variant", "wt", "--target", str(target), "--src-ckpt", str(src_ckpt),
+            "--no-rank-metrics"]
+    for ft_epochs in (0, 2):
+        out = tmp_path / f"ft{ft_epochs}.json"
+        assert cli.main(base + ["--ft-epochs", str(ft_epochs), "--out", str(out)]) == 0
+        losses = json.loads(out.read_text())["losses"]
+        assert len(losses) == ft_epochs and all(isinstance(v, float) for v in losses)
 
 
 def test_transfer_wt_requires_checkpoint(trained, tmp_path, capsys):
@@ -340,6 +354,7 @@ def test_transfer_multi_seed_summary(trained, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["seeds"] == [1, 2, 3]
     assert len(report["runs"]) == 3
+    assert [len(run["losses"]) for run in report["runs"]] == [1, 1, 1]  # --nt-epochs 1
     assert set(report["mean"]) == {"ap", "auc", "mrr", "recall_at_k"}
     metrics = ("ap", "auc", "mrr", "recall_at_k")
     rows = [[f"{run['seed']}", run["test"]] for run in report["runs"]]
@@ -371,7 +386,7 @@ def test_transfer_seeds_share_one_mintt_preparation(trained, tmp_path, monkeypat
                             "--mapping-out", str(tmp_path / "one-map.json")]) == 0
     three = json.loads((tmp_path / "three.json").read_text())
     one = json.loads((tmp_path / "one.json").read_text())
-    assert three["runs"][1] == {"seed": 2, "val": one["val"], "test": one["test"]}
+    assert three["runs"][1] == {"seed": 2, "losses": one["losses"], "val": one["val"], "test": one["test"]}
     assert (tmp_path / "three-map.json").read_bytes() == (tmp_path / "one-map.json").read_bytes()
 
 

@@ -7,6 +7,7 @@ from tgtransfer import fgat as fg
 from tgtransfer import synthdata as sd
 from tgtransfer import tgn
 from tgtransfer import transfer as tr
+from tgtransfer.eval_metrics import evaluate
 from tgtransfer.numerics import Adam
 from tgtransfer.temporal_graph import TemporalGraph
 from tgtransfer.tgn import MemoryState
@@ -191,6 +192,35 @@ def test_wt_equals_mintt_with_memory_zeroed(pipeline):
     assert ablated.test_report.ap == wt.test_report.ap
     assert ablated.test_report.auc == wt.test_report.auc
     assert ablated.val_report.ap == wt.val_report.ap
+
+
+def test_ranked_run_scores_validation_unranked(pipeline, monkeypatch):
+    """A ranked run ranks its test split only. Its validation pass gives the
+    AP and AUC of a ranked pass over the same split, from the same state and
+    generator, and leaves the generator where that pass does, so the test
+    negatives are those of a run that ranks validation too."""
+    _, target, _, src_ckpt, fgat_ckpt = pipeline
+    calls = []
+
+    def spy(model, ctx, split, state, rng, **kw):
+        before = rng.bit_generator.state
+        result = evaluate(model, ctx, split, state, rng, **kw)
+        calls.append((ctx, split, state, before, rng.bit_generator.state, kw))
+        return result
+
+    monkeypatch.setattr(tr, "evaluate", spy)
+    res = tr.run_variant("mintt", target, run_cfg(rank_metrics=True), src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt)
+    assert res.val_report.mrr == res.val_report.recall_at_k == 0.0
+    assert res.test_report.mrr > 0.0
+    (ctx, val_g, state, before, after, kw), test_call = calls
+    assert not kw["rank_metrics"] and test_call[5]["rank_metrics"]
+
+    rng = np.random.default_rng()
+    rng.bit_generator.state = before
+    ranked, _ = evaluate(res.model, ctx, val_g, state, rng, variant="mintt", seed=5, rank_metrics=True)
+    assert ranked.mrr > 0.0
+    assert (ranked.ap, ranked.auc) == (res.val_report.ap, res.val_report.auc)
+    assert rng.bit_generator.state == after == test_call[3]
 
 
 def test_mintt_mapping_covers_all_target_nodes(pipeline):
