@@ -27,7 +27,7 @@ from . import synthdata as sd
 from . import tgn
 from . import transfer as tr
 from .eval_metrics import summarize
-from .numerics import Adam, CheckpointError, NonFiniteError
+from .numerics import Adam, CheckpointError, NonFiniteError, init_and_training_rngs
 from .temporal_graph import IngestError, TemporalGraph, chronological_split, load_events
 from .transform import build_static, load_transformed, save_transformed, transform_graph
 
@@ -214,8 +214,8 @@ def cmd_transform(args) -> int:
 
 def cmd_train_tgn(args) -> int:
     g = load_events(args.graph)
-    rng = np.random.default_rng(args.seed)
-    model = tgn.TgnModel(_config(args, tgn.TgnConfig, TGN_FLAGS), g.feature_vocab, g.edge_feature_dim, rng)
+    init_rng, rng = init_and_training_rngs(args.seed)
+    model = tgn.TgnModel(_config(args, tgn.TgnConfig, TGN_FLAGS), g.feature_vocab, g.edge_feature_dim, init_rng)
     ctx = model.bind_graph(g)
     opt = Adam(lr=model.config.lr)
     # zero epochs leave the zero memory
@@ -245,8 +245,8 @@ def cmd_train_fgat(args) -> int:
     forbidden = [load_transformed(p) for p in (args.forbid or [])]
 
     vocab = sorted(set().union(*(tg.feature_vocab for tg in pool)))
-    rng = np.random.default_rng(args.seed)
-    model = fg.FgatModel(_config(args, fg.FgatConfig, FGAT_FLAGS), vocab, rng)
+    init_rng, rng = init_and_training_rngs(args.seed)
+    model = fg.FgatModel(_config(args, fg.FgatConfig, FGAT_FLAGS), vocab, init_rng)
     losses = fg.train_fgat(model, pool, args.epochs, rng, forbidden=forbidden)
     fg.save_fgat(model, args.out)
     _write_loss_csv(str(args.out) + ".loss.csv", losses)

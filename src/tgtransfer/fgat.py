@@ -245,16 +245,15 @@ class FgatModel:
         self.pset = ParameterSet()
         d = config.dim
         self.pset.add("feat.table", xavier_uniform(rng, d, d, (len(self.feature_vocab) + 1, d)))
-        runs = [(layer, phase) for layer in range(1, config.n_layers + 1) for phase in range(1, 5)]
-        self._schedule = runs[:-1]  # `encode` ends after the last layer's phase 3
-        for layer, phase in runs:  # the last phase 4 is drawn, not kept: train-fgat goes on drawing from rng
-            pset = self.pset if (layer, phase) in self._schedule else ParameterSet()
+        # `encode` ends after the last layer's phase 3
+        self._schedule = [(layer, phase) for layer in range(1, config.n_layers + 1) for phase in range(1, 5)][:-1]
+        for layer, phase in self._schedule:
             p = f"layer{layer}.phase{phase}"
             for w in ("w1", "w2", "w5", "w6"):
-                pset.add(f"{p}.{w}", xavier_uniform(rng, d, d, (d, d)))
-            pset.add(f"{p}.w3", xavier_uniform(rng, 1, d, (d,)))
-            pset.add(f"{p}.w4", xavier_uniform(rng, 3 * d, 1, (3 * d, 1)))
-            Mlp(f"{p}.mlp", [2 * d, d, d]).init_params(pset, rng)
+                self.pset.add(f"{p}.{w}", xavier_uniform(rng, d, d, (d, d)))
+            self.pset.add(f"{p}.w3", xavier_uniform(rng, 1, d, (d,)))
+            self.pset.add(f"{p}.w4", xavier_uniform(rng, 3 * d, 1, (3 * d, 1)))
+            Mlp(f"{p}.mlp", [2 * d, d, d]).init_params(self.pset, rng)
 
     def token_rows(self, tokens: list[str]) -> np.ndarray:
         """Embedding rows for tokens; unseen tokens share the unknown row."""

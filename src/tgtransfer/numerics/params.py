@@ -62,6 +62,11 @@ class ParameterSet:
             t.grad = None
 
 
+def init_and_training_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Children 0 and 1 of `SeedSequence(seed)`: one seed's model-init and training generators."""
+    return tuple(np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2))
+
+
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)

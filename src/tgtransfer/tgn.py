@@ -20,12 +20,12 @@ reaches layer 0, and each layer encodes the query side's zero time gap once.
 The attention of one layer, from the key and value projections to the
 softmax-weighted sum of values, is one autodiff op with a hand-written
 backward, `_temporal_attention`. Keys and values run as one stream of width
-2 * d_mem: each neighbor table row is projected and biased once for both (at
-layer 1 once per graph node, the layer-0 table; above it once per slot),
-then gathered per slot, and one product adds the slots' time and edge
-columns. The tape keeps that stream, the attention weights and two plans of
-sums over query rows, so the backward reuses the forward instead of
-recomputing it. Its segment softmax is FGAT's, `T._segment_softmax`.
+2 * d_mem: each neighbor table row is projected once for both (at layer 1
+once per graph node, the layer-0 table; above it once per slot), then
+gathered per slot, and one product adds the slots' time and edge columns.
+The tape keeps that stream, the attention weights and two plans of sums
+over query rows, so the backward reuses the forward instead of recomputing
+it. Its segment softmax is FGAT's, `T._segment_softmax`.
 Time gaps, of a neighbor event or a memory update before the query and the
 query's zero gap to itself, go through `numerics.nn.TimeEncoder`'s tables of
 the call's distinct query and event times; neighbor slots pass their
@@ -148,7 +148,7 @@ def _distinct_queries(nodes: np.ndarray, ts: np.ndarray, hide) -> tuple[np.ndarr
     return order[new], inverse
 
 
-def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+def _temporal_attention(q, h_src, src, phi, x_uv, wk, wv, bv, row, b, heads):
     """Multi-head dot-product attention of `b` queries over their real
     neighbor slots, as one op.
 
@@ -156,7 +156,7 @@ def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads)
     `[h_src[src[s]], phi[s], x_uv[s]]`, with `x_uv` a constant array. Keys
     and values are the first and last d columns of one (n, 2d) stream
     `P[src] + [phi, x_uv] @ [wk[dm:], wv[dm:]]`, where `P = h_src @ [wk[:dm],
-    wv[:dm]] + [bk, bv]` projects and biases each `h_src` row once for both.
+    wv[:dm]] + [0, bv]` projects each `h_src` row once for both.
     Returns the (b, d) context as a `Tensor` with op name
     "temporal_attention", and the (n, heads) `alpha` array. The rest runs
     per-slot query dot products, a segment softmax and a segment sum.
@@ -165,7 +165,7 @@ def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads)
     and the softmax's backward rule; it gathers each slot's query row, which
     the tape does not keep, with its incoming gradient row. The key and
     value gradients fill one (n, 2d) array, summed per `h_src` row by one
-    plan, and both bias gradients are read off those sums.
+    plan, and the value bias gradient is read off those sums.
     """
     n, d = len(row), q.shape[1]
     dm, dh = h_src.shape[1], d // heads
@@ -174,7 +174,7 @@ def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads)
     w_h, w_rest = w[:dm], w[dm:]
     rest_in = np.concatenate([phi.data, x_uv], axis=1)
     p = T._matmul(h_src.data, w_h)
-    p += np.concatenate([bk.data, bv.data])
+    p[:, d:] += bv.data
     kv = T._matmul(rest_in, w_rest)
     for lo in range(0, n, 4096):  # gathered in blocks: no second (n, 2d) array
         kv[lo : lo + 4096] += p.take(src[lo : lo + 4096], axis=0)
@@ -192,18 +192,12 @@ def _temporal_attention(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads)
         # keys' gradient g_scores * q beside values' alpha * g
         g_kv = np.einsum("sjh,sjhd->sjhd", np.stack([g_scores, alpha], axis=1), qg).reshape(n, 2 * d)
         g_p = T._index_plan(src, len(h_src.data), 2 * d)(g_kv)
-        g_w_h, g_w_rest, g_b = T._matmul(h_src.data.T, g_p), T._matmul(rest_in.T, g_kv), g_p.sum(axis=0)
-        return (
-            g_q,
-            T._matmul(g_p, w_h.T),
-            T._matmul(g_kv, w_rest[: phi.shape[1]].T),
-            np.concatenate([g_w_h[:, :d], g_w_rest[:, :d]]),
-            g_b[:d],
-            np.concatenate([g_w_h[:, d:], g_w_rest[:, d:]]),
-            g_b[d:],
-        )
+        g_w_h, g_w_rest = T._matmul(h_src.data.T, g_p), T._matmul(rest_in.T, g_kv)
+        g_wk, g_wv = (np.concatenate([g_w_h[:, cols], g_w_rest[:, cols]]) for cols in (slice(0, d), slice(d, None)))
+        return (g_q, T._matmul(g_p, w_h.T), T._matmul(g_kv, w_rest[: phi.shape[1]].T),
+                g_wk, g_wv, g_p[:, d:].sum(axis=0))
 
-    parents = (q, h_src, phi, wk, bk, wv, bv)
+    parents = (q, h_src, phi, wk, wv, bv)
     return T.Tensor(context, _parents=parents, _backward=backward, _op="temporal_attention"), alpha
 
 
@@ -228,20 +222,20 @@ class TgnModel:
         self.gru = GruCell("gru", d, d)
         self.gru.init_params(self.pset, rng)
         self.att_q: list[Linear] = []
-        self.att_k: list[Linear] = []
         self.att_v: list[Linear] = []
         self.att_o: list[Linear] = []
         self.combine: list[Mlp] = []
         for layer in range(1, config.n_layers + 1):
             q = Linear(f"att{layer}.q", d + dt, d)
-            k = Linear(f"att{layer}.k", d + dt + de, d)
             v = Linear(f"att{layer}.v", d + dt + de, d)
             o = Linear(f"att{layer}.o", d, d)
             c = Mlp(f"combine{layer}", [2 * d, d, d])
-            for mod in (q, k, v, o, c):
+            q.init_params(self.pset, rng)
+            # keys carry no bias: q · b_k is the same for every slot of a query, and the softmax cancels it
+            self.pset.add(f"att{layer}.k.w", xavier_uniform(rng, d + dt + de, d, (d + dt + de, d)))
+            for mod in (v, o, c):
                 mod.init_params(self.pset, rng)
             self.att_q.append(q)
-            self.att_k.append(k)
             self.att_v.append(v)
             self.att_o.append(o)
             self.combine.append(c)
@@ -339,7 +333,7 @@ class TgnModel:
         li, ps = layer - 1, self.pset
         q = self.att_q[li](ps, q_in)
         context, _ = _temporal_attention(
-            q, h_src, src, phi, x_uv, *self.att_k[li].weights(ps), *self.att_v[li].weights(ps),
+            q, h_src, src, phi, x_uv, ps[f"att{layer}.k.w"], *self.att_v[li].weights(ps),
             row, b, cfg.n_heads,
         )
         context = self.att_o[li](ps, context)

@@ -16,6 +16,7 @@ in order, scoring events before their memory updates are applied.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -25,7 +26,7 @@ import numpy as np
 
 from .eval_metrics import MetricsReport, evaluate
 from .fgat import load_fgat
-from .numerics import Adam
+from .numerics import Adam, init_and_training_rngs
 from .numerics.checkpoint import check_fields
 from .temporal_graph import TemporalGraph, batch_iter, chronological_split
 from .tgn import MemoryState, TgnConfig, TgnModel, restore, train, update_memory
@@ -102,14 +103,12 @@ def map_memory(
 
 
 def transfer_weights(src: TgnModel) -> TgnModel:
-    """Deep-copy the source parameters into a fresh model.
+    """A deep copy of the source model.
 
     The copy shares nothing with the source, so fine-tuning it cannot alter
     the source model or its checkpoint. Optimizer state never transfers.
     """
-    model = TgnModel(src.config, src.feature_vocab, src.edge_dim, np.random.default_rng(0))
-    model.pset.load_arrays(src.pset.state_arrays())
-    return model
+    return copy.deepcopy(src)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def prepare_variant(
 
     if variant == "nt":
         model = TgnModel(cfg.tgn, train_graph.feature_vocab, train_graph.edge_feature_dim,
-                         np.random.default_rng(cfg.seed))
+                         init_and_training_rngs(cfg.seed)[0])
         return VariantSetup(variant, model, MemoryState.zeros(train_graph.num_nodes, cfg.tgn.d_mem),
                             cfg.nt_epochs, None)
 
@@ -224,15 +223,16 @@ def execute_run(
     and events between the slices (scarcity gaps) stay invisible. Only test
     ranks the catalog, if `cfg.rank_metrics`; validation scores its true and
     negative pairs alone, with a ranked pass's negatives, AP and AUC.
+    Training draws from the seed's training stream, validation and then test
+    from `default_rng(cfg.seed)`: all variants at a seed share negatives.
     """
     ctx_train = setup.model.bind_graph(train_g)
-    rng = np.random.default_rng(cfg.seed)
 
     losses: list = []
     if setup.epochs > 0:
         opt = Adam(lr=cfg.ft_lr) if cfg.ft_lr is not None and setup.variant != "nt" else None
         state, losses = train(
-            setup.model, ctx_train, train_g, setup.epochs, rng,
+            setup.model, ctx_train, train_g, setup.epochs, init_and_training_rngs(cfg.seed)[1],
             init_state=setup.init_state, optimizer=opt,
         )
     else:
@@ -243,6 +243,7 @@ def execute_run(
             state = update_memory(setup.model, state, batch, ctx_train)
 
     reports = []
+    rng = np.random.default_rng(cfg.seed)
     for split, ranked in ((val_g, False), (test_g, cfg.rank_metrics)):
         ctx = setup.model.bind_graph(_concat_events([train_g, split]))
         report, _ = evaluate(

@@ -543,9 +543,8 @@ def embed_padded(model, ctx, mem, nodes, ts, hide=None, layer=None):
 
     li = layer - 1
     q = model.att_q[li](model.pset, q_in).reshape((b, 1, heads, dh))
-    wk, bk = model.att_k[li].weights(model.pset)
     wv, bv = model.att_v[li].weights(model.pset)
-    kk, vv = key_value_composed(h_src, src, T.concat([phi, x_uv], axis=1), wk, bk, wv, bv)
+    kk, vv = key_value_composed(h_src, src, T.concat([phi, x_uv], axis=1), model.pset[f"att{layer}.k.w"], wv, bv)
     kk, vv = kk.reshape((b, k, heads, dh)), vv.reshape((b, k, heads, dh))
     scores = head_dot(q, kk) * (1.0 / np.sqrt(dh))  # (b, k, heads)
     scores = scores + T.constant((mask - 1.0)[:, :, None] * 1e30)
@@ -628,15 +627,15 @@ def segment_softmax(a, seg_ids, num_segments):
     return div(e, T.gather(T.segment_sum(e, seg_ids, num_segments), seg_ids))
 
 
-def key_value_composed(h_src, src, rest, wk, bk, wv, bv):
+def key_value_composed(h_src, src, rest, wk, wv, bv):
     """Keys and values of `tgn._temporal_attention` as composed ops, in its
-    order: `P = h_src @ W_h + [bk, bv]`, with `W_h` the key and value
+    order: `P = h_src @ W_h + [0, bv]`, with `W_h` the key and value
     weights' first rows side by side, gathered at `src`, plus `rest @
     W_rest` with their remaining rows side by side. Returns the (n, d) keys
     and values, the first and last d columns of that sum."""
     dm, d, n = h_src.shape[1], wk.shape[1], len(src)
     w = T.concat([wk, wv], axis=1)
-    p = matmul(h_src, T.gather(w, slice(0, dm))) + T.concat([bk, bv])
+    p = matmul(h_src, T.gather(w, slice(0, dm))) + T.concat([T.constant(np.zeros(d)), bv])
     kv = T.gather(p, src) + matmul(rest, T.gather(w, slice(dm, wk.shape[0])))
     # row 2s of the (2n, d) view holds slot s's key, row 2s + 1 its value
     halves = kv.reshape((2 * n, d))
@@ -656,13 +655,13 @@ def head_dot(a, b):
                     _op="head_dot")
 
 
-def temporal_attention_composed(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+def temporal_attention_composed(q, h_src, src, phi, x_uv, wk, wv, bv, row, b, heads):
     """Composed-op reference for `tgn._temporal_attention`: one autodiff op
     per step, each keeping its output on the tape. Returns the context and
     the `alpha` array."""
     n, d = len(row), q.shape[1]
     dh = d // heads
-    kk, vv = key_value_composed(h_src, src, T.concat([phi, T.constant(x_uv)], axis=1), wk, bk, wv, bv)
+    kk, vv = key_value_composed(h_src, src, T.concat([phi, T.constant(x_uv)], axis=1), wk, wv, bv)
     vv = vv.reshape((n, heads, dh))
     scores = T.tensor_sum((T.gather(q, row) * kk).reshape((n, heads, dh)), axis=2) * (1.0 / np.sqrt(dh))
     alpha = segment_softmax(scores, row, b)
@@ -670,7 +669,7 @@ def temporal_attention_composed(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b
     return context, alpha.data
 
 
-def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, b, heads):
+def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, wv, bv, row, b, heads):
     """Recomputing reference for `tgn._temporal_attention`: its backward
     projects the keys and values and gathers the per-slot query rows again,
     and every sum over `row` or `src` makes its own `_index_add` plan. The
@@ -684,7 +683,9 @@ def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, 
     rest_in = np.concatenate([phi.data, x_uv], axis=1)
 
     def project(half):
-        kv = (T._matmul(h_src.data, w_h) + np.concatenate([bk.data, bv.data]))[src] + T._matmul(rest_in, w_rest)
+        p = T._matmul(h_src.data, w_h)
+        p[:, d:] += bv.data
+        kv = p[src] + T._matmul(rest_in, w_rest)
         return np.ascontiguousarray(kv[:, half]).reshape(n, heads, dh)
 
     keys, values = slice(0, d), slice(d, 2 * d)
@@ -709,13 +710,12 @@ def temporal_attention_recompute(q, h_src, src, phi, x_uv, wk, bk, wv, bv, row, 
             T._matmul(g_p, w_h.T),
             T._matmul(g_kv, w_rest[:dt].T),
             np.concatenate([g_w_h[:, :d], g_w_rest[:, :d]]),
-            g_b[:d],
             np.concatenate([g_w_h[:, d:], g_w_rest[:, d:]]),
             g_b[d:],
         )
 
     out = T.Tensor(
-        context, _parents=(q, h_src, phi, wk, bk, wv, bv), _backward=backward, _op="temporal_attention"
+        context, _parents=(q, h_src, phi, wk, wv, bv), _backward=backward, _op="temporal_attention"
     )
     return out, alpha
 

@@ -1,10 +1,10 @@
 """Pinned on-disk bytes of the transformed-graph cache and the TGN checkpoint.
 
-The digests below were recorded from files written by the package before
-node feature tables moved to the CSR layout. Writing the same tiny graph
-must still give the same bytes, so caches and checkpoints written by older
-versions still load, and reading a file back and writing it again must
-reproduce it exactly.
+The cache digest was recorded from a file written by the package before
+node feature tables moved to the CSR layout, the checkpoint digest after the
+attention key lost its bias. Writing the same tiny graph must still give the
+same bytes, so caches and checkpoints written by older versions still load,
+and reading a file back and writing it again must reproduce it exactly.
 """
 
 import hashlib
@@ -15,10 +15,11 @@ import pytest
 from tgtransfer import temporal_graph as tg
 from tgtransfer import fgat, tgn, transform
 from tgtransfer.numerics import Adam, CheckpointError, read_blob, write_blob
+from tgtransfer.numerics import tensor as T
 
 PINNED = {
     "transformed.cache": "7186495581c25b0566424c95a3913980c091327039d8b1e92ca2649f34e7823b",
-    "tgn.ckpt": "3574427889196696cd993572c4fc463f0dc98b60e9bbf3474e5c2630cb10eb5e",
+    "tgn.ckpt": "1f33a7587b030e43be7c4415131679a26d39b6769b658697c144a34d5fb19220",
 }
 
 
@@ -37,13 +38,15 @@ def tiny_graph():
     )
 
 
+TINY_TGN = tgn.TgnConfig(d_mem=4, d_time=2, d_feat=4, n_heads=1, k_neighbors=2, batch_size=2)
+
+
 def write_all(tmp_path):
     g = tiny_graph()
     paths = {name: tmp_path / name for name in PINNED}
     transform.save_transformed(transform.transform_graph(g), paths["transformed.cache"])
-    cfg = tgn.TgnConfig(d_mem=4, d_time=2, d_feat=4, n_heads=1, k_neighbors=2, batch_size=2)
     rng = np.random.default_rng(11)
-    model = tgn.TgnModel(cfg, g.feature_vocab, g.edge_feature_dim, rng)
+    model = tgn.TgnModel(TINY_TGN, g.feature_vocab, g.edge_feature_dim, rng)
     state = tgn.MemoryState(rng.normal(size=(g.num_nodes, 4)), rng.uniform(0, 3, g.num_nodes))
     static = transform.build_static(g)
     tgn.snapshot(model, state, Adam(lr=0.01), paths["tgn.ckpt"], source_graph=g,
@@ -95,3 +98,30 @@ def test_restore_accepts_adam_only(tmp_path):
     write_blob(tmp_path / "sgd.ckpt", meta, arrays)
     with pytest.raises(CheckpointError, match="optimizer"):
         tgn.restore(tmp_path / "sgd.ckpt")
+
+
+def test_a_checkpoint_holding_the_key_bias_restores_without_it(tmp_path):
+    """Checkpoints written while attention keys had a bias hold `att1.k.b`
+    and its Adam moments. `restore` drops them: such a checkpoint scores and
+    trains on to the same bytes as one written without them."""
+    g = tiny_graph()
+    model = tgn.TgnModel(TINY_TGN, g.feature_vocab, g.edge_feature_dim, np.random.default_rng(11))
+    opt = Adam(lr=0.01)
+    state, _ = tgn.train(model, model.bind_graph(g), g, 1, np.random.default_rng(12), optimizer=opt)
+    tgn.snapshot(model, state, opt, tmp_path / "new.ckpt")
+    meta, arrays = read_blob(tmp_path / "new.ckpt")
+    bias = np.random.default_rng(13).normal(size=4)
+    write_blob(tmp_path / "old.ckpt", meta,
+               {**arrays, "att1.k.b": bias, "optim.m.att1.k.b": 0.1 * bias, "optim.v.att1.k.b": bias**2})
+    users, items, ts = np.arange(3), g.num_users + np.array([2, 0, 1]), np.full(3, 3.5)
+    runs = []
+    for name in ("new.ckpt", "old.ckpt"):
+        ckpt = tgn.restore(tmp_path / name)
+        assert "att1.k.b" not in ckpt.model.pset.names()
+        ctx = ckpt.model.bind_graph(g)
+        with T.no_grad():
+            probs = ckpt.model.score_pairs(ctx, T.constant(ckpt.state.memory), users, items, ts)
+        trained, _ = tgn.train(ckpt.model, ctx, g, 1, np.random.default_rng(14), optimizer=ckpt.optimizer)
+        runs.append([probs.data.tobytes(), trained.memory.tobytes(),
+                     *(t.data.tobytes() for t in ckpt.model.pset.tensors())])
+    assert runs[0] == runs[1]

@@ -73,16 +73,15 @@ def test_parameter_count(model):
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
-def test_the_model_draws_the_last_phase_4_it_drops(n_layers):
-    """The generator a model is built from moves on past the last layer's
-    phase 4, to where a deeper model draws its next layer: `train-fgat`
-    trains from that generator, so its draws are those of four phases in
-    every layer."""
+def test_the_model_draws_nothing_it_drops(n_layers):
+    """The generator a model is built from stops after the last layer's
+    phase 3, where a model one layer deeper draws that layer's phase 4: the
+    model draws the parameters it keeps and no more."""
     vocab, d = [f"tok{k}" for k in range(4)], 8
     draws = np.random.default_rng(4)
     fg.FgatModel(fg.FgatConfig(dim=d, n_layers=n_layers), vocab, draws)
     deeper = fg.FgatModel(fg.FgatConfig(dim=d, n_layers=n_layers + 1), vocab, np.random.default_rng(4))
-    nxt = deeper.pset[f"layer{n_layers + 1}.phase1.w1"].data
+    nxt = deeper.pset[f"layer{n_layers}.phase4.w1"].data
     assert draws.uniform(-np.sqrt(3 / d), np.sqrt(3 / d), (d, d)).tobytes() == nxt.tobytes()
 
 

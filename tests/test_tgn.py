@@ -273,7 +273,7 @@ def _record_attention(monkeypatch):
 
     def recording(*args):
         out, alpha = real(*args)
-        calls.append({"row": args[9], "b": args[10], "alpha": alpha})
+        calls.append({"row": args[8], "b": args[9], "alpha": alpha})
         return out, alpha
 
     monkeypatch.setattr(tgn, "_temporal_attention", recording)
@@ -483,8 +483,8 @@ def _attention_inputs(model, layer, seed, n_slots=None):
     # six queries: 0 and 3 hold one slot each, 1 and 5 none, 2 three, 4 four;
     # or `n_slots` slots spread over 300 queries. At layer 1 the slots read
     # rows of a layer-0 table of 7 nodes (200 with `n_slots`), some of them
-    # twice; above, each slot reads a row of its own. The key and value
-    # biases are drawn nonzero, in place of `Linear`'s zeros
+    # twice; above, each slot reads a row of its own. The value bias is
+    # drawn nonzero, in place of `Linear`'s zeros
     rng = np.random.default_rng(seed)
     row = np.array([0, 2, 2, 2, 3, 4, 4, 4, 4]) if n_slots is None else np.sort(rng.integers(0, 300, n_slots))
     n, b, d, dt = len(row), 6 if n_slots is None else 300, model.config.d_mem, model.config.d_time
@@ -494,9 +494,8 @@ def _attention_inputs(model, layer, seed, n_slots=None):
     src = rng.integers(0, n_nodes, n) if layer == 1 else np.arange(n)
     phi = T.Tensor(rng.normal(size=(n, dt)), requires_grad=True)
     x_uv = rng.normal(size=(n, model.edge_dim))
-    weights = [model.pset[f"att{layer}.{p}"] for p in ("k.w", "k.b", "v.w", "v.b")]
-    for bias in weights[1::2]:
-        bias.data = rng.normal(size=d)
+    weights = [model.pset[f"att{layer}.{p}"] for p in ("k.w", "v.w", "v.b")]
+    weights[2].data = rng.normal(size=d)
     return [q, h_src, phi], src, x_uv, weights, row, b
 
 

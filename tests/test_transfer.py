@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from tgtransfer import eval_metrics
 from tgtransfer import fgat as fg
 from tgtransfer import synthdata as sd
 from tgtransfer import tgn
 from tgtransfer import transfer as tr
 from tgtransfer.eval_metrics import evaluate
 from tgtransfer.numerics import Adam
-from tgtransfer.temporal_graph import TemporalGraph
+from tgtransfer.temporal_graph import TemporalGraph, batch_iter, sample_negatives
 from tgtransfer.tgn import MemoryState
 from tgtransfer.transform import build_static, transform_graph
 
@@ -221,6 +222,55 @@ def test_ranked_run_scores_validation_unranked(pipeline, monkeypatch):
     assert ranked.mrr > 0.0
     assert (ranked.ap, ranked.auc) == (res.val_report.ap, res.val_report.auc)
     assert rng.bit_generator.state == after == test_call[3]
+
+
+@pytest.fixture
+def negatives(monkeypatch):
+    """Records each run's evaluation draws: `drawn(run)` runs `run()` and
+    returns the (true items, negatives) of every `sample_negatives` call of
+    its validation and then test pass, in order."""
+    calls = []
+
+    def spy(items, num_items, rng):
+        negs = sample_negatives(items, num_items, rng)
+        calls.append((items.tobytes(), negs.tobytes()))
+        return negs
+
+    monkeypatch.setattr(eval_metrics, "sample_negatives", spy)
+
+    def drawn(run):
+        calls.clear()
+        run()
+        return list(calls)
+
+    return drawn
+
+
+def test_every_variant_scores_the_same_negatives(pipeline, negatives):
+    """nt, wt and mintt at one target and seed draw byte-equal validation
+    and test negatives, whatever their training drew, and those are the
+    draws of `default_rng(seed)` over the validation and then test events."""
+    _, target, _, src_ckpt, fgat_ckpt = pipeline
+    cfg = run_cfg()
+    nt, wt, mintt = (negatives(lambda v=v: tr.run_variant(v, target, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt))
+                     for v in tr.VARIANTS)
+    assert nt == wt == mintt
+
+    _, val_g, test_g = tr.chronological_split(target, cfg.split)
+    rng = np.random.default_rng(cfg.seed)
+    chunks = [batch.items for split in (val_g, test_g) for batch in batch_iter(split, 50)]  # `evaluate`'s chunks
+    expect = [(items.tobytes(), sample_negatives(items, target.num_items, rng).tobytes()) for items in chunks]
+    assert nt == expect
+
+
+def test_another_training_epoch_leaves_the_negatives_unchanged(pipeline, negatives):
+    """Training draws from its own stream, so nt at 3 and 4 epochs and wt
+    at 0, 1 and 2 fine-tuning epochs all score the same negatives."""
+    _, target, _, src_ckpt, _ = pipeline
+    nt = [negatives(lambda n=n: tr.run_variant("nt", target, run_cfg(nt_epochs=n))) for n in (3, 4)]
+    wt = [negatives(lambda n=n: tr.run_variant("wt", target, run_cfg(ft_epochs=n), src_ckpt=src_ckpt))
+          for n in (0, 1, 2)]
+    assert nt[0] == nt[1] == wt[0] == wt[1] == wt[2]
 
 
 def test_mintt_mapping_covers_all_target_nodes(pipeline):
