@@ -463,7 +463,7 @@ def build_parser():
 
     p = sub("transfer", cmd_transfer, help="run one variant on a target events CSV")
     p.add_argument("--variant", required=True, choices=tr.VARIANTS)
-    _add_run_flags(p, {"--target": {"required": True}, "--split": {"default": "0.1,0.45,0.45"}}, transfer=True)
+    _add_run_flags(p, {"--target": {"required": True}, "--split": {"default": ",".join(map(str, tr.DEFAULT_SPLIT))}}, transfer=True)
 
     p = sub("sweep", cmd_sweep, help="scarcity grid with fixed 20%%/30%% val/test windows")
     p.add_argument("--target", required=True)

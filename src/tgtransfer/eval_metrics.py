@@ -31,6 +31,8 @@ from .tgn import GraphContext, MemoryState, TgnModel, update_memory
 # (user, item) pairs per `score_pairs` call: a README ranked `transfer` (1 BLAS
 # thread) took 0.82 s at 1 000, 2 000 or one call a chunk, peaking at 52, 64, 91 MB
 PAIR_BUDGET = 1000
+K = 20  # the cutoff of Recall@k
+CHUNK = 50  # events scored per memory update
 
 
 # -- scalar metrics ------------------------------------------------------------
@@ -88,7 +90,7 @@ def mrr(ranks) -> float:
     return float(np.mean(1.0 / ranks))
 
 
-def recall_at_k(ranks, k: int = 20) -> float:
+def recall_at_k(ranks, k: int) -> float:
     ranks = np.asarray(ranks)
     if len(ranks) == 0:
         raise ValueError("recall of an empty test set")
@@ -150,8 +152,6 @@ def evaluate(
     split: TemporalGraph,
     state: MemoryState,
     rng: np.random.Generator,
-    k: int = 20,
-    chunk: int = 50,
     variant: str = "",
     seed: int = 0,
     rank_metrics: bool = True,
@@ -166,7 +166,7 @@ def evaluate(
     state = state.copy()
     pos_scores, neg_scores, ranks = [], [], []
     item_ids = np.arange(ctx.graph.num_items)
-    for batch in batch_iter(split, chunk):
+    for batch in batch_iter(split, CHUNK):
         negs = sample_negatives(batch.items, ctx.graph.num_items, rng)
         rows = np.arange(len(batch.items))
         if rank_metrics:  # the candidate in column j is item j
@@ -189,10 +189,10 @@ def evaluate(
         variant=variant,
         seed=seed,
         n_test_events=split.num_events,
-        k=k,
+        k=K,
         ap=average_precision(scores, labels),
         auc=auc(scores, labels),
         mrr=mrr(ranks) if rank_metrics else 0.0,
-        recall_at_k=recall_at_k(ranks, k) if rank_metrics else 0.0,
+        recall_at_k=recall_at_k(ranks, K) if rank_metrics else 0.0,
     )
     return report, state

@@ -55,6 +55,7 @@ from .numerics.params import ParameterSet, xavier_uniform
 from .transform import TransformedGraph
 
 UNKNOWN_ROW = 0  # embedding row for feature tokens outside the training vocab
+MASK_FRACTION = 0.5  # share of a graph's pairs a training epoch hides
 
 
 @dataclass
@@ -62,14 +63,10 @@ class FgatConfig:
     dim: int = 32
     n_layers: int = 2
     lr: float = 0.005
-    mask_fraction: float = 0.5
-    slope: float = 0.2
 
     def __post_init__(self):
         check_fields(self, "count", "dim", "n_layers")
         check_fields(self, "rate", "lr")
-        check_fields(self, "share", "mask_fraction")
-        check_fields(self, "unit", "slope")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,7 +147,7 @@ def _interaction_tables(users, items, counts, n_users, n_items, dim) -> tuple[Ph
     return p2, p3
 
 
-def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
+def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable):
     """The (count, d) attention context of a phase with edges, the (E, 1)
     `alpha` array, and the map from the context's gradient to those of the
     target rows, source rows, w1, w2, w6, w3 and w4, on arrays.
@@ -171,7 +168,7 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
     H_t, H_s = H[table.start : table.start + count], H[table.src_rows]
     w4_t, w4_s, w4_a = w4[:d], w4[d : 2 * d], w4[2 * d :]
     p_t, p_s = T._matmul(H_t, w1), T._matmul(H_s, w2)
-    (z_t, act_t), (z_s, act_s), (z_a, act_a) = (T._leaky_relu(x, slope) for x in (p_t, p_s, w3))
+    (z_t, act_t), (z_s, act_s), (z_a, act_a) = (T._leaky_relu(x) for x in (p_t, p_s, w3))
     logits = (z_t @ w4_t).take(seg, axis=0) + (z_s @ w4_s).take(src, axis=0) + table.edge_a[:, None] * (z_a @ w4_a)
     alpha, softmax_backward = T._segment_softmax(logits, seg, seg_sum1)
     v = T._matmul(H_s, w6).take(src, axis=0)
@@ -190,7 +187,7 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable, slope: float):
     return context, alpha, backward
 
 
-def phase_update(H: T.Tensor, params: tuple, table: PhaseTable, slope: float):
+def phase_update(H: T.Tensor, params: tuple, table: PhaseTable):
     """One phase as one op: the copy of `H` whose target rows are
     `MLP([H_t @ w5, context])`, and the (E, 1) `alpha` array (None without
     edges, where the context is 0). `params`: w5, the MLP's W0, b0, W1, b1
@@ -204,13 +201,13 @@ def phase_update(H: T.Tensor, params: tuple, table: PhaseTable, slope: float):
     if len(params) > 5:
         if T._grad_enabled and not table.src_sums:
             raise ValueError("a phase table built without a tape cannot run backward")
-        context, alpha, attention_backward = _edge_attention(H.data, *(p.data for p in params[5:]), table, slope)
+        context, alpha, attention_backward = _edge_attention(H.data, *(p.data for p in params[5:]), table)
     else:
         context, alpha = np.zeros((table.count, w5.shape[1])), None
     x = np.concatenate([T._matmul(H_t, w5), context], axis=1)
     pre = T._matmul(x, m_w0)
     pre += m_b0
-    hidden, hidden_backward = T._leaky_relu(pre, 0.2)  # `Mlp`'s slope
+    hidden, hidden_backward = T._leaky_relu(pre)
     out = H.data.copy()
     out[rows] = T._matmul(hidden, m_w1)
     out[rows] += m_b1
@@ -275,7 +272,7 @@ class FgatModel:
         for layer, phase in self._schedule:
             table = plan[phase - 1]
             params = self._phase_params(layer, phase, len(table.edge_tgt) > 0)
-            H, _ = phase_update(H, params, table, self.config.slope)
+            H, _ = phase_update(H, params, table)
         return H
 
     def encode_arrays(self, tg: TransformedGraph) -> np.ndarray:
@@ -388,7 +385,7 @@ def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng
     s = tg.static
     d = model.config.dim
     n_pairs = s.num_pairs
-    n_mask = max(1, int(round(n_pairs * model.config.mask_fraction)))
+    n_mask = max(1, int(round(n_pairs * MASK_FRACTION)))
     n_mask = min(n_mask, n_pairs - 1)  # always keep at least one pair
     perm = rng.permutation(n_pairs)
     mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])

@@ -15,6 +15,8 @@ import numpy as np
 from .params import ParameterSet
 from .tensor import MissingGradError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 def _flat(arrays: list) -> np.ndarray:
     return np.concatenate(arrays, axis=None) if arrays else np.zeros(0)
@@ -23,8 +25,8 @@ def _flat(arrays: list) -> np.ndarray:
 class Adam:
     kind = "adam"
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = float(lr), float(beta1), float(beta2), float(eps)
+    def __init__(self, lr: float):
+        self.lr = float(lr)
         self.t = 0
         self._lay_out([])
         self._m = self._v = np.zeros(0)
@@ -49,7 +51,7 @@ class Adam:
             self._m, self._v = (_flat([old.get(n, np.zeros(s)) for n, s in layout]) for old in (m, v))
             self._lay_out(layout)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         g = _flat([p.grad for _, p in params])
@@ -67,7 +69,7 @@ class Adam:
         # p.data because parameter arrays may be shared
         np.divide(v, bias2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += EPS
         step = np.divide(m, bias1)
         step *= self.lr
         step /= tmp

@@ -25,6 +25,8 @@ import numpy as np
 _node_counter = itertools.count()
 _grad_enabled = True
 
+SLOPE = 0.2  # of every leaky ReLU (TGN's and FGAT's MLPs, FGAT's attention), as in GAT
+
 
 class NonFiniteError(ArithmeticError):
     """A forward op produced NaN or Inf."""
@@ -202,25 +204,23 @@ def log(a: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="log")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    out_data, backward = _leaky_relu(a.data, slope)
+def leaky_relu(a: Tensor) -> Tensor:
+    out_data, backward = _leaky_relu(a.data)
     return Tensor(out_data, _parents=(a,), _backward=lambda g: (backward(g),), _op="leaky_relu")
 
 
-def _leaky_relu(x: np.ndarray, slope: float):
-    """`leaky_relu`'s values and its map from their gradient to `x`'s, for a
-    `slope` in [0, 1]: there the larger of x and slope*x is the selected one,
-    and slope + mask*(1 - slope) is exactly 1.0 or slope, so both are built
+def _leaky_relu(x: np.ndarray):
+    """`leaky_relu`'s values and its map from their gradient to `x`'s. As
+    `SLOPE` is in [0, 1], the larger of x and SLOPE*x is the selected one,
+    and SLOPE + mask*(1 - SLOPE) is exactly 1.0 or SLOPE, so both are built
     without a data-dependent branch per element."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope!r}")
     mask = x > 0.0
-    out = slope * x
+    out = SLOPE * x
     np.maximum(x, out, out=out)
 
     def backward(g):
-        scale = mask * (1.0 - slope)
-        scale += slope
+        scale = mask * (1.0 - SLOPE)
+        scale += SLOPE
         scale *= g
         return scale
 
@@ -281,21 +281,18 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return Tensor(out_data, _parents=(a,), _backward=backward, _op="sum")
 
 
-def tensor_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+def tensor_mean(a: Tensor) -> Tensor:
+    return tensor_sum(a) * (1.0 / a.size)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -500,7 +500,7 @@ class TgnCheckpoint(NamedTuple):
     model: TgnModel
     state: MemoryState
     optimizer: Adam
-    source: TransformedGraph | None
+    source: TransformedGraph
 
 
 def snapshot(
@@ -508,11 +508,11 @@ def snapshot(
     state: MemoryState,
     optimizer: Adam,
     path,
-    source_graph: TemporalGraph | None = None,
-    train_pairs: tuple | None = None,
+    source_graph: TemporalGraph,
+    train_pairs: tuple,
 ) -> None:
-    """Write params, memory, optimizer state, and optionally the source graph
-    a later transfer run maps memory from: its transformed graph over the
+    """Write params, memory, optimizer state, and the source graph a later
+    transfer run maps memory from: its transformed graph over the
     (user, item, count) `train_pairs` of its training split, stored at
     array names prefixed "graph." in the `transform` blob format, so the
     raw event log is not needed."""
@@ -527,22 +527,19 @@ def snapshot(
         "edge_dim": model.edge_dim,
         "feature_vocab": model.feature_vocab,
         "optimizer": {"kind": optimizer.kind, "lr": optimizer.lr},
-        "graph": None,
     }
-    if source_graph is not None:
-        if train_pairs is None:
-            raise ValueError("source_graph requires train_pairs")
-        static = StaticGraph(*train_pairs, source_graph.num_users, source_graph.num_items)
-        tg = TransformedGraph(static, source_graph.user_features, source_graph.item_features,
-                              source_graph.feature_vocab)
-        meta["graph"], graph_arrays = graph_blob(tg, prefix="graph.")
-        arrays.update(graph_arrays)
+    static = StaticGraph(*train_pairs, source_graph.num_users, source_graph.num_items)
+    tg = TransformedGraph(static, source_graph.user_features, source_graph.item_features,
+                          source_graph.feature_vocab)
+    meta["graph"], graph_arrays = graph_blob(tg, prefix="graph.")
+    arrays.update(graph_arrays)
     write_blob(path, meta, arrays)
 
 
 def restore(path) -> TgnCheckpoint:
-    """The model, memory, Adam optimizer and source graph `snapshot` wrote;
-    `source` is None when it wrote no graph."""
+    """The model, memory, Adam optimizer and source graph `snapshot` wrote.
+    Stored parameters the model does not name, and their Adam moments, are
+    dropped."""
     meta, arrays = read_blob(path)
     if meta.get("kind") != "tgn-checkpoint":
         raise ValueError(f"{path} is not a tgn checkpoint")
@@ -557,8 +554,8 @@ def restore(path) -> TgnCheckpoint:
     if kind != "adam":
         raise CheckpointError(f"unknown optimizer kind: {kind!r}")
     optimizer = Adam(lr)
-    opt_state = {k[len("optim."):]: v for k, v in arrays.items() if k.startswith("optim.")}
+    opt_keys = ["__step__", *(f"{slot}.{name}" for slot in "mv" for name in param_names)]
+    opt_state = {k: arrays[f"optim.{k}"] for k in opt_keys if f"optim.{k}" in arrays}
     if opt_state:
         optimizer.load_state(opt_state)
-    source = None if graph is None else graph_from_blob(graph, arrays, prefix="graph.")
-    return TgnCheckpoint(model, state, optimizer, source)
+    return TgnCheckpoint(model, state, optimizer, graph_from_blob(graph, arrays, prefix="graph."))

@@ -33,6 +33,7 @@ from .tgn import MemoryState, TgnConfig, TgnModel, restore, train, update_memory
 from .transform import transform_graph
 
 VARIANTS = ("nt", "wt", "mintt")
+DEFAULT_SPLIT = (0.1, 0.45, 0.45)  # chronological (train, val, test) fractions
 
 
 class MemoryMapping(NamedTuple):
@@ -115,7 +116,6 @@ def transfer_weights(src: TgnModel) -> TgnModel:
 class TransferConfig:
     """One variant run's settings; `rank_metrics` ranks the test catalog."""
 
-    split: tuple = (0.1, 0.45, 0.45)
     nt_epochs: int = 30
     ft_epochs: int = 5
     ft_lr: float | None = None
@@ -182,8 +182,6 @@ def prepare_variant(
         raise ValueError("variant 'mintt' requires an attribute-encoder checkpoint")
     encoder = load_fgat(fgat_ckpt)
     tg_src = ckpt.source
-    if tg_src is None:
-        raise ValueError("source checkpoint lacks the graph bundle needed for memory mapping")
     tg_tgt = transform_graph(train_graph)
     h_src = encoder.encode_arrays(tg_src)[: tg_src.num_graph_nodes]
     h_tgt = encoder.encode_arrays(tg_tgt)[: tg_tgt.num_graph_nodes]
@@ -276,7 +274,7 @@ def run_seeds(variant: str, g_tgt: TemporalGraph, cfg: TransferConfig, seeds, sr
     """End-to-end variant runs on a target graph, `cfg` at each of `seeds`;
     yields each result as its run ends.
 
-    Uses `cfg.split` chronological fractions unless explicit `splits`
+    Uses the `DEFAULT_SPLIT` chronological fractions unless explicit `splits`
     (train, val, test) slices are given. A transferred variant's weights,
     initial memory and mapping depend only on the checkpoints and the
     training slice, so they are prepared once, and every run fine-tunes its
@@ -285,7 +283,7 @@ def run_seeds(variant: str, g_tgt: TemporalGraph, cfg: TransferConfig, seeds, sr
     """
     sums = [(p, _sha256(p)) for p in (src_ckpt, fgat_ckpt) if p is not None]
     if splits is None:
-        splits = chronological_split(g_tgt, cfg.split)
+        splits = chronological_split(g_tgt, DEFAULT_SPLIT)
     train_g, val_g, test_g = splits
     prepared = None
     for seed in seeds:

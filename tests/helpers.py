@@ -58,9 +58,9 @@ def _loss_and_kink_signs(build_loss):
     made, in call order."""
     signs, real = [], T._leaky_relu
 
-    def recording(x, slope):
+    def recording(x):
         signs.append(x > 0.0)
-        return real(x, slope)
+        return real(x)
 
     T._leaky_relu = recording
     try:
@@ -199,7 +199,7 @@ def predict_link(model, ctx, state, user, item_global, t):
     return float(p.data[0])
 
 
-def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
+def g_theta(pset, prefix, h_u, neighbors):
     """Single-target FGAT attention block, the per-node reference for
     `fgat.phase_update`; `neighbors` is [(node_id, h_v, a_uv)].
 
@@ -225,7 +225,6 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
                     ],
                     axis=1,
                 ),
-                slope=slope,
             )
             logits = matmul(msg, pset[f"{prefix}.w4"])
             seg = np.zeros(len(ordered), dtype=np.int64)
@@ -240,7 +239,7 @@ def g_theta(pset, prefix, h_u, neighbors, slope=0.2):
         return mlp(pset, T.concat([self_proj, context], axis=1)).data[0]
 
 
-def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
+def edge_attention_composed(H, w1, w2, w6, w3, w4, table):
     """Composed-op reference for `edge_attention_per_node`, the attention of
     `fgat.phase_update`: gather `h_u` and `h_v` per edge, project them per
     edge, and score, normalise and sum with one autodiff op per step.
@@ -256,7 +255,6 @@ def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
             ],
             axis=1,
         ),
-        slope=slope,
     )
     logits = matmul(msg, w4)
     alpha = segment_softmax(logits, table.seg, table.count)
@@ -264,7 +262,7 @@ def edge_attention_composed(H, w1, w2, w6, w3, w4, table, slope):
     return T.segment_sum(weighted, table.seg, table.count), alpha.data
 
 
-def edge_attention_per_node(H, w1, w2, w6, w3, w4, table, slope):
+def edge_attention_per_node(H, w1, w2, w6, w3, w4, table):
     """The attention context of one phase as one autodiff op, with per-node
     scores as in `fgat._edge_attention`: the edge part of the composed phase
     that `phase_update_composed` runs. Returns the context `Tensor` and the
@@ -275,10 +273,10 @@ def edge_attention_per_node(H, w1, w2, w6, w3, w4, table, slope):
     H_t, H_s = H.data[table.start : table.start + count], H.data[table.src_rows]
 
     def activate(x):
-        return np.where(x > 0.0, x, slope * x)
+        return np.where(x > 0.0, x, T.SLOPE * x)
 
     def slopes(x):
-        return np.where(x > 0.0, 1.0, slope)
+        return np.where(x > 0.0, 1.0, T.SLOPE)
 
     w4_t, w4_s, w4_a = w4.data[:d], w4.data[d : 2 * d], w4.data[2 * d :]
     p_t, p_s = T._matmul(H_t, w1.data), T._matmul(H_s, w2.data)
@@ -314,7 +312,7 @@ def edge_attention_per_node(H, w1, w2, w6, w3, w4, table, slope):
     return out, alpha
 
 
-def phase_update_composed(H, params, table, slope, attention=edge_attention_per_node):
+def phase_update_composed(H, params, table, attention=edge_attention_per_node):
     """Composed-op reference for `fgat.phase_update`, same arguments and
     results: gather the targets, project them, run `attention` (an op like
     `edge_attention_per_node`), concat, the two-layer MLP as `linear`,
@@ -323,7 +321,7 @@ def phase_update_composed(H, params, table, slope, attention=edge_attention_per_
     rows = slice(table.start, table.start + table.count)
     self_proj = matmul(T.gather(H, rows), w5)
     if len(params) > 5:
-        context, alpha = attention(H, *params[5:], table, slope)
+        context, alpha = attention(H, *params[5:], table)
     else:
         alpha = None
         context = T.constant(np.zeros((table.count, w5.shape[1])))
@@ -346,7 +344,7 @@ def encode_composed(model, tg, plan=None, n_layers=None):
         for phase in range(1, 5):
             table = plan[phase - 1]
             params = model._phase_params(layer, phase, len(table.edge_tgt) > 0)
-            H, _ = phase_update_composed(H, params, table, model.config.slope)
+            H, _ = phase_update_composed(H, params, table)
     return H
 
 
@@ -397,7 +395,7 @@ def train_fgat_composed(model, pool, epochs, rng, n_layers=None):
         tg = pool[k]
         s = tg.static
         n_pairs = s.num_pairs
-        n_mask = max(1, int(round(n_pairs * model.config.mask_fraction)))
+        n_mask = max(1, int(round(n_pairs * fgat.MASK_FRACTION)))
         n_mask = min(n_mask, n_pairs - 1)
         perm = rng.permutation(n_pairs)
         mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])

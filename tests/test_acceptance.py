@@ -118,7 +118,7 @@ def _check_g_theta_blocks(rng, n):
         w = rng.normal(size=(n_nodes, d))
 
         def loss():
-            out, _ = fg.phase_update(H, model._phase_params(1, phase, True), table, model.config.slope)
+            out, _ = fg.phase_update(H, model._phase_params(1, phase, True), table)
             return N.tensor_mean(out * N.constant(w))
 
         checked = [H] + [model.pset[f"{prefix}.w{j}"] for j in range(1, 7)]
@@ -429,7 +429,7 @@ BED_KW = dict(
 
 def _zeroed_memory_ap(target, cfg, src_ckpt, enc_ckpt):
     """Full transfer with the mapped memory replaced by zeros at handoff."""
-    train_g, val_g, test_g = chronological_split(target, cfg.split)
+    train_g, val_g, test_g = chronological_split(target, tr.DEFAULT_SPLIT)
     setup = tr.prepare_variant("mintt", train_g, cfg, src_ckpt=src_ckpt, fgat_ckpt=enc_ckpt)
     zero = MemoryState.zeros(setup.init_state.num_nodes, setup.model.config.d_mem)
     ablated = tr.VariantSetup(setup.variant, setup.model, zero, setup.epochs, setup.mapping)

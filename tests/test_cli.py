@@ -448,16 +448,18 @@ def test_unreadable_checkpoint_writes_nothing_to_stdout(trained, tmp_path, capsy
 
 
 def test_encoder_checkpoint_with_bad_slope_is_one_error_line(trained, tmp_path, capsys):
+    """An encoder checkpoint whose config still holds the slope and mask
+    share, now constants, fails and names both keys."""
     src_ckpt, enc_ckpt, target = trained
     meta, arrays = read_blob(enc_ckpt)
-    meta["config"]["slope"] = 1.5
+    meta["config"].update(slope=0.2, mask_fraction=0.5)
     bad = tmp_path / "encoder.ckpt"
     write_blob(bad, meta, arrays)
     rc = cli.main(["transfer", "--variant", "mintt", "--target", str(target), "--src-ckpt", str(src_ckpt),
                    "--fgat-ckpt", str(bad), "--out", str(tmp_path / "r.json")])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: bad checkpoint config: slope must be in [0, 1], got 1.5"]
+    assert captured.err.splitlines() == ["error: unknown checkpoint config keys: mask_fraction, slope"]
     assert captured.out == ""
 
 
@@ -749,8 +751,11 @@ def test_config_flags_default_to_their_fields(command, cls, table):
 @pytest.mark.parametrize("cls, table, unflagged", [
     (tgn.TgnConfig, cli.TGN_FLAGS, set()),
     (sd.SynthConfig, cli.SYNTH_FLAGS, set()),
-    (tr.TransferConfig, cli.TRANSFER_FLAGS, {"split", "rank_metrics", "tgn"}),
+    (tr.TransferConfig, cli.TRANSFER_FLAGS, {"rank_metrics", "tgn"}),
+    (fg.FgatConfig, cli.FGAT_FLAGS, set()),
 ])
 def test_config_fields_have_one_flag_each(cls, table, unflagged):
+    """Each config field has exactly one flag; `TransferConfig.rank_metrics`
+    is set by --no-rank-metrics and `tgn` by the TGN flags."""
     named = [name for _, name, *_ in table]
     assert sorted(named) == sorted({f.name for f in fields(cls)} - unflagged)

@@ -41,6 +41,13 @@ def tiny_graph():
 TINY_TGN = tgn.TgnConfig(d_mem=4, d_time=2, d_feat=4, n_heads=1, k_neighbors=2, batch_size=2)
 
 
+def snapshot(model, state, opt, path, g):
+    """`tgn.snapshot` with `g` as the source graph, over all of its pairs."""
+    static = transform.build_static(g)
+    tgn.snapshot(model, state, opt, path, source_graph=g,
+                 train_pairs=(static.pair_users, static.pair_items, static.pair_counts))
+
+
 def write_all(tmp_path):
     g = tiny_graph()
     paths = {name: tmp_path / name for name in PINNED}
@@ -48,9 +55,7 @@ def write_all(tmp_path):
     rng = np.random.default_rng(11)
     model = tgn.TgnModel(TINY_TGN, g.feature_vocab, g.edge_feature_dim, rng)
     state = tgn.MemoryState(rng.normal(size=(g.num_nodes, 4)), rng.uniform(0, 3, g.num_nodes))
-    static = transform.build_static(g)
-    tgn.snapshot(model, state, Adam(lr=0.01), paths["tgn.ckpt"], source_graph=g,
-                 train_pairs=(static.pair_users, static.pair_items, static.pair_counts))
+    snapshot(model, state, Adam(lr=0.01), paths["tgn.ckpt"], g)
     return paths
 
 
@@ -103,12 +108,13 @@ def test_restore_accepts_adam_only(tmp_path):
 def test_a_checkpoint_holding_the_key_bias_restores_without_it(tmp_path):
     """Checkpoints written while attention keys had a bias hold `att1.k.b`
     and its Adam moments. `restore` drops them: such a checkpoint scores and
-    trains on to the same bytes as one written without them."""
+    trains on to the same bytes as one written without them, and snapshots
+    again without them before any step."""
     g = tiny_graph()
     model = tgn.TgnModel(TINY_TGN, g.feature_vocab, g.edge_feature_dim, np.random.default_rng(11))
     opt = Adam(lr=0.01)
     state, _ = tgn.train(model, model.bind_graph(g), g, 1, np.random.default_rng(12), optimizer=opt)
-    tgn.snapshot(model, state, opt, tmp_path / "new.ckpt")
+    snapshot(model, state, opt, tmp_path / "new.ckpt", g)
     meta, arrays = read_blob(tmp_path / "new.ckpt")
     bias = np.random.default_rng(13).normal(size=4)
     write_blob(tmp_path / "old.ckpt", meta,
@@ -118,6 +124,8 @@ def test_a_checkpoint_holding_the_key_bias_restores_without_it(tmp_path):
     for name in ("new.ckpt", "old.ckpt"):
         ckpt = tgn.restore(tmp_path / name)
         assert "att1.k.b" not in ckpt.model.pset.names()
+        snapshot(ckpt.model, ckpt.state, ckpt.optimizer, tmp_path / "again.ckpt", g)
+        assert [key for key in read_blob(tmp_path / "again.ckpt")[1] if "att1.k.b" in key] == []
         ctx = ckpt.model.bind_graph(g)
         with T.no_grad():
             probs = ckpt.model.score_pairs(ctx, T.constant(ckpt.state.memory), users, items, ts)

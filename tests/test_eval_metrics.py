@@ -253,6 +253,7 @@ def test_evaluate_pair_scores_same_with_and_without_ranking(monkeypatch):
     ctx = model.bind_graph(g)
     state = tgn.MemoryState(np.random.default_rng(4).normal(size=(g.num_nodes, 8)), np.zeros(g.num_nodes))
     split = g.slice(30, 51)  # chunks of 10, 10 and one event
+    monkeypatch.setattr(em, "CHUNK", 10)
     scored, score_pairs = [], model.score_pairs
 
     def counting_score_pairs(*args, **kwargs):
@@ -263,7 +264,7 @@ def test_evaluate_pair_scores_same_with_and_without_ranking(monkeypatch):
     runs, reports = [], {}
     for rank in (True, False):
         rng = np.random.default_rng(6)
-        rep, end = em.evaluate(model, ctx, split, state, rng, chunk=10, rank_metrics=rank)
+        rep, end = em.evaluate(model, ctx, split, state, rng, rank_metrics=rank)
         runs.append((rep.ap, rep.auc, end.memory.tobytes(), rng.random()))
         reports[rank] = rep
         assert len(scored) == 3  # one call per chunk in either mode
@@ -275,7 +276,7 @@ def test_evaluate_pair_scores_same_with_and_without_ranking(monkeypatch):
     monkeypatch.setattr(em, "PAIR_BUDGET", 13)
     for rank, calls in ((True, 5 + 5 + 1), (False, 2 + 2 + 1)):
         rng = np.random.default_rng(6)
-        rep, end = em.evaluate(model, ctx, split, state, rng, chunk=10, rank_metrics=rank)
+        rep, end = em.evaluate(model, ctx, split, state, rng, rank_metrics=rank)
         assert (rep.ap, rep.auc, end.memory.tobytes(), rng.random()) == runs[0]
         assert rep == reports[rank]  # MRR and Recall@20 too
         assert len(scored) == calls

@@ -5,7 +5,7 @@ import pytest
 
 import tgtransfer.fgat as fg
 from tgtransfer import transform as tf
-from tgtransfer.numerics import CheckpointError, read_blob, tensor as T, write_blob
+from tgtransfer.numerics import read_blob, tensor as T, write_blob
 
 from helpers import (
     assert_grads_match_fd, edge_attention_composed, encode_composed, feature_attachment_tables, g_theta,
@@ -51,8 +51,8 @@ def _record_phases(monkeypatch, model):
     names = {id(model.pset[f"layer{layer}.phase{phase}.w5"]): (layer, phase) for layer, phase in model._schedule}
     steps, real = [], fg.phase_update
 
-    def recording(H, params, table, slope):
-        out, alpha = real(H, params, table, slope)
+    def recording(H, params, table):
+        out, alpha = real(H, params, table)
         layer, phase = names[id(params[0])]
         steps.append({"layer": layer, "phase": phase, "table": table, "alpha": alpha,
                       "before": H.data, "after": out.data})
@@ -162,7 +162,7 @@ def test_phase_output_matches_per_node_block(rng, model, monkeypatch):
                 (int(s), before[int(s)], float(a))
                 for s, a in zip(table.edge_src[sel], table.edge_a[sel])
             ]
-            expect = g_theta(model.pset, prefix, before[node], nbrs, slope=model.config.slope)
+            expect = g_theta(model.pset, prefix, before[node], nbrs)
             assert np.allclose(after[node], expect, atol=1e-12)
 
 
@@ -318,7 +318,7 @@ def _update_runs(model, tg, table, phase, seed, ops):
     for op in ops:
         for t in [H, *params]:
             t.grad = None
-        out, alpha = op(H, params, table, model.config.slope)
+        out, alpha = op(H, params, table)
         T.backward(T.tensor_sum(out * T.constant(out_w)))
         runs.append((out.data, alpha, [t.grad.copy() for t in [H, *params]]))
     return runs
@@ -376,15 +376,15 @@ def test_edge_attention_scores_split_into_per_node_terms(model, phase):
     table = fg.phase_plan(tg, model.config.dim)[phase - 1]
     H, params, _ = _update_inputs(model, tg, table, phase, seed=20 + phase)
     w1, w2, _, w3, w4 = (w.data for w in params[5:])
-    d, slope = w1.shape[1], model.config.slope
+    d = w1.shape[1]
 
     def act(x):
-        return np.where(x > 0.0, x, slope * x)
+        return np.where(x > 0.0, x, T.SLOPE * x)
 
     per_target = act(H.data[table.start : table.start + table.count] @ w1) @ w4[:d]
     per_source = act(H.data @ w2) @ w4[d : 2 * d]
     logits = per_target[table.seg] + per_source[table.edge_src] + table.edge_a[:, None] * (act(w3) @ w4[2 * d :])
-    _, alpha = fg.phase_update(H, params, table, slope)
+    _, alpha = fg.phase_update(H, params, table)
     expect = segment_softmax(T.constant(logits), table.seg, table.count).data
     np.testing.assert_allclose(alpha, expect, rtol=0, atol=1e-12)
 
@@ -393,7 +393,7 @@ def _assert_update_grads_match_fd(model, table):
     H, params, out_w = _update_inputs(model, _attention_graphs()[0], table, 2, seed=3)
 
     def loss():
-        out, _ = fg.phase_update(H, params, table, model.config.slope)
+        out, _ = fg.phase_update(H, params, table)
         return T.tensor_mean(out * T.constant(out_w))
 
     assert_grads_match_fd(loss, [H, *params], np.random.default_rng(4))
@@ -416,14 +416,14 @@ def test_fd_check_steps_inside_a_kink_of_a_phase(model, monkeypatch):
     table = fg.phase_plan(tg, model.config.dim)[1]
     H, params, out_w = _update_inputs(model, tg, table, 2, seed=3)
     inputs, real = [], T._leaky_relu
-    monkeypatch.setattr(T, "_leaky_relu", lambda x, slope: inputs.append(x) or real(x, slope))
-    fg.phase_update(H, params, table, model.config.slope)
+    monkeypatch.setattr(T, "_leaky_relu", lambda x: inputs.append(x) or real(x))
+    fg.phase_update(H, params, table)
     monkeypatch.setattr(T, "_leaky_relu", real)
     bias = params[2]  # shifts the hidden layer's inputs, the op's last activation
     bias.data[0] += 3e-7 - inputs[-1][0, 0]
 
     def loss():
-        out, _ = fg.phase_update(H, params, table, model.config.slope)
+        out, _ = fg.phase_update(H, params, table)
         return T.tensor_mean(out * T.constant(out_w))
 
     def check(**step):
@@ -432,7 +432,7 @@ def test_fd_check_steps_inside_a_kink_of_a_phase(model, monkeypatch):
     with pytest.raises(AssertionError, match=r"coord \(np.int64\(0\),\)"):
         check(h_min=1e-6)
     check()
-    monkeypatch.setattr(T, "_leaky_relu", lambda x, slope: (real(x, slope)[0], real(x, 0.3)[1]))
+    monkeypatch.setattr(T, "_leaky_relu", lambda x: (real(x)[0], lambda g: g * np.where(x > 0.0, 1.0, 0.3)))
     with pytest.raises(AssertionError):
         check()
 
@@ -443,7 +443,7 @@ def test_edge_attention_names_itself_on_nan(model):
     H, params, _ = _update_inputs(model, tg, table, 2, seed=5)
     H.data[table.edge_src[0]] = np.nan
     with pytest.raises(T.NonFiniteError, match="phase_update"):
-        fg.phase_update(H, params, table, model.config.slope)
+        fg.phase_update(H, params, table)
 
 
 @pytest.mark.parametrize("bad", [-0.7, np.nan, np.inf])
@@ -561,7 +561,7 @@ def test_tape_free_tables_build_only_the_forward_plans(monkeypatch, rng):
     model = fg.FgatModel(fg.FgatConfig(dim=8, n_layers=1), [f"tok{k}" for k in range(4)], rng)
     H, params, _ = _update_inputs(model, tg, tables[1], 2, seed=0)
     with pytest.raises(ValueError, match="without a tape"):
-        fg.phase_update(H, params, tables[1], model.config.slope)
+        fg.phase_update(H, params, tables[1])
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -757,22 +757,6 @@ def test_train_fgat_rejects_bad_pools(rng):
         fg.train_fgat(model, [tiny], 5, rng)
     with pytest.raises(ValueError, match="epochs must be an integer >= 0, got -1"):
         fg.train_fgat(model, [target], -1, rng)
-
-
-@pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
-def test_fgat_config_rejects_slope_outside_unit_interval(slope):
-    with pytest.raises(ValueError, match="slope must be in"):
-        fg.FgatConfig(slope=slope)
-
-
-def test_load_fgat_rejects_slope_outside_unit_interval(tmp_path, model):
-    path = tmp_path / "fgat.ckpt"
-    fg.save_fgat(model, path)
-    meta, arrays = read_blob(path)
-    meta["config"]["slope"] = 1.5
-    write_blob(path, meta, arrays)
-    with pytest.raises(CheckpointError, match="slope must be in"):
-        fg.load_fgat(path)
 
 
 def test_load_fgat_rejects_weights_for_the_last_phase_4(tmp_path, model):

@@ -42,7 +42,7 @@ NUMPY_NAMED = {
     "Tensor.ndim": ("numerics/tensor.py", "if x.ndim != 2 or x.shape[1] != w.shape[0]:"),
     "Tensor.reshape": ("tgn.py", "return T.sigmoid(logits.reshape((b,)))"),
     "Tensor.shape": ("tgn.py", "if mem.shape != want:"),
-    "Tensor.size": ("numerics/tensor.py", "n = a.size if axis is None else a.shape[axis]"),
+    "Tensor.size": ("numerics/tensor.py", "return tensor_sum(a) * (1.0 / a.size)"),
 }
 
 

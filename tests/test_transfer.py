@@ -150,7 +150,7 @@ def test_prepare_variant_requires_checkpoints(pipeline):
 
 def run_cfg(**kw):
     base = dict(
-        split=(0.1, 0.45, 0.45), nt_epochs=3, ft_epochs=1, seed=5,
+        nt_epochs=3, ft_epochs=1, seed=5,
         rank_metrics=False,
         tgn=tgn.TgnConfig(d_mem=8, d_time=4, d_feat=8, k_neighbors=4, batch_size=100),
     )
@@ -183,7 +183,7 @@ def test_mintt_zero_ft_is_scoreable_and_leaves_checkpoints_untouched(pipeline):
 def test_wt_equals_mintt_with_memory_zeroed(pipeline):
     _, target, _, src_ckpt, fgat_ckpt = pipeline
     cfg = run_cfg(ft_epochs=0)
-    train_g, val_g, test_g = tr.chronological_split(target, cfg.split)
+    train_g, val_g, test_g = tr.chronological_split(target, tr.DEFAULT_SPLIT)
 
     wt = tr.run_variant("wt", target, cfg, src_ckpt=src_ckpt)
     setup = tr.prepare_variant("mintt", train_g, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt)
@@ -256,9 +256,9 @@ def test_every_variant_scores_the_same_negatives(pipeline, negatives):
                      for v in tr.VARIANTS)
     assert nt == wt == mintt
 
-    _, val_g, test_g = tr.chronological_split(target, cfg.split)
+    _, val_g, test_g = tr.chronological_split(target, tr.DEFAULT_SPLIT)
     rng = np.random.default_rng(cfg.seed)
-    chunks = [batch.items for split in (val_g, test_g) for batch in batch_iter(split, 50)]  # `evaluate`'s chunks
+    chunks = [batch.items for split in (val_g, test_g) for batch in batch_iter(split, eval_metrics.CHUNK)]
     expect = [(items.tobytes(), sample_negatives(items, target.num_items, rng).tobytes()) for items in chunks]
     assert nt == expect
 
@@ -276,7 +276,7 @@ def test_another_training_epoch_leaves_the_negatives_unchanged(pipeline, negativ
 def test_mintt_mapping_covers_all_target_nodes(pipeline):
     _, target, _, src_ckpt, fgat_ckpt = pipeline
     cfg = run_cfg(ft_epochs=0)
-    train_g = tr.chronological_split(target, cfg.split)[0]
+    train_g = tr.chronological_split(target, tr.DEFAULT_SPLIT)[0]
     setup = tr.prepare_variant("mintt", train_g, cfg, src_ckpt=src_ckpt, fgat_ckpt=fgat_ckpt)
     assert len(setup.mapping.source_node) == target.num_users + target.num_items
     assert np.all(setup.mapping.source_node[: target.num_users] < 20)
