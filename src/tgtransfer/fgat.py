@@ -16,16 +16,21 @@ Each phase applies the same attention block with its own weights: per edge
     alpha = softmax_over_u's_neighbors(w4^T msg)
     h_u' = MLP([w5 h_u, sum_v alpha w6 h_v])
 
-Nodes without neighbors in a phase still update through MLP([w5 h_u, 0]).
-The phase tables are the one place that weights and sorts a transformed
-graph's edges: a_uv is u's interaction fraction with v in phases 2 and 3,
-1/|F_u| in phase 1 and 1/deg(f) in phase 4.
+The phases aggregate either side of two weighted bipartite graphs: user-item
+pairs, weighted by interaction count, and node-feature attachments, of unit
+weight. One builder, `_bipartite_tables`, makes the tables of both, the one
+place that weights and sorts a transformed graph's edges. An edge's weight
+a_uv is its share of the aggregating node's total weight (GraphSAGE's
+row-normalised mean): u's interaction fraction with v in phases 2 and 3,
+1/|F_u| in phase 1 and 1/deg(f) in phase 4, so it is positive by
+construction. A node without neighbors in a phase gets a zero context and
+updates through MLP([w5 h_u, 0]); a phase without edges runs the same op.
 
 A phase is one autodiff op with a hand-written backward, `phase_update`:
 self projection, edge attention, MLP and row write. Its edge part,
-`_edge_attention`, relies on the activation acting blockwise and on a table
-check that edge weights are nonnegative, so the score splits into per-node
-terms (static, GAT-style attention, not GATv2's) formed once per row:
+`_edge_attention`, relies on the activation acting blockwise and on positive
+edge weights, so the score splits into per-node terms (static, GAT-style
+attention, not GATv2's) formed once per row:
 `act(w1 h_u) @ w4[:d] + act(w2 h_v) @ w4[d:2d] + a_uv * (act(w3) @ w4[2d:])`.
 Its activation and segment softmax, with their backward rules, are the
 `numerics.tensor` ones the MLPs and TGN's attention use. A table also holds
@@ -96,65 +101,43 @@ def _phase_table(start, count, tgt, src, a, dim) -> PhaseTable:
     return PhaseTable(start, count, tgt, src, a, seg, slice(lo, hi), src_pos, *sums)
 
 
-def _sorted_table(start, count, tgt, src, a, dim) -> PhaseTable:
-    tgt = np.asarray(tgt, dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
-    a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a) & (a >= 0.0)):
-        raise ValueError("phase edge weights must be finite and nonnegative")
-    order = np.lexsort((src, tgt))
-    return _phase_table(start, count, tgt[order], src[order], a[order], dim)
-
-
-def phase_plan(tg: TransformedGraph, dim: int, n_layers: int = 2) -> list[PhaseTable]:
-    """Edge tables of the phases an `n_layers`-layer schedule runs, in
-    schedule order: all four, or the first three for one layer, whose
-    schedule ends before its phase 4."""
+def phase_plan(tg: TransformedGraph, dim: int) -> list[PhaseTable]:
+    """Edge tables of the four phases, in schedule order."""
     s = tg.static
-    p1, *p4 = _feature_tables(tg, dim, n_layers)
-    return [p1, *_interaction_tables(s.pair_users, s.pair_items, s.pair_counts, s.num_users, s.num_items, dim), *p4]
+    p1, p4 = _feature_tables(tg, dim)
+    return [p1, *_bipartite_tables(s.pair_users, s.pair_items, s.pair_counts, s.num_users, s.num_items, dim), p4]
 
 
-def _feature_tables(tg: TransformedGraph, dim: int, n_layers: int) -> tuple[PhaseTable, ...]:
-    """Tables of phases 1 and 4, which read only the feature attachments;
-    phase 4's only where an `n_layers`-layer schedule runs one."""
-    g_count = tg.num_graph_nodes
-    feat_global = tg.feature_global(tg.feat_edge_feat)
-
-    # phase 1: every graph node aggregates its feature nodes, weight 1/|F_u|
-    a1 = 1.0 / tg.node_features.lengths[tg.feat_edge_node]
-    p1 = _sorted_table(0, g_count, tg.feat_edge_node, feat_global, a1, dim)
-    if n_layers == 1:
-        return (p1,)
-
-    # phase 4: feature nodes aggregate attached graph nodes, weight 1/deg
-    a4 = 1.0 / np.bincount(tg.feat_edge_feat, minlength=tg.num_features)[tg.feat_edge_feat]
-    p4 = _sorted_table(g_count, tg.num_features, feat_global, tg.feat_edge_node, a4, dim)
-    return p1, p4
+def _feature_tables(tg: TransformedGraph, dim: int) -> tuple[PhaseTable, PhaseTable]:
+    """Tables of phases 1 and 4, over the unit-weight feature attachments."""
+    ones = np.ones(len(tg.feat_edge_node))
+    return _bipartite_tables(tg.feat_edge_node, tg.feat_edge_feat, ones, tg.num_graph_nodes, tg.num_features, dim)
 
 
-def _interaction_tables(users, items, counts, n_users, n_items, dim) -> tuple[PhaseTable, PhaseTable]:
-    """Tables of phases 2 and 3 over (user, item) pairs in (user, item) order:
-    each side aggregates the other, weighted by its interaction fractions."""
-    cnt = counts.astype(np.float64)
-    item_g = items + n_users
-    # integer counts, so the totals are exact in any summation order
-    a2 = cnt / np.bincount(users, weights=cnt, minlength=n_users)[users]
-    p2 = _phase_table(0, n_users, users, item_g, a2, dim)
-    by_item = np.argsort(items, kind="stable")  # (item, user) order
-    a3 = cnt[by_item] / np.bincount(items, weights=cnt, minlength=n_items)[items[by_item]]
-    p3 = _phase_table(n_users, n_items, item_g[by_item], users[by_item], a3, dim)
-    return p2, p3
+def _bipartite_tables(left, right, weight, n_left, n_right, dim) -> tuple[PhaseTable, PhaseTable]:
+    """Tables of the phases in which the left nodes [0, n_left) aggregate the
+    right nodes [n_left, n_left + n_right) and back, from (left, right) edges
+    in (left, right) order: each side weights an edge by its share of the
+    aggregating node's total weight."""
+    w = weight.astype(np.float64)
+    right_g = right + n_left
+    # integer weights, so the totals are exact in any summation order
+    a_left = w / np.bincount(left, weights=w, minlength=n_left)[left]
+    p_left = _phase_table(0, n_left, left, right_g, a_left, dim)
+    by_right = np.argsort(right, kind="stable")  # (right, left) order
+    a_right = w[by_right] / np.bincount(right, weights=w, minlength=n_right)[right[by_right]]
+    p_right = _phase_table(n_left, n_right, right_g[by_right], left[by_right], a_right, dim)
+    return p_left, p_right
 
 
 def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable):
-    """The (count, d) attention context of a phase with edges, the (E, 1)
-    `alpha` array, and the map from the context's gradient to those of the
-    target rows, source rows, w1, w2, w6, w3 and w4, on arrays.
+    """The (count, d) attention context of a phase, 0 for a target without
+    edges, the (E, 1) `alpha` array, and the map from the context's gradient
+    to those of the target rows, source rows, w1, w2, w6, w3 and w4, on arrays.
 
     Products, activations and scores are formed per node row: an edge's logit is its target's score
     `act(p_t) @ w4[:d]` plus its source's `act(p_s) @ w4[d:2d]` plus
-    `a_uv * (act(w3) @ w4[2d:])`, exact as the table's weights are `>= 0`.
+    `a_uv * (act(w3) @ w4[2d:])`, exact as the table's weights are positive.
     Every sum over edges runs through the table's plans.
 
     Backward: past the segment softmax's rule, the score gradient `g` is
@@ -189,21 +172,18 @@ def _edge_attention(H, w1, w2, w6, w3, w4, table: PhaseTable):
 
 def phase_update(H: T.Tensor, params: tuple, table: PhaseTable):
     """One phase as one op: the copy of `H` whose target rows are
-    `MLP([H_t @ w5, context])`, and the (E, 1) `alpha` array (None without
-    edges, where the context is 0). `params`: w5, the MLP's W0, b0, W1, b1
-    and, with edges, w1, w2, w6, w3, w4. It runs the numpy steps of the
-    composed `gather`, `matmul`, `concat`, `linear`, `leaky_relu` and
-    `scatter_rows` ops in order, so values and gradients keep their bytes
-    (up to the sign of zeros); H's gradient is built in one array."""
+    `MLP([H_t @ w5, context])`, and the (E, 1) `alpha` array. `params`: w5,
+    the MLP's W0, b0, W1, b1, then w1, w2, w6, w3, w4. It runs the numpy
+    steps of the composed `gather`, `matmul`, `concat`, `linear`,
+    `leaky_relu` and `scatter_rows` ops in order, so values and gradients
+    keep their bytes (up to the sign of zeros); H's gradient is built in one
+    array."""
     rows = slice(table.start, table.start + table.count)
     w5, m_w0, m_b0, m_w1, m_b1 = (p.data for p in params[:5])
     H_t = H.data[rows]
-    if len(params) > 5:
-        if T._grad_enabled and not table.src_sums:
-            raise ValueError("a phase table built without a tape cannot run backward")
-        context, alpha, attention_backward = _edge_attention(H.data, *(p.data for p in params[5:]), table)
-    else:
-        context, alpha = np.zeros((table.count, w5.shape[1])), None
+    if T._grad_enabled and not table.src_sums:
+        raise ValueError("a phase table built without a tape cannot run backward")
+    context, alpha, attention_backward = _edge_attention(H.data, *(p.data for p in params[5:]), table)
     x = np.concatenate([T._matmul(H_t, w5), context], axis=1)
     pre = T._matmul(x, m_w0)
     pre += m_b0
@@ -218,16 +198,12 @@ def phase_update(H: T.Tensor, params: tuple, table: PhaseTable):
         g_x = T._matmul(g_pre, m_w0.T)
         g_self, g_context = np.ascontiguousarray(g_x[:, : w5.shape[1]]), np.ascontiguousarray(g_x[:, w5.shape[1] :])
         g_H = g.copy()
-        grads = [g_H, T._matmul(H_t.T, g_self), T._matmul(x.T, g_pre), g_pre.sum(axis=0),
-                 T._matmul(hidden.T, g_rows), g_rows.sum(axis=0)]
-        if alpha is None:
-            g_H[rows] = T._matmul(g_self, w5.T)
-            return grads
         g_t, g_s, *attention_grads = attention_backward(g_context)
         g_H[rows] = g_t
         g_H[table.src_rows] += g_s
         g_H[rows] += T._matmul(g_self, w5.T)
-        return grads + attention_grads
+        return [g_H, T._matmul(H_t.T, g_self), T._matmul(x.T, g_pre), g_pre.sum(axis=0),
+                T._matmul(hidden.T, g_rows), g_rows.sum(axis=0), *attention_grads]
 
     return T.Tensor(out, _parents=(H, *params), _backward=backward, _op="phase_update"), alpha
 
@@ -256,23 +232,20 @@ class FgatModel:
         """Embedding rows for tokens; unseen tokens share the unknown row."""
         return np.array([self._token_row.get(t, UNKNOWN_ROW) for t in tokens], dtype=np.int64)
 
-    def _phase_params(self, layer: int, phase: int, edges: bool) -> tuple:
-        """The `phase_update` parameters of one phase, with attention weights if `edges`."""
-        attention = ("w1", "w2", "w6", "w3", "w4") if edges else ()
-        names = ("w5", "mlp.l0.w", "mlp.l0.b", "mlp.l1.w", "mlp.l1.b", *attention)
+    def _phase_params(self, layer: int, phase: int) -> tuple:
+        """The `phase_update` parameters of one phase."""
+        names = ("w5", "mlp.l0.w", "mlp.l0.b", "mlp.l1.w", "mlp.l1.b", "w1", "w2", "w6", "w3", "w4")
         return tuple(self.pset[f"layer{layer}.phase{phase}.{name}"] for name in names)
 
     def encode(self, tg: TransformedGraph, plan: list[PhaseTable] | None = None) -> T.Tensor:
         """Embeddings for all transformed-graph nodes after the schedule's
-        phases over `plan` (by default `phase_plan(tg, dim, n_layers)`); it ends
-        after the last layer's phase 3, so feature rows hold what that layer read."""
-        plan = phase_plan(tg, self.config.dim, self.config.n_layers) if plan is None else plan
+        phases over `plan` (by default `phase_plan(tg, dim)`); it ends after
+        the last layer's phase 3, so feature rows hold what that layer read."""
+        plan = phase_plan(tg, self.config.dim) if plan is None else plan
         feat_h = T.gather(self.pset["feat.table"], self.token_rows(tg.feature_vocab))
         H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, self.config.dim))), feat_h], axis=0)
         for layer, phase in self._schedule:
-            table = plan[phase - 1]
-            params = self._phase_params(layer, phase, len(table.edge_tgt) > 0)
-            H, _ = phase_update(H, params, table)
+            H, _ = phase_update(H, self._phase_params(layer, phase), plan[phase - 1])
         return H
 
     def encode_arrays(self, tg: TransformedGraph) -> np.ndarray:
@@ -368,7 +341,7 @@ def train_fgat(
     T._keep_freed_pages()
     # masking hides pairs only, so phases 1 and 4 keep their tables
     d = model.config.dim
-    feature_tables = [_feature_tables(tg, d, model.config.n_layers) for tg in pool]
+    feature_tables = [_feature_tables(tg, d) for tg in pool]
     opt = Adam(lr=model.config.lr)
     losses: list[float] = []
     for _ in range(epochs):
@@ -380,8 +353,8 @@ def train_fgat(
 def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng: np.random.Generator) -> float:
     """Mask a share of `tg`'s pairs, encode the rest, score the masked pairs
     against as many sampled non-edges, take one optimizer step; returns the
-    loss. `feature_tables` are `tg`'s phase 1 table and, where the schedule
-    runs one, its phase 4 table. The tape lives in this frame only."""
+    loss. `feature_tables` are `tg`'s phase 1 and 4 tables. The tape lives
+    in this frame only."""
     s = tg.static
     d = model.config.dim
     n_pairs = s.num_pairs
@@ -389,12 +362,12 @@ def _train_step(model: FgatModel, tg: TransformedGraph, feature_tables, opt, rng
     n_mask = min(n_mask, n_pairs - 1)  # always keep at least one pair
     perm = rng.permutation(n_pairs)
     mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
-    p1, *p4 = feature_tables
-    p2, p3 = _interaction_tables(
+    p1, p4 = feature_tables
+    p2, p3 = _bipartite_tables(
         s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
     )
 
-    H = model.encode(tg, plan=[p1, p2, p3, *p4])
+    H = model.encode(tg, plan=[p1, p2, p3, p4])
     pos_u = s.pair_users[mask_idx]
     pos_i = s.pair_items[mask_idx] + tg.num_users
     neg_u, neg_i = _sample_non_edges(tg, n_mask, rng)

@@ -547,6 +547,8 @@ def restore(path) -> TgnCheckpoint:
         meta, "config", "edge_dim", "feature_vocab", "optimizer", "graph"
     )
     model = TgnModel(config_from(TgnConfig, config), vocab, edge_dim, np.random.default_rng(0))
+    if not isinstance(graph, dict):
+        raise CheckpointError(f"{path} holds no source graph")
     param_names = set(model.pset.names())
     model.pset.load_arrays({k: v for k, v in arrays.items() if k in param_names})
     state = MemoryState(*require(arrays, "memory.values", "memory.last_update"))

@@ -101,10 +101,6 @@ class TransformedGraph:
     def num_nodes(self) -> int:
         return self.num_graph_nodes + self.num_features
 
-    def feature_global(self, feat_id):
-        """Feature id -> transformed-graph node id."""
-        return self.num_graph_nodes + feat_id
-
 
 def build_transformed(static: StaticGraph, user_features, item_features, feature_vocab) -> TransformedGraph:
     return TransformedGraph(static, user_features, item_features, feature_vocab)

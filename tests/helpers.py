@@ -320,11 +320,7 @@ def phase_update_composed(H, params, table, attention=edge_attention_per_node):
     w5, m_w0, m_b0, m_w1, m_b1 = params[:5]
     rows = slice(table.start, table.start + table.count)
     self_proj = matmul(T.gather(H, rows), w5)
-    if len(params) > 5:
-        context, alpha = attention(H, *params[5:], table)
-    else:
-        alpha = None
-        context = T.constant(np.zeros((table.count, w5.shape[1])))
+    context, alpha = attention(H, *params[5:], table)
     hidden = T.leaky_relu(T.linear(T.concat([self_proj, context], axis=1), m_w0, m_b0))
     written = np.arange(table.start, table.start + table.count)
     return T.scatter_rows(H, written, T.linear(hidden, m_w1, m_b1)), alpha
@@ -334,17 +330,16 @@ def encode_composed(model, tg, plan=None, n_layers=None):
     """Four phases in each of `model`'s first `n_layers` layers (all by
     default) over `tg` through `phase_update_composed`: the reference for
     the graph-node rows of `FgatModel.encode`, which ends before the last
-    phase 4, and so for `encode_arrays`. `FgatModel` draws the last phase 4
-    and drops it, so a model one layer deeper, built from the same seed,
-    holds the tested model's weights and that phase's too."""
+    phase 4, and so for `encode_arrays`. `FgatModel` draws its parameters in
+    schedule order, so a model one layer deeper, built from the same seed,
+    holds the tested model's weights and that layer's phase 4 too."""
     plan = fgat.phase_plan(tg, model.config.dim) if plan is None else plan
     feat_h = T.gather(model.pset["feat.table"], model.token_rows(tg.feature_vocab))
     H = T.concat([T.constant(np.zeros((tg.num_graph_nodes, model.config.dim))), feat_h], axis=0)
     for layer in range(1, (model.config.n_layers if n_layers is None else n_layers) + 1):
         for phase in range(1, 5):
             table = plan[phase - 1]
-            params = model._phase_params(layer, phase, len(table.edge_tgt) > 0)
-            H, _ = phase_update_composed(H, params, table)
+            H, _ = phase_update_composed(H, model._phase_params(layer, phase), table)
     return H
 
 
@@ -387,7 +382,7 @@ def train_fgat_composed(model, pool, epochs, rng, n_layers=None):
     `n_layers` layers, stepped by `AdamLoop`; returns the per-epoch losses
     and leaves the last epoch's gradients on the parameters."""
     d = model.config.dim
-    feature_tables = [fgat._feature_tables(tg, d, 2) for tg in pool]  # every layer runs a phase 4
+    feature_tables = [fgat._feature_tables(tg, d) for tg in pool]
     opt = AdamLoop(lr=model.config.lr)
     losses = []
     for _ in range(epochs):
@@ -400,7 +395,7 @@ def train_fgat_composed(model, pool, epochs, rng, n_layers=None):
         perm = rng.permutation(n_pairs)
         mask_idx, keep_idx = perm[:n_mask], np.sort(perm[n_mask:])
         p1, p4 = feature_tables[k]
-        p2, p3 = fgat._interaction_tables(
+        p2, p3 = fgat._bipartite_tables(
             s.pair_users[keep_idx], s.pair_items[keep_idx], s.pair_counts[keep_idx], s.num_users, s.num_items, d
         )
         H = encode_composed(model, tg, [p1, p2, p3, p4], n_layers)
@@ -434,8 +429,8 @@ def masked_static(tg, keep_idx):
 def static_interaction_tables(tg, dim):
     """Tables of phases 2 and 3 built edge by edge from `tg.static`'s pairs,
     each weight a pair's count over its aggregating node's integer total, and
-    sorted by `fgat._sorted_table`: the reference for
-    `fgat._interaction_tables`, which builds them with numpy."""
+    sorted by `sorted_table`: the reference for the pair tables of
+    `fgat._bipartite_tables`, which builds them with numpy."""
     s, u_count = tg.static, tg.num_users
     pairs = list(zip(s.pair_users.tolist(), (s.pair_items + u_count).tolist(), s.pair_counts.tolist()))
     totals = {}
@@ -445,8 +440,8 @@ def static_interaction_tables(tg, dim):
     user_side = [(u, i, c / totals[u]) for u, i, c in pairs]
     item_side = [(i, u, c / totals[i]) for u, i, c in pairs]
     return (
-        fgat._sorted_table(0, u_count, *_columns(user_side), dim),
-        fgat._sorted_table(u_count, tg.num_items, *_columns(item_side), dim),
+        sorted_table(0, u_count, *_columns(user_side), dim),
+        sorted_table(u_count, tg.num_items, *_columns(item_side), dim),
     )
 
 
@@ -467,6 +462,17 @@ def feature_attachment_tables(tg, dim):
         fgat._phase_table(0, g_count, *_columns(p1), dim),
         fgat._phase_table(g_count, tg.num_features, *_columns(p4), dim),
     )
+
+
+def sorted_table(start, count, tgt, src, a, dim):
+    """The phase table of (tgt, src, a) edges given in any order, sorted by
+    (tgt, src): fixtures that no transformed graph makes, such as sources
+    that overlap the targets."""
+    tgt = np.asarray(tgt, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    a = np.asarray(a, dtype=np.float64)
+    order = np.lexsort((src, tgt))
+    return fgat._phase_table(start, count, tgt[order], src[order], a[order], dim)
 
 
 def _columns(edges):

@@ -482,6 +482,22 @@ def test_encoder_checkpoint_with_a_last_phase_4_is_one_error_line(trained, tmp_p
     assert captured.out == "" and not (tmp_path / "r.json").exists()
 
 
+def test_source_checkpoint_without_its_graph_is_one_error_line(trained, tmp_path, capsys):
+    """A source checkpoint whose source graph is null, its arrays kept, ends
+    `transfer` with one `error:` line that names the missing graph."""
+    src_ckpt, _, target = trained
+    meta, arrays = read_blob(src_ckpt)
+    meta["graph"] = None
+    bad = tmp_path / "source.ckpt"
+    write_blob(bad, meta, arrays)
+    rc = cli.main(["transfer", "--variant", "wt", "--target", str(target), "--src-ckpt", str(bad),
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {bad} holds no source graph"]
+    assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["transfer", "--variant", "nt", "--seeds", ","],
     ["transfer", "--variant", "nt", "--seeds", " , "],

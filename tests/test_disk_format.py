@@ -1,10 +1,15 @@
-"""Pinned on-disk bytes of the transformed-graph cache and the TGN checkpoint.
+"""Pinned on-disk bytes of the transformed-graph cache, the TGN checkpoint
+and the FGAT encoder checkpoint.
 
 The cache digest was recorded from a file written by the package before
-node feature tables moved to the CSR layout, the checkpoint digest after the
-attention key lost its bias. Writing the same tiny graph must still give the
-same bytes, so caches and checkpoints written by older versions still load,
-and reading a file back and writing it again must reproduce it exactly.
+node feature tables moved to the CSR layout, the TGN checkpoint digest after
+the attention key lost its bias, and the encoder checkpoint digest before
+the four FGAT phase tables came from one builder. The encoder is untrained,
+so it holds uniform draws only and its bytes do not depend on the BLAS.
+Writing the same tiny graph and models must still give the same bytes, so
+files written by older versions still load and no weight is renamed or
+dropped unnoticed, and reading a file back and writing it again must
+reproduce it exactly.
 """
 
 import hashlib
@@ -20,6 +25,7 @@ from tgtransfer.numerics import tensor as T
 PINNED = {
     "transformed.cache": "7186495581c25b0566424c95a3913980c091327039d8b1e92ca2649f34e7823b",
     "tgn.ckpt": "1f33a7587b030e43be7c4415131679a26d39b6769b658697c144a34d5fb19220",
+    "fgat.ckpt": "a61be0cc94a528e6ddc657125ab3d3a96f5c609ded0b3528e56ed6f74fbec31d",
 }
 
 
@@ -56,6 +62,8 @@ def write_all(tmp_path):
     model = tgn.TgnModel(TINY_TGN, g.feature_vocab, g.edge_feature_dim, rng)
     state = tgn.MemoryState(rng.normal(size=(g.num_nodes, 4)), rng.uniform(0, 3, g.num_nodes))
     snapshot(model, state, Adam(lr=0.01), paths["tgn.ckpt"], g)
+    encoder = fgat.FgatModel(fgat.FgatConfig(dim=4), g.feature_vocab, np.random.default_rng(11))
+    fgat.save_fgat(encoder, paths["fgat.ckpt"])
     return paths
 
 
@@ -83,6 +91,9 @@ def test_read_then_write_reproduces_files(tmp_path):
     tgn.snapshot(ckpt.model, ckpt.state, ckpt.optimizer, tmp_path / "again.ckpt",
                  source_graph=g, train_pairs=pairs)
     assert sha256(tmp_path / "again.ckpt") == sha256(paths["tgn.ckpt"])
+
+    fgat.save_fgat(fgat.load_fgat(paths["fgat.ckpt"]), tmp_path / "again-fgat.ckpt")
+    assert sha256(tmp_path / "again-fgat.ckpt") == sha256(paths["fgat.ckpt"])
 
 
 @pytest.mark.parametrize("load, kind", [

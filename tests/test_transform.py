@@ -106,8 +106,7 @@ def test_transformed_node_counts_and_partitions():
     tg = tf.transform_graph(g)
     assert tg.num_nodes == 7  # 2 users + 2 items + 3 features
     assert (tg.num_users, tg.num_graph_nodes) == (2, 4)
-    assert tg.feature_global(0) == 4
-    assert [list(weighted_neighbors(tg, tg.feature_global(f))[0]) for f in range(3)] == [[0], [1], [2]]
+    assert [list(weighted_neighbors(tg, tg.num_graph_nodes + f)[0]) for f in range(3)] == [[0], [1], [2]]
 
 
 def test_feature_edges_exact():
@@ -135,7 +134,7 @@ def test_neighborhoods_graph_node():
     graph_ids, graph_weights, feature_ids, feature_weights = weighted_neighbors(tg, 0)
     got = dict(zip(graph_ids.tolist(), graph_weights.tolist()))
     assert got == {1: pytest.approx(2 / 3), 2: pytest.approx(1 / 3)}
-    assert list(feature_ids) == [tg.feature_global(0), tg.feature_global(1)]
+    assert list(feature_ids) == [tg.num_graph_nodes, tg.num_graph_nodes + 1]
     assert np.allclose(feature_weights, 0.5)
 
 
@@ -151,14 +150,14 @@ def test_neighborhoods_feature_node_and_roundtrip():
     tg = tf.transform_graph(g)
     # oracle: brute-force scan of the edge list in both directions
     for f in range(4):
-        graph_ids, graph_weights, feature_ids, _ = weighted_neighbors(tg, tg.feature_global(f))
+        graph_ids, graph_weights, feature_ids, _ = weighted_neighbors(tg, tg.num_graph_nodes + f)
         expect = {n for n, ff in zip(tg.feat_edge_node, tg.feat_edge_feat) if ff == f}
         assert set(graph_ids.tolist()) == expect
         if expect:
             assert abs(graph_weights.sum() - 1.0) < 1e-12
         assert len(feature_ids) == 0
         for v in graph_ids:
-            assert tg.feature_global(f) in weighted_neighbors(tg, int(v))[2]
+            assert tg.num_graph_nodes + f in weighted_neighbors(tg, int(v))[2]
 
 
 def test_bad_node_and_feature_ids_raise_key_error():
@@ -166,7 +165,7 @@ def test_bad_node_and_feature_ids_raise_key_error():
                       [np.array([1, 0]), np.array([], dtype=np.int64)], [np.array([1])] * 2, ["a", "b"])
     tg = tf.transform_graph(g)
     assert list(tg.node_features[0]) == [0, 1]  # ascending, whatever the input order
-    assert list(weighted_neighbors(tg, tg.feature_global(1))[0]) == [0, 2, 3]
+    assert list(weighted_neighbors(tg, tg.num_graph_nodes + 1)[0]) == [0, 2, 3]
     for bad in (-1, tg.num_graph_nodes):
         with pytest.raises(KeyError):
             tg.node_features[bad]
