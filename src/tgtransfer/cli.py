@@ -27,7 +27,7 @@ from . import synthdata as sd
 from . import tgn
 from . import transfer as tr
 from .eval_metrics import summarize
-from .numerics import Adam, CheckpointError, NonFiniteError, init_and_training_rngs
+from .numerics import CheckpointError, NonFiniteError, init_and_training_rngs
 from .temporal_graph import IngestError, TemporalGraph, chronological_split, load_events
 from .transform import build_static, load_transformed, save_transformed, transform_graph
 
@@ -217,12 +217,11 @@ def cmd_train_tgn(args) -> int:
     init_rng, rng = init_and_training_rngs(args.seed)
     model = tgn.TgnModel(_config(args, tgn.TgnConfig, TGN_FLAGS), g.feature_vocab, g.edge_feature_dim, init_rng)
     ctx = model.bind_graph(g)
-    opt = Adam(lr=model.config.lr)
     # zero epochs leave the zero memory
-    state, losses = tgn.train(model, ctx, g, args.epochs, rng, optimizer=opt)
+    state, losses = tgn.train(model, ctx, g, args.epochs, rng)
     static = build_static(g)
     tgn.snapshot(
-        model, state, opt, args.out,
+        model, state, None, args.out,
         source_graph=g,
         train_pairs=(static.pair_users, static.pair_items, static.pair_counts),
     )
@@ -355,20 +354,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    """Condense a sweep CSV into per-variant AP-vs-fraction curves."""
+    """Condense a sweep CSV into per-variant AP-vs-fraction curves: the
+    `mean` and `std` AP fields of each (variant, fraction), copied."""
     lines = Path(args.sweep).read_text().strip().splitlines()
     if not lines or lines[0] != SWEEP_HEADER:
         raise ValueError(f"{args.sweep} is not a sweep CSV")
     points: dict = {}
     for line in lines[1:]:
         variant, fraction, seed, ap, *_ = line.split(",")
+        summary = points.setdefault((variant, float(fraction)), {})
         if seed in ("mean", "std"):
-            continue
-        points.setdefault((variant, float(fraction)), []).append(float(ap))
+            summary[seed] = ap
     out_lines = ["variant,fraction,mean_ap,std_ap"]
-    for (variant, fraction) in sorted(points):
-        mean, std = summarize(points[(variant, fraction)])
-        out_lines.append(f"{variant},{fraction},{mean:.6f},{std:.6f}")
+    for (variant, fraction), summary in sorted(points.items()):
+        if summary.keys() != {"mean", "std"}:
+            raise ValueError(f"{args.sweep} lacks the mean or std row of {variant},{fraction}")
+        out_lines.append(f"{variant},{fraction},{summary['mean']},{summary['std']}")
     Path(args.out).write_text("\n".join(out_lines) + "\n")
     print(f"wrote {len(out_lines) - 1} curve points -> {args.out}")
     return 0

@@ -1,8 +1,10 @@
 """The Adam optimizer over a ParameterSet.
 
-m and v are one flat vector each, in the parameters' sorted-name order. A
-step updates every parameter in one elementwise pass, with the bytes of a
-per-parameter update, and rebinds each parameter to its block of the result.
+m and v are one flat vector each, in the parameters' sorted-name order,
+laid out at zero on the first step; every later step must bring the same
+parameter names and shapes. A step updates every parameter in one
+elementwise pass, with the bytes of a per-parameter update, and rebinds
+each parameter to its block of the result.
 """
 
 from __future__ import annotations
@@ -23,22 +25,10 @@ def _flat(arrays: list) -> np.ndarray:
 
 
 class Adam:
-    kind = "adam"
-
     def __init__(self, lr: float):
         self.lr = float(lr)
         self.t = 0
-        self._lay_out([])
-        self._m = self._v = np.zeros(0)
-
-    def _lay_out(self, layout: list[tuple[str, tuple]]) -> None:
-        """Blocks of m and v: (name, shape) each, and its (start, stop)."""
-        self._layout = layout
-        self._bounds = list(itertools.pairwise(itertools.accumulate((math.prod(s) for _, s in layout), initial=0)))
-
-    def _blocks(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each named block of a flat moment vector, as a view."""
-        return {name: flat[lo:hi].reshape(shape) for (name, shape), (lo, hi) in zip(self._layout, self._bounds)}
+        self._layout = None
 
     def step(self, pset: ParameterSet) -> None:
         params = list(pset.items())
@@ -46,10 +36,13 @@ class Adam:
             if p.grad is None:
                 raise MissingGradError(f"no gradient for parameter {name}")
         layout = [(name, p.data.shape) for name, p in params]
-        if layout != self._layout:  # first step, or new parameters: moments start at zero
-            m, v = self._blocks(self._m), self._blocks(self._v)
-            self._m, self._v = (_flat([old.get(n, np.zeros(s)) for n, s in layout]) for old in (m, v))
-            self._lay_out(layout)
+        if self._layout is None:  # first step: moments start at zero
+            self._layout = layout
+            offsets = list(itertools.accumulate((math.prod(s) for _, s in layout), initial=0))
+            self._bounds = list(itertools.pairwise(offsets))
+            self._m, self._v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+        elif layout != self._layout:
+            raise ValueError("this Adam steps only the parameter names and shapes of its first step")
         self.t += 1
         b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
@@ -77,20 +70,3 @@ class Adam:
         np.subtract(data, step, out=step)
         for (_, p), (lo, hi) in zip(params, self._bounds):
             p.data = step[lo:hi].reshape(p.data.shape)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Copies of the step count and moments: `step` updates the moments
-        in place, and a snapshot must not follow them."""
-        out = {"__step__": np.array([float(self.t)])}
-        m, v = self._blocks(self._m), self._blocks(self._v)
-        for name in sorted(m):
-            out[f"m.{name}"] = m[name].copy()
-            out[f"v.{name}"] = v[name].copy()
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["__step__"][0])
-        names = sorted(key.split(".", 1)[1] for key in arrays if key.startswith("m."))
-        moments = {key: np.asarray(arr, dtype=np.float64) for key, arr in arrays.items()}
-        self._lay_out([(name, moments[f"m.{name}"].shape) for name in names])
-        self._m, self._v = (_flat([moments[f"{slot}.{name}"] for name in names]) for slot in "mv")

@@ -499,34 +499,30 @@ def train(
 class TgnCheckpoint(NamedTuple):
     model: TgnModel
     state: MemoryState
-    optimizer: Adam
     source: TransformedGraph
 
 
 def snapshot(
     model: TgnModel,
     state: MemoryState,
-    optimizer: Adam,
+    optimizer,
     path,
     source_graph: TemporalGraph,
     train_pairs: tuple,
 ) -> None:
-    """Write params, memory, optimizer state, and the source graph a later
-    transfer run maps memory from: its transformed graph over the
-    (user, item, count) `train_pairs` of its training split, stored at
-    array names prefixed "graph." in the `transform` blob format, so the
-    raw event log is not needed."""
+    """Write params, memory, and the source graph a later transfer run maps
+    memory from: its transformed graph over the (user, item, count)
+    `train_pairs` of its training split, stored at array names prefixed
+    "graph." in the `transform` blob format, so the raw event log is not
+    needed. `optimizer` is not read: optimizer state never transfers."""
     arrays = dict(model.pset.state_arrays())
     arrays["memory.values"] = state.memory
     arrays["memory.last_update"] = state.last_update
-    for key, val in optimizer.state_arrays().items():
-        arrays[f"optim.{key}"] = val
     meta = {
         "kind": "tgn-checkpoint",
         "config": model.config.to_dict(),
         "edge_dim": model.edge_dim,
         "feature_vocab": model.feature_vocab,
-        "optimizer": {"kind": optimizer.kind, "lr": optimizer.lr},
     }
     static = StaticGraph(*train_pairs, source_graph.num_users, source_graph.num_items)
     tg = TransformedGraph(static, source_graph.user_features, source_graph.item_features,
@@ -537,27 +533,17 @@ def snapshot(
 
 
 def restore(path) -> TgnCheckpoint:
-    """The model, memory, Adam optimizer and source graph `snapshot` wrote.
-    Stored parameters the model does not name, and their Adam moments, are
-    dropped."""
+    """The model, memory and source graph `snapshot` wrote. Stored arrays
+    the model does not name, such as an old key bias or the Adam state older
+    checkpoints hold, are dropped."""
     meta, arrays = read_blob(path)
     if meta.get("kind") != "tgn-checkpoint":
         raise ValueError(f"{path} is not a tgn checkpoint")
-    config, edge_dim, vocab, opt, graph = require(
-        meta, "config", "edge_dim", "feature_vocab", "optimizer", "graph"
-    )
+    config, edge_dim, vocab, graph = require(meta, "config", "edge_dim", "feature_vocab", "graph")
     model = TgnModel(config_from(TgnConfig, config), vocab, edge_dim, np.random.default_rng(0))
     if not isinstance(graph, dict):
         raise CheckpointError(f"{path} holds no source graph")
     param_names = set(model.pset.names())
     model.pset.load_arrays({k: v for k, v in arrays.items() if k in param_names})
     state = MemoryState(*require(arrays, "memory.values", "memory.last_update"))
-    kind, lr = require(opt, "kind", "lr")
-    if kind != "adam":
-        raise CheckpointError(f"unknown optimizer kind: {kind!r}")
-    optimizer = Adam(lr)
-    opt_keys = ["__step__", *(f"{slot}.{name}" for slot in "mv" for name in param_names)]
-    opt_state = {k: arrays[f"optim.{k}"] for k in opt_keys if f"optim.{k}" in arrays}
-    if opt_state:
-        optimizer.load_state(opt_state)
-    return TgnCheckpoint(model, state, optimizer, graph_from_blob(graph, arrays, prefix="graph."))
+    return TgnCheckpoint(model, state, graph_from_blob(graph, arrays, prefix="graph."))

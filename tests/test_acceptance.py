@@ -458,7 +458,7 @@ def bed(tmp_path_factory):
         static = tf.build_static(source)
         src_ckpt = root / f"source{seed}.ckpt"
         tgn.snapshot(
-            model, state, N.Adam(lr=BED_TGN.lr), src_ckpt, source_graph=source,
+            model, state, None, src_ckpt, source_graph=source,
             train_pairs=(static.pair_users, static.pair_items, static.pair_counts),
         )
         pool = [tf.transform_graph(g) for g in [source] + extras + thin]

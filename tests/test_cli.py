@@ -394,7 +394,7 @@ def _meta_blob(meta: bytes) -> bytes:
     return b'{"arrays":[],"meta":{' + meta + b'},"schema":1}'
 
 
-TGN_META = b'"edge_dim":0,"feature_vocab":[],"graph":null,"kind":"tgn-checkpoint","optimizer":{"kind":"adam","lr":0.001}'
+TGN_META = b'"edge_dim":0,"feature_vocab":[],"graph":null,"kind":"tgn-checkpoint"'
 FGAT_META = b'"feature_vocab":[],"kind":"fgat-checkpoint"'
 
 
@@ -519,7 +519,8 @@ def test_outputs_land_in_missing_nested_directories(synth_dir, trained, tmp_path
     src_ckpt, enc_ckpt, target = trained
     new = tmp_path / "fresh" / "runs"
     sweep_csv = tmp_path / "sweep.csv"
-    sweep_csv.write_text(cli.SWEEP_HEADER + "\nnt,0.5,1,0.6,0.6,0.1,0.2\n")
+    sweep_csv.write_text(cli.SWEEP_HEADER + "\nnt,0.5,1,0.6,0.6,0.1,0.2\nnt,0.5,mean,0.6,0.6,0.1,0.2\n"
+                         "nt,0.5,std,0.0,0.0,0.0,0.0\n")
     flags, outputs = {
         "transform": (["--input", str(synth_dir / "source.csv")], ["--output", new / "g.cache"]),
         "train-tgn": (["--graph", str(synth_dir / "source.csv"), "--epochs", "0", *TGN_FAST],
@@ -573,6 +574,35 @@ def test_sweep_and_plot(trained, tmp_path, capsys):
     clines = curves.read_text().strip().splitlines()
     assert clines[0] == "variant,fraction,mean_ap,std_ap"
     assert len(clines) == 3  # 1 variant x 2 fractions
+    summary = {tuple(ln.split(",")[:3]): ln.split(",")[3] for ln in lines[1:]}
+    for ln in clines[1:]:
+        variant, fraction, mean, std = ln.split(",")
+        assert (mean, std) == (summary[variant, fraction, "mean"], summary[variant, fraction, "std"])
+
+
+def test_plot_copies_the_sweep_summary_rows(tmp_path):
+    # the std row is the sweep's own, from unrounded APs; one recomputed
+    # from the rounded per-seed rows reads 0.013357
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("\n".join([
+        cli.SWEEP_HEADER,
+        "wt,0.5,1,0.801234,0.8,0.1,0.2", "wt,0.5,2,0.827948,0.8,0.1,0.2",
+        "wt,0.5,mean,0.814591,0.8,0.1,0.2", "wt,0.5,std,0.013356,0.0,0.0,0.0",
+        "nt,0.1,1,0.5,0.5,0.1,0.2", "nt,0.1,mean,0.500000,0.5,0.1,0.2", "nt,0.1,std,0.000000,0.0,0.0,0.0",
+    ]) + "\n")
+    curves = tmp_path / "curves.csv"
+    assert cli.main(["plot", "--sweep", str(sweep), "--out", str(curves)]) == 0
+    assert curves.read_text() == "variant,fraction,mean_ap,std_ap\nnt,0.1,0.500000,0.000000\nwt,0.5,0.814591,0.013356\n"
+
+
+@pytest.mark.parametrize("dropped", ["mean", "std"])
+def test_plot_rejects_a_sweep_without_a_summary_row(tmp_path, capsys, dropped):
+    sweep = tmp_path / "sweep.csv"
+    rows = ["nt,0.5,1,0.6,0.6,0.1,0.2", "nt,0.5,mean,0.6,0.6,0.1,0.2", "nt,0.5,std,0.0,0.0,0.0,0.0"]
+    sweep.write_text("\n".join([cli.SWEEP_HEADER, *(r for r in rows if f",{dropped}," not in r)]) + "\n")
+    assert cli.main(["plot", "--sweep", str(sweep), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "lacks the mean or std row of nt,0.5" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_sweep_rejects_bad_fraction(trained, tmp_path, capsys):

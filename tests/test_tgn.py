@@ -892,13 +892,12 @@ def test_snapshot_restore_roundtrip(tmp_path, rng):
     g = make_graph(n_events=50, seed=1)
     model = tgn.TgnModel(small_config(batch_size=10), VOCAB, 0, rng)
     ctx = model.bind_graph(g)
-    opt = tgn.Adam(lr=0.01)
-    state, _ = tgn.train(model, ctx, g, epochs=2, rng=np.random.default_rng(5), optimizer=opt)
+    state, _ = tgn.train(model, ctx, g, epochs=2, rng=np.random.default_rng(5), optimizer=tgn.Adam(lr=0.01))
     assert state.num_nodes == g.num_users + g.num_items
 
     path = tmp_path / "tgn.ckpt"
     static_pairs = (np.array([0, 1]), np.array([0, 1]), np.array([3, 4]))
-    tgn.snapshot(model, state, opt, path, source_graph=g, train_pairs=static_pairs)
+    tgn.snapshot(model, state, None, path, source_graph=g, train_pairs=static_pairs)
     loaded = tgn.restore(path)
 
     assert loaded.model.feature_vocab == VOCAB
@@ -912,5 +911,5 @@ def test_snapshot_restore_roundtrip(tmp_path, rng):
 
     # resaving the restored model is byte-identical
     path2 = tmp_path / "tgn2.ckpt"
-    tgn.snapshot(loaded.model, loaded.state, loaded.optimizer, path2, source_graph=g, train_pairs=static_pairs)
+    tgn.snapshot(loaded.model, loaded.state, None, path2, source_graph=g, train_pairs=static_pairs)
     assert path.read_bytes() == path2.read_bytes()

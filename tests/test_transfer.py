@@ -9,7 +9,6 @@ from tgtransfer import synthdata as sd
 from tgtransfer import tgn
 from tgtransfer import transfer as tr
 from tgtransfer.eval_metrics import evaluate
-from tgtransfer.numerics import Adam
 from tgtransfer.temporal_graph import TemporalGraph, batch_iter, sample_negatives
 from tgtransfer.tgn import MemoryState
 from tgtransfer.transform import build_static, transform_graph
@@ -122,11 +121,10 @@ def pipeline(tmp_path_factory):
 
     model = small_tgn(source.feature_vocab, source.edge_feature_dim, seed=2)
     ctx = model.bind_graph(source)
-    opt = Adam(lr=model.config.lr)
-    state, _ = tgn.train(model, ctx, source, epochs=2, rng=rng, optimizer=opt)
+    state, _ = tgn.train(model, ctx, source, epochs=2, rng=rng)
     src_ckpt = root / "source.ckpt"
     s = build_static(source)
-    tgn.snapshot(model, state, opt, src_ckpt, source_graph=source,
+    tgn.snapshot(model, state, None, src_ckpt, source_graph=source,
                  train_pairs=(s.pair_users, s.pair_items, s.pair_counts))
 
     encoder = fg.FgatModel(fg.FgatConfig(dim=16), source.feature_vocab, np.random.default_rng(3))
